@@ -71,6 +71,14 @@ def _prices_path(args) -> Path:
     raise CliError(f"no --prices given and {DATA_ENV} is not set")
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """Parse a comma-separated list of numbers given to `flag`."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag}: not a comma-separated list of numbers: {text!r}") from None
+
+
 def _load_model(args) -> ReturnModel:
     if getattr(args, "model", None):
         path = Path(args.model)
@@ -129,9 +137,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    gammas = _floats(args.gamma_prime, "--gamma-prime")
     model = _load_model(args)
     portfolio = _portfolio(args, model)
-    gammas = [float(g) for g in args.gamma_prime.split(",")]
     result = table_sweep(
         [portfolio],
         gammas,
@@ -162,9 +170,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    gammas = _floats(args.gamma_prime, "--gamma-prime")
     series = ingest_prices(_prices_path(args))
     portfolio = _portfolio(args)
-    gammas = [float(g) for g in args.gamma_prime.split(",")]
     rows = {}
     for g in gammas:
         est = historical_replay(portfolio, series, g, args.theta, args.horizon)
@@ -239,7 +247,7 @@ def cmd_oracle_tail(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     ok = True
-    for c in (float(x) for x in args.c.split(",")):
+    for c in _floats(args.c, "--c"):
         est = tail_probability_experiment(
             args.feeds, args.corrupt, args.sigma, c, args.trials, rng
         )
@@ -352,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrocodaiError as exc:
+    except (CliError, CrocodaiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,10 @@ relative composition, never on its absolute size.
 
 Runs are pure functions of (config, seed, run index): draws come from
 fixed-size counter-derived substreams, so parallel and serial execution
-aggregate to bit-identical results.
+aggregate to bit-identical results. Portfolios that share a seed (all of
+them under common random numbers) share each chunk's draws, colouring and
+price paths, so a table sweep costs about one portfolio plus a weighting
+per portfolio.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ def confidence_interval(failures: int, runs: int) -> float:
 
 
 def _chunk_min_relvalue(args) -> np.ndarray:
-    model, weights, idx, horizon, n, distribution, seed, chunk_index, zero_drift = args
+    """Run-wise minimum relative value of every portfolio in a group that
+    shares one seed: one chunk of innovations is drawn and coloured once, and
+    each asset row the group uses is accumulated and exponentiated once."""
+    model, members, horizon, n, distribution, seed, chunk_index, zero_drift = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = len(model.assets)
     if distribution == NORMAL:
@@ -116,41 +122,51 @@ def _chunk_min_relvalue(args) -> np.ndarray:
     else:
         raise ModelError(f"unknown distribution {distribution!r}")
     returns = np.einsum("ij,jtn->itn", model.chol, innov)
+    del innov
     if not zero_drift:
         returns += model.mu[:, None, None]
-    rel = np.exp(np.cumsum(returns[idx], axis=1))  # per-asset price ratio paths
-    value = np.einsum("i,itn->tn", weights, rel)
-    return value.min(axis=0)
+    rows = np.unique(np.concatenate([idx for _, idx in members]))
+    rel = returns if len(rows) == m else returns[rows]
+    np.cumsum(rel, axis=1, out=rel)
+    np.exp(rel, out=rel)  # per-asset price ratio paths
+    return np.stack([
+        np.einsum("i,itn->tn", weights, rel[np.searchsorted(rows, idx)]).min(axis=0)
+        for weights, idx in members
+    ])
 
 
 def _min_relative_values(
-    portfolio: Portfolio,
+    portfolios: Sequence[Portfolio],
+    seeds: Sequence[int],
     model: ReturnModel,
     horizon: int,
     runs: int,
     distribution: str,
-    seed: int,
     zero_drift: bool,
     jobs: int = 1,
 ) -> np.ndarray:
-    """Minimum relative portfolio value over slots 1..horizon, one per run."""
-    idx = model.index_of(portfolio.assets)
-    tasks = []
-    chunk_index = 0
-    remaining = runs
-    while remaining > 0:
-        n = min(CHUNK_RUNS, remaining)
-        tasks.append(
-            (model, portfolio.weights, idx, horizon, n, distribution, seed, chunk_index, zero_drift)
-        )
-        chunk_index += 1
-        remaining -= n
+    """Minimum relative portfolio value over slots 1..horizon, one row per
+    portfolio and one column per run. Portfolios with equal seeds share their
+    draws; each task is one chunk of runs for one such group."""
+    groups: dict[int, list[int]] = {}
+    for p_i, seed in enumerate(seeds):
+        groups.setdefault(seed, []).append(p_i)
+    spans, tasks = [], []
+    for seed, members in groups.items():
+        basket = tuple((portfolios[i].weights, model.index_of(portfolios[i].assets)) for i in members)
+        for chunk_index, start in enumerate(range(0, runs, CHUNK_RUNS)):
+            n = min(CHUNK_RUNS, runs - start)
+            spans.append((members, slice(start, start + n)))
+            tasks.append((model, basket, horizon, n, distribution, seed, chunk_index, zero_drift))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_chunk_min_relvalue, tasks))
     else:
         parts = [_chunk_min_relvalue(t) for t in tasks]
-    return np.concatenate(parts)
+    mins = np.empty((len(portfolios), runs))
+    for (members, cols), part in zip(spans, parts):
+        mins[members, cols] = part
+    return mins
 
 
 def _validate_levels(gamma_prime: float, theta: float) -> float:
@@ -171,23 +187,13 @@ def simulate_failure(
     zero_drift: bool = False,
     jobs: int = 1,
 ) -> FailureEstimate:
-    """Monte Carlo first-passage failure probability with a Wald 95% CI."""
-    threshold = _validate_levels(gamma_prime, theta)
-    if horizon < 1 or runs < 1:
-        raise DataError("horizon and runs must be >= 1")
-    mins = _min_relative_values(portfolio, model, horizon, runs, distribution, seed, zero_drift, jobs)
-    failures = int(np.count_nonzero(mins <= threshold))
-    return FailureEstimate(
-        probability=failures / runs,
-        ci_half_width=confidence_interval(failures, runs),
-        runs=runs,
-        horizon=horizon,
-        method=distribution,
-        gamma_prime=gamma_prime,
-        theta=theta,
-        seed=seed,
-        failures=failures,
+    """Monte Carlo first-passage failure probability with a Wald 95% CI: the
+    one cell of a one-portfolio, one-gamma' `table_sweep`."""
+    sweep = table_sweep(
+        [portfolio], [gamma_prime], model, theta, horizon, runs, distribution, seed,
+        zero_drift=zero_drift, jobs=jobs,
     )
+    return sweep.estimates[(gamma_prime, portfolio.name)]
 
 
 # ----------------------------------------------------------------------
@@ -293,19 +299,24 @@ def table_sweep(
 ) -> SweepResult:
     """Cartesian product of portfolios and gamma' levels under one model.
 
-    With common random numbers each portfolio's run-wise minimum is computed
-    once and thresholded per gamma', which makes the failure probability
-    exactly non-increasing down the gamma' rows.
+    Every portfolio's run-wise minimum is computed once and thresholded per
+    gamma'. With common random numbers all portfolios share one seed, so
+    each chunk of runs is drawn, coloured and exponentiated once for the
+    whole table and only the weighting is per portfolio; the failure
+    probability is exactly non-increasing down the gamma' rows. Without
+    them portfolio i draws from seed + 7919*(i+1).
     """
     thresholds = {g: _validate_levels(g, theta) for g in gamma_primes}
+    if horizon < 1 or runs < 1:
+        raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
+    seeds = [
+        seed if common_random_numbers else seed + 7919 * (p_i + 1) for p_i in range(len(portfolios))
+    ]
+    mins = _min_relative_values(portfolios, seeds, model, horizon, runs, distribution, zero_drift, jobs)
     estimates: dict[tuple[float, str], FailureEstimate] = {}
     for p_i, portfolio in enumerate(portfolios):
-        base_seed = seed if common_random_numbers else seed + 7919 * (p_i + 1)
-        mins = _min_relative_values(
-            portfolio, model, horizon, runs, distribution, base_seed, zero_drift, jobs
-        )
         for g in gamma_primes:
-            failures = int(np.count_nonzero(mins <= thresholds[g]))
+            failures = int(np.count_nonzero(mins[p_i] <= thresholds[g]))
             estimates[(g, portfolio.name)] = FailureEstimate(
                 probability=failures / runs,
                 ci_half_width=confidence_interval(failures, runs),
@@ -314,7 +325,7 @@ def table_sweep(
                 method=distribution,
                 gamma_prime=g,
                 theta=theta,
-                seed=base_seed,
+                seed=seeds[p_i],
                 failures=failures,
             )
     return SweepResult(

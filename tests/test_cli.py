@@ -102,6 +102,36 @@ class TestFitSimulateReplay:
                      "--n", "100", "--horizon", "4"]) == 2
 
 
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--horizon", "0")])
+    def test_empty_simulation_is_usage_error(self, prices, tmp_path, flag, value):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        argv = ["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                "--gamma-prime", "1.2", "--n", "100", "--horizon", "4"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+
+
+class TestCommaListFlags:
+    def test_simulate_gamma_prime(self, prices, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        assert main(["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2,x", "--n", "100", "--horizon", "4"]) == 2
+        assert "--gamma-prime" in capsys.readouterr().err
+
+    def test_replay_gamma_prime(self, prices, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        assert main(["replay", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2,", "--horizon", "4"]) == 2
+        assert "--gamma-prime" in capsys.readouterr().err
+
+    def test_oracle_tail_c(self, capsys):
+        assert main(["oracle-tail", "--c", "2,x", "--trials", "10000"]) == 2
+        assert "--c" in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_weights_sum_to_one(self, prices, tmp_path):
         out = tmp_path / "opt.json"

@@ -100,6 +100,20 @@ class TestSimulateFailure:
         with pytest.raises(DataError):
             simulate_failure(p, model, 1.1, 1.2, 10, 100)
 
+    @pytest.mark.parametrize("horizon, runs", [(0, 100), (10, 0), (-1, 100)])
+    def test_horizon_and_runs_validated(self, horizon, runs):
+        model = toy_model(np.eye(1) * 0.01)
+        p = Portfolio("solo", ("A0",), np.array([1.0]))
+        with pytest.raises(DataError):
+            simulate_failure(p, model, 1.2, 1.1, horizon, runs)
+
+    def test_is_the_one_cell_of_a_table_sweep(self):
+        model = toy_model(np.eye(2) * 0.02**2, nu=4.0)
+        p = Portfolio("pair", ("A0", "A1"), np.array([0.3, 0.7]))
+        est = simulate_failure(p, model, 1.3, 1.1, 24, 3000, NORMAL, seed=2, zero_drift=True)
+        sweep = table_sweep([p], [1.3], model, 1.1, 24, 3000, NORMAL, seed=2, zero_drift=True)
+        assert est == sweep.estimates[(1.3, "pair")]
+
     def test_seed_determinism_and_parallel_merge(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3)) * 0.02
@@ -212,3 +226,63 @@ class TestTableSweep:
         without = table_sweep([p], [1.2], model, 1.1, 288, 200, seed=0, zero_drift=True)
         assert with_drift.estimates[(1.2, "solo")].probability == 1.0
         assert without.estimates[(1.2, "solo")].probability == 0.0
+
+    @pytest.mark.parametrize("horizon, runs", [(0, 100), (5, 0)])
+    def test_horizon_and_runs_validated(self, horizon, runs):
+        model = toy_model(np.eye(1) * 1e-4)
+        p = Portfolio("solo", ("A0",), np.array([1.0]))
+        with pytest.raises(DataError):
+            table_sweep([p], [1.2], model, 1.1, horizon=horizon, runs=runs)
+
+
+class TestSharedDraws:
+    """Portfolios that share a seed share each chunk's draws; the result must
+    be the one each portfolio gets when swept on its own."""
+
+    GAMMAS = [1.05, 1.1, 1.2]
+
+    def model(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) * 0.02
+        return toy_model(a @ a.T, nu=4.0, mu=[1e-4, -2e-4, 0.0, 3e-4])
+
+    def portfolios(self):
+        return [
+            Portfolio("low", ("A0", "A1"), np.array([0.4, 0.6])),
+            Portfolio("high", ("A3", "A2"), np.array([0.7, 0.3])),  # disjoint from "low"
+            Portfolio("solo", ("A2",), np.array([1.0])),
+            Portfolio("all", ("A0", "A1", "A2", "A3"), np.ones(4) / 4),
+        ]
+
+    def sweep(self, portfolios, **kw):
+        kw.setdefault("distribution", STUDENT_T)
+        return table_sweep(portfolios, self.GAMMAS, self.model(), 1.02, horizon=24,
+                           runs=2500, seed=8, **kw)
+
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    def test_crn_cells_equal_one_portfolio_sweeps(self, distribution):
+        ps = self.portfolios()
+        table = self.sweep(ps, distribution=distribution)
+        assert any(e.failures for e in table.estimates.values())
+        for p in ps:
+            alone = self.sweep([p], distribution=distribution)
+            for g in self.GAMMAS:
+                assert table.estimates[(g, p.name)] == alone.estimates[(g, p.name)]
+
+    def test_independent_seeds_without_crn(self):
+        ps = self.portfolios()
+        table = self.sweep(ps, common_random_numbers=False)
+        for p_i, p in enumerate(ps):
+            seed = 8 + 7919 * (p_i + 1)
+            alone = table_sweep([p], self.GAMMAS, self.model(), 1.02, horizon=24, runs=2500,
+                                seed=seed)
+            for g in self.GAMMAS:
+                assert table.estimates[(g, p.name)].seed == seed
+                assert table.estimates[(g, p.name)] == alone.estimates[(g, p.name)]
+
+    @pytest.mark.parametrize("crn", [True, False])
+    def test_parallel_equals_serial(self, crn):
+        ps = self.portfolios()[:3]
+        serial = self.sweep(ps, common_random_numbers=crn, jobs=1)
+        parallel = self.sweep(ps, common_random_numbers=crn, jobs=2)
+        assert serial.as_json() == parallel.as_json()
