@@ -96,8 +96,17 @@ def _portfolio(args, model: ReturnModel | None = None) -> Portfolio:
         path = Path(spec)
         if not path.exists():
             raise CliError(f"portfolio file not found: {path}")
-        doc = json.loads(path.read_text())
-        return Portfolio.from_weights(doc.get("name", path.stem), doc["weights"])
+        try:
+            doc = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CliError(f"portfolio file {path}: not valid JSON: {exc}") from None
+        weights = doc.get("weights") if isinstance(doc, dict) else None
+        if not isinstance(weights, dict):
+            raise CliError(f"portfolio file {path}: $.weights must be an object of asset weights")
+        for asset, w in weights.items():
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise CliError(f"portfolio file {path}: $.weights.{asset} is not a number: {w!r}")
+        return Portfolio.from_weights(doc.get("name", path.stem), weights)
     try:
         return builtin_portfolio(spec)
     except CrocodaiError:

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ModelError
-from .riskmodel import NORMAL, STUDENT_T, PriceSeries, ReturnModel, _gap_boundaries
+from .riskmodel import NORMAL, STUDENT_T, PriceSeries, ReturnModel, common_timeline
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
+REPLAY_BLOCK = 256  # replay windows weighed together: ~3.5 MB at 6 assets, horizon 288
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class Portfolio:
         object.__setattr__(self, "assets", tuple(self.assets))
         if len(self.assets) != len(w) or len(w) == 0:
             raise DataError("portfolio needs one weight per asset")
+        if not np.all(np.isfinite(w)):
+            raise DataError(f"portfolio weights must be finite, got {w}")
         if np.any(w < 0):
             raise DataError("portfolio weights must be >= 0")
         if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -66,7 +70,10 @@ class Portfolio:
     def from_weights(cls, name: str, weights: Mapping[str, float]) -> "Portfolio":
         assets = tuple(weights)
         w = np.array([weights[a] for a in assets], dtype=float)
-        return cls(name, assets, w / w.sum())
+        total = w.sum()
+        if not 0.0 < total < math.inf:
+            raise DataError(f"portfolio weights must have a positive, finite total, got {total!r}")
+        return cls(name, assets, w / total)
 
 
 @dataclass(frozen=True)
@@ -208,40 +215,32 @@ def historical_replay(
     horizon: int,
 ) -> FailureEstimate:
     """Evaluate the first-passage criterion over every horizon-long window of
-    actual prices that fits inside a single period."""
+    actual prices that fits inside a single period of the assets' common
+    timeline. Windows are weighed REPLAY_BLOCK start slots at a time; each
+    window's relative values are the same `weights @ (seg / seg[:, :1])` as
+    one window on its own."""
     if not (gamma_prime >= theta > 1.0):
         raise DataError(f"need gamma' >= theta > 1, got {gamma_prime}, {theta}")
     threshold = theta / gamma_prime
     if horizon < 1:
         raise DataError("horizon must be >= 1")
-    missing = [a for a in portfolio.assets if a not in series_map]
-    if missing:
-        raise DataError(f"portfolio assets missing from the dataset: {missing}")
-
-    common: np.ndarray | None = None
-    for a in portfolio.assets:
-        t = series_map[a].times
-        common = t if common is None else np.intersect1d(common, t, assume_unique=True)
-    if common is None or len(common) < horizon + 1:
-        raise DataError("insufficient data: no window of the requested horizon")
-    panel = np.empty((len(portfolio.assets), len(common)))
-    for i, a in enumerate(portfolio.assets):
-        ser = series_map[a]
-        panel[i] = ser.prices[np.searchsorted(ser.times, common)]
-
-    cuts = sorted(_gap_boundaries(common) | {0, len(common)})
+    panel, cuts = common_timeline(series_map, portfolio.assets)
     windows = 0
     failures = 0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        span = b - a
-        if span < horizon + 1:
+        if b - a < horizon + 1:
             continue
-        for start in range(a, b - horizon):
-            seg = panel[:, start : start + horizon + 1]
-            rel = portfolio.weights @ (seg / seg[:, :1])
-            windows += 1
-            if rel.min() <= threshold:
-                failures += 1
+        # (start, asset, slot) view of every window starting in [a, b - horizon)
+        view = sliding_window_view(panel[:, a:b], horizon + 1, axis=1).transpose(1, 0, 2)
+        for lo in range(0, len(view), REPLAY_BLOCK):
+            seg = view[lo : lo + REPLAY_BLOCK]
+            # C-ordered, so matmul takes each window's (asset, slot) matrix in
+            # the same layout, and sums in the same order, as a lone window
+            ratio = np.empty(seg.shape)
+            np.divide(seg, seg[:, :, :1], out=ratio)
+            rel = portfolio.weights @ ratio
+            failures += int(np.count_nonzero(rel.min(axis=1) <= threshold))
+        windows += len(view)
     if windows == 0:
         raise DataError("insufficient data: no window of the requested horizon")
     return FailureEstimate(
@@ -309,6 +308,10 @@ def table_sweep(
     thresholds = {g: _validate_levels(g, theta) for g in gamma_primes}
     if horizon < 1 or runs < 1:
         raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
+    names = [p.name for p in portfolios]
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise DataError(f"portfolio names must be unique, repeated: {duplicates}")
     seeds = [
         seed if common_random_numbers else seed + 7919 * (p_i + 1) for p_i in range(len(portfolios))
     ]
@@ -330,6 +333,6 @@ def table_sweep(
             )
     return SweepResult(
         gamma_primes=tuple(gamma_primes),
-        portfolios=tuple(p.name for p in portfolios),
+        portfolios=tuple(names),
         estimates=estimates,
     )

@@ -5,7 +5,13 @@ correlated normal / Student-t samplers.
 Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...``,
 ISO-8601 UTC timestamps at 5-minute slots, and decimal USD prices (empty
 cell = missing). Gaps longer than two slot durations split a series into
-periods; no return ever spans a period boundary.
+periods; no return ever spans a period boundary. `common_timeline` is the
+one alignment of several symbols (shared timestamps, price panel, period
+cuts) that both the return model and the historical replay use.
+
+The per-asset Student-t degrees of freedom are fitted by maximum likelihood
+with an analytic gradient (`fit_nu`), about ten passes over the data per
+asset.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.optimize import minimize
+from scipy.special import digamma, gammaln
 
 from .errors import DataError, ModelError
 from .ledger import SLOT_SECONDS
@@ -147,27 +154,33 @@ def log_returns(series: PriceSeries) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence[str] | None = None
-                        ) -> tuple[list[str], np.ndarray]:
-    """Joint return matrix (assets x T) over timestamps where every symbol
-    has an observation; the gap rule is re-applied to the common timeline."""
-    symbols = list(symbols) if symbols is not None else sorted(series_map)
+def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str]
+                    ) -> tuple[np.ndarray, list[int]]:
+    """Price panel (symbols x T) over the timestamps where every symbol has an
+    observation, and the period cuts [0, ..., T] of that common timeline: the
+    gap rule is re-applied to it, so a span between two cuts is gap-free."""
     missing = [s for s in symbols if s not in series_map]
     if missing:
         raise DataError(f"symbols not in the dataset: {missing}")
-    common: np.ndarray | None = None
-    for s in symbols:
+    common = np.empty(0, dtype=np.int64)
+    for i, s in enumerate(symbols):
         t = series_map[s].times
-        common = t if common is None else np.intersect1d(common, t, assume_unique=True)
-    if common is None or len(common) < 2:
-        raise DataError("fewer than two common observations across symbols")
-    boundaries = _gap_boundaries(common)
+        common = t if i == 0 else np.intersect1d(common, t, assume_unique=True)
     panel = np.empty((len(symbols), len(common)))
     for i, s in enumerate(symbols):
         ser = series_map[s]
-        idx = np.searchsorted(ser.times, common)
-        panel[i] = ser.prices[idx]
-    cuts = sorted(boundaries | {0, len(common)})
+        panel[i] = ser.prices[np.searchsorted(ser.times, common)]
+    return panel, sorted(_gap_boundaries(common) | {0, len(common)})
+
+
+def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence[str] | None = None
+                        ) -> tuple[list[str], np.ndarray]:
+    """Joint return matrix (assets x T) over the common timeline of the
+    symbols; no return spans one of its period cuts."""
+    symbols = list(symbols) if symbols is not None else sorted(series_map)
+    panel, cuts = common_timeline(series_map, symbols)
+    if panel.shape[1] < 2:
+        raise DataError("fewer than two common observations across symbols")
     chunks = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a >= 2:
@@ -259,17 +272,49 @@ def cholesky(cov: np.ndarray) -> np.ndarray:
     raise ModelError("covariance is not positive semi-definite (jitter exhausted)")
 
 
+def _t_neg_loglik(params: np.ndarray, x2: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of a location-0 Student-t with
+    (nu, sigma^2) = exp(params), and its gradient in params, given the
+    squared observations."""
+    nu, s2 = np.exp(params)
+    z = x2 / (nu * s2)
+    mean_log = float(np.log1p(z).mean())
+    mean_frac = float((z / (1.0 + z)).mean())  # -d log1p(z) / d log(nu s2)
+    half = 0.5 * (nu + 1.0)
+    value = (gammaln(0.5 * nu) - gammaln(half) + 0.5 * math.log(math.pi * nu)
+             + 0.5 * params[1] + half * mean_log)
+    d_nu = (0.5 * digamma(0.5 * nu) - 0.5 * digamma(half) + 0.5 / nu
+            + 0.5 * mean_log - half / nu * mean_frac)
+    d_s2 = 0.5 - half * mean_frac
+    return value, np.array([nu * d_nu, d_s2])
+
+
 def fit_nu(standardized: np.ndarray) -> float:
     """Maximum-likelihood Student-t degrees of freedom on standardized
-    returns, clamped to [2.1, 200] so the variance stays finite."""
-    x = np.asarray(standardized, dtype=float)
-    try:
-        df, _, _ = stats.t.fit(x, floc=0.0)
-    except Exception as exc:  # scipy can fail on degenerate input
-        raise ModelError(f"t-fit failed: {exc}") from exc
-    if not math.isfinite(df):
-        return NU_MAX
-    return float(min(max(df, NU_MIN), NU_MAX))
+    returns, clamped to [2.1, 200] so the variance stays finite.
+
+    The location-0 t log-likelihood is maximised jointly over
+    (log nu, log sigma^2) by L-BFGS-B with its analytic gradient, log nu
+    bounded to the clamp: about ten O(n) evaluations, where a generic simplex
+    search over the log-pdf takes hundreds.
+    """
+    x2 = np.square(np.asarray(standardized, dtype=float))
+    mean_x2 = float(x2.mean()) if x2.size else math.nan
+    if not 0.0 < mean_x2 < math.inf:
+        raise ModelError("t-fit needs finite input that is not all zero")
+    nu0 = 5.0
+    lo, hi = math.log(NU_MIN), math.log(NU_MAX)
+    start = np.array([math.log(nu0), math.log(mean_x2 * (nu0 - 2.0) / nu0)])
+    # the likelihood is flat in nu for large nu: at the default gtol of 1e-5 on
+    # the per-point gradient, nu stops 7e-5 relative short of the optimum at nu=30
+    result = minimize(
+        _t_neg_loglik, start, args=(x2,), jac=True, method="L-BFGS-B",
+        bounds=[(lo, hi), (None, None)], options={"gtol": 1e-8},
+    )
+    log_nu = float(result.x[0])
+    # at a bound, report the clamp itself: exp(log(200)) is 199.99999999999991
+    nu = NU_MIN if log_nu <= lo else NU_MAX if log_nu >= hi else math.exp(log_nu)
+    return min(max(nu, NU_MIN), NU_MAX)
 
 
 def estimate_model(returns_by_asset: Mapping[str, np.ndarray], min_obs: int = 100) -> ReturnModel:

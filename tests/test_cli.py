@@ -132,6 +132,36 @@ class TestCommaListFlags:
         assert "--c" in capsys.readouterr().err
 
 
+class TestPortfolioFile:
+    """A bad --portfolio file is a usage error (exit 2) that names the
+    problem, never a traceback or a silently empty estimate."""
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"weights": {"BTC": 1.0}', "not valid JSON"),
+        ('{"name": "p"}', "$.weights"),
+        ('[1, 2]', "$.weights"),
+        ('{"weights": [0.5, 0.5]}', "$.weights"),
+        ('{"weights": {"BTC": "half", "ETH": 0.5}}', "$.weights.BTC"),
+        ('{"weights": {"BTC": null}}', "$.weights.BTC"),
+        ('{"weights": {"BTC": 0.0, "ETH": 0.0}}', "positive, finite total"),
+        ('{"weights": {"BTC": NaN, "ETH": 0.5}}', "finite total"),
+        ('{"weights": {"BTC": Infinity, "ETH": 0.5}}', "finite total"),
+    ])
+    def test_replay_rejects(self, prices, tmp_path, capsys, text, needle):
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        assert main(["replay", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2", "--horizon", "4"]) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_zero_weights_do_not_simulate(self, prices, tmp_path):
+        # an all-zero basket used to report failure probability 0 with exit 0
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 0, "ETH": 0}}))
+        assert main(["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2", "--n", "100", "--horizon", "4"]) == 2
+
+
 class TestOptimize:
     def test_weights_sum_to_one(self, prices, tmp_path):
         out = tmp_path / "opt.json"

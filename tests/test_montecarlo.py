@@ -35,6 +35,16 @@ class TestPortfolio:
         with pytest.raises(DataError):
             Portfolio("bad", ("A", "B"), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            Portfolio("bad", ("A", "B"), np.array([bad, 0.5]))
+
+    def test_zero_total_weights_rejected(self):
+        # the all-zero basket used to normalise to [nan nan] and never fail
+        with pytest.raises(DataError, match="positive, finite total"):
+            Portfolio.from_weights("p", {"A": 0.0, "B": 0.0})
+
     def test_scale_invariance_of_amounts(self):
         a = Portfolio.from_amounts("p", {"A": 10.0, "B": 30.0})
         b = Portfolio.from_amounts("p", {"A": 1000.0, "B": 3000.0})
@@ -180,6 +190,79 @@ class TestHistoricalReplay:
         assert est.probability == 0.0  # the 90% drop is hidden behind the boundary
 
 
+def reference_replay(portfolio, series_map, gamma_prime, theta, horizon):
+    """(failures, windows) by the one-window-at-a-time loop that the blocked
+    replay replaced, on its own common timeline and gap cuts."""
+    assets = portfolio.assets
+    common = series_map[assets[0]].times
+    for a in assets[1:]:
+        common = np.intersect1d(common, series_map[a].times, assume_unique=True)
+    panel = np.array([series_map[a].prices[np.searchsorted(series_map[a].times, common)]
+                      for a in assets])
+    cuts = [0, *(np.nonzero(np.diff(common) > 2 * 300)[0] + 1).tolist(), len(common)]
+    failures = windows = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for start in range(a, b - horizon):
+            seg = panel[:, start : start + horizon + 1]
+            rel = portfolio.weights @ (seg / seg[:, :1])
+            windows += 1
+            failures += int(rel.min() <= theta / gamma_prime)
+    return failures, windows
+
+
+def two_period_series(first=700, second=400, seed=3):
+    """Three assets on 5-minute slots with a 50-minute gap after `first`
+    slots; asset C misses one slot, which the common timeline drops."""
+    times = np.concatenate([np.arange(first), first + 10 + np.arange(second)]) * 300
+    rng = np.random.default_rng(seed)
+    out = {}
+    for k, name in enumerate("ABC"):
+        steps = rng.standard_t(3.0, len(times)) * 0.01 * (k + 1)
+        keep = np.arange(len(times)) != (250 if name == "C" else -1)
+        out[name] = PriceSeries(name, times[keep], 50.0 * np.exp(np.cumsum(steps))[keep])
+    return out
+
+
+class TestBlockedReplay:
+    """Replay weighs many windows per numpy call; every count must be the one
+    the per-window loop gives. That includes gamma' = theta, where the
+    threshold is 1 and a window fails on its start slot exactly when the
+    weights' float sum is at most 1: 0.33 + 0.56 + 0.11 is 1 + 2**-52 in
+    this order and 1 in the reverse one."""
+
+    @pytest.mark.parametrize("horizon", [1, 24, 300])
+    @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.7), (0.33, 0.56, 0.11), (0.0, 1.0, 0.0)])
+    def test_equals_per_window_loop(self, horizon, weights):
+        series = two_period_series()
+        p = Portfolio("mix", ("A", "B", "C"), np.array(weights))
+        for g in (1.1, 1.15, 1.2, 1.3, 1.5):
+            est = historical_replay(p, series, g, 1.1, horizon)
+            assert (est.failures, est.runs) == reference_replay(p, series, g, 1.1, horizon)
+        # the 699-slot first period (C misses one) holds more than one block of starts
+        assert est.runs == (699 - horizon) + max(400 - horizon, 0)
+
+    def test_gamma_prime_equal_theta_depends_on_the_weight_sum(self):
+        series = two_period_series()
+        p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
+        est = historical_replay(p, series, 1.1, 1.1, 24)
+        assert 0 < est.failures < est.runs  # windows that only rise do not fail
+        assert (est.failures, est.runs) == reference_replay(p, series, 1.1, 1.1, 24)
+
+    def test_window_ending_at_a_period_cut(self):
+        # flat prices but a 20% dip on the last slot of the first period: only
+        # the one window that ends exactly there sees it
+        times = np.concatenate([np.arange(40), 50 + np.arange(40)]) * 300
+        prices = np.full(80, 10.0)
+        prices[39] = 8.0
+        series = {"X": PriceSeries("X", times, prices), "Y": PriceSeries("Y", times, np.full(80, 3.0))}
+        p = Portfolio("solo", ("X",), np.array([1.0]))
+        est = historical_replay(p, series, 1.2, 1.1, horizon=12)
+        assert (est.failures, est.runs) == (1, 2 * (40 - 12))
+        assert (est.failures, est.runs) == reference_replay(p, series, 1.2, 1.1, 12)
+        both = Portfolio("both", ("X", "Y"), np.array([0.5, 0.5]))  # 10% drop: 0.9 <= 11/12
+        assert historical_replay(both, series, 1.2, 1.1, 12).failures == 1
+
+
 class TestTableSweep:
     def sweep(self, runs=20_000, crn=True):
         rng = np.random.default_rng(0)
@@ -233,6 +316,13 @@ class TestTableSweep:
         p = Portfolio("solo", ("A0",), np.array([1.0]))
         with pytest.raises(DataError):
             table_sweep([p], [1.2], model, 1.1, horizon=horizon, runs=runs)
+
+    def test_duplicate_names_rejected(self):
+        # cells are keyed by name: a second "x" would overwrite the first's
+        model = toy_model(np.eye(2) * 1e-4)
+        ps = [Portfolio("x", ("A0",), np.array([1.0])), Portfolio("x", ("A1",), np.array([1.0]))]
+        with pytest.raises(DataError, match="unique"):
+            table_sweep(ps, [1.2], model, 1.1, horizon=5, runs=100)
 
 
 class TestSharedDraws:

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from scipy import stats
+
 from conftest import write_price_csv
 from crocodai.errors import DataError, ModelError
 from crocodai.riskmodel import (
     NORMAL,
+    NU_MAX,
+    NU_MIN,
     STUDENT_T,
     PriceSeries,
     ReturnModel,
     aligned_log_returns,
     cholesky,
+    common_timeline,
     estimate_model,
     fit_model_from_series,
+    fit_nu,
     gbm_terminal,
     ingest_prices,
     log_returns,
@@ -111,6 +117,54 @@ class TestLogReturns:
         assert symbols == ["A", "B"]
         assert rets.shape == (2, 1)
         assert rets[0, 0] == pytest.approx(math.log(4.0))
+
+
+    def test_common_timeline_panel_and_cuts(self):
+        # B misses t=600; the 3,000 s jump after t=900 is a gap (> 2 slots)
+        a = PriceSeries("A", [0, 300, 600, 900, 3900, 4200], [1, 2, 3, 4, 5, 6])
+        b = PriceSeries("B", [0, 300, 900, 3900, 4200, 4500], [10, 20, 40, 50, 60, 70])
+        panel, cuts = common_timeline({"A": a, "B": b}, ["B", "A"])
+        assert panel.tolist() == [[10, 20, 40, 50, 60], [1, 2, 4, 5, 6]]
+        assert cuts == [0, 3, 5]
+
+    def test_common_timeline_unknown_symbol(self):
+        with pytest.raises(DataError, match="not in the dataset"):
+            common_timeline({"A": PriceSeries("A", [0], [1.0])}, ["A", "Z"])
+
+
+def t_loglik(x, nu, scale):
+    return float(stats.t.logpdf(x, nu, 0.0, scale).sum())
+
+
+class TestFitNu:
+    """The gradient fit maximises the same location-0 likelihood as
+    `scipy.stats.t.fit(x, floc=0)`, so it must land on the same nu."""
+
+    @pytest.mark.parametrize("nu", [3.0, 5.0, 10.0, 30.0])
+    def test_agrees_with_scipy(self, nu):
+        x = np.random.default_rng(int(nu)).standard_t(nu, 100_000)
+        x = (x - x.mean()) / x.std(ddof=1)
+        ref_nu, _, ref_scale = stats.t.fit(x, floc=0.0)
+        got = fit_nu(x)
+        assert abs(got - ref_nu) <= 1e-3 * ref_nu
+        # at its own nu, the profile likelihood is not below scipy's optimum
+        _, _, scale = stats.t.fit(x, fdf=got, floc=0.0)
+        assert t_loglik(x, got, scale) >= t_loglik(x, ref_nu, ref_scale) - 1e-6 * len(x)
+
+    def test_gaussian_clamps_to_max(self):
+        assert fit_nu(np.random.default_rng(1).standard_normal(100_000)) == NU_MAX
+
+    def test_cauchy_clamps_to_min(self):
+        assert fit_nu(np.random.default_rng(2).standard_cauchy(100_000)) == NU_MIN
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan, -1.0], [1.0, np.inf, -1.0], [0.0, 0.0], []])
+    def test_degenerate_input_rejected(self, bad):
+        with pytest.raises(ModelError):
+            fit_nu(np.array(bad))
+
+    def test_deterministic(self):
+        x = np.random.default_rng(7).standard_t(4.0, 20_000)
+        assert fit_nu(x) == fit_nu(x.copy())
 
 
 class TestEstimateModel:
