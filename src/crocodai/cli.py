@@ -90,7 +90,7 @@ def _load_model(args) -> ReturnModel:
     return fit_model_from_series(series, symbols, min_obs=args.min_obs)
 
 
-def _portfolio(args, model: ReturnModel | None = None) -> Portfolio:
+def _portfolio(args) -> Portfolio:
     spec = args.portfolio
     if spec.endswith(".json"):
         path = Path(spec)
@@ -120,7 +120,8 @@ def _portfolio(args, model: ReturnModel | None = None) -> Portfolio:
 
 
 def cmd_ingest(args) -> int:
-    series = ingest_prices(_prices_path(args))
+    prices = _prices_path(args)
+    series = ingest_prices(prices)
     summary = {
         sym: {
             "observations": len(s),
@@ -130,7 +131,7 @@ def cmd_ingest(args) -> int:
         }
         for sym, s in sorted(series.items())
     }
-    _write_json(args.out, {"symbols": summary}, {"command": "ingest", "prices": str(_prices_path(args))})
+    _write_json(args.out, {"symbols": summary}, {"command": "ingest", "prices": str(prices)})
     return 0
 
 
@@ -148,7 +149,7 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     gammas = _floats(args.gamma_prime, "--gamma-prime")
     model = _load_model(args)
-    portfolio = _portfolio(args, model)
+    portfolio = _portfolio(args)
     result = table_sweep(
         [portfolio],
         gammas,

@@ -40,12 +40,6 @@ CLOSED = "closed"
 INSOLVENT = "insolvent"
 
 
-def to_minor(units: int | str | Decimal) -> int:
-    """Convert whole stablecoin units to integer minor units."""
-    d = (Decimal(units) * SCALE).to_integral_exact()
-    return int(d)
-
-
 @dataclass(frozen=True)
 class Token:
     id: int
@@ -151,7 +145,6 @@ class System:
         self.tokens: dict[int, Token] = {}
         self._token_symbols: dict[str, int] = {}
         self.prices: dict[int, Fraction] = {}
-        self.price_updated_slot: dict[int, int] = {}
         self.slot = 0
         # relay-module state (owned by crocodai.relay, stored here so the
         # whole world is one deterministic value)
@@ -219,7 +212,6 @@ class System:
         if p < 0:
             raise ProtocolError("prices must be >= 0")
         self.prices[token_id] = p
-        self.price_updated_slot[token_id] = self.slot
 
     def new_cdp_id(self) -> int:
         cdp_id = self._next_cdp

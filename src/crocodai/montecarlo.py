@@ -8,10 +8,11 @@ relative composition, never on its absolute size.
 
 Runs are pure functions of (config, seed, run index): draws come from
 fixed-size counter-derived substreams, so parallel and serial execution
-aggregate to bit-identical results. Portfolios that share a seed (all of
-them under common random numbers) share each chunk's draws, colouring and
-price paths, so a table sweep costs about one portfolio plus a weighting
-per portfolio.
+aggregate to bit-identical results. Every chunk is drawn by
+`riskmodel.sample_returns`, the one sampler the acceptance suite validates.
+Portfolios that share a seed (all of them under common random numbers)
+share each chunk's draws, colouring and price paths, so a table sweep costs
+about one portfolio plus a weighting per portfolio.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ModelError
-from .riskmodel import NORMAL, STUDENT_T, PriceSeries, ReturnModel, common_timeline
+from .errors import DataError
+from .riskmodel import STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
 REPLAY_BLOCK = 256  # replay windows weighed together: ~3.5 MB at 6 assets, horizon 288
@@ -51,20 +52,6 @@ class Portfolio:
             raise DataError("portfolio weights must be >= 0")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise DataError(f"portfolio weights must sum to 1, got {w.sum()!r}")
-
-    @classmethod
-    def from_amounts(cls, name: str, amounts: Mapping[str, float],
-                     prices: Mapping[str, float] | None = None) -> "Portfolio":
-        """Build from absolute token amounts (optionally priced); the overall
-        scale cancels, only the relative composition survives."""
-        assets = tuple(amounts)
-        values = np.array(
-            [amounts[a] * (prices[a] if prices else 1.0) for a in assets], dtype=float
-        )
-        total = values.sum()
-        if total <= 0:
-            raise DataError("portfolio must have positive total value")
-        return cls(name, assets, values / total)
 
     @classmethod
     def from_weights(cls, name: str, weights: Mapping[str, float]) -> "Portfolio":
@@ -112,26 +99,14 @@ def confidence_interval(failures: int, runs: int) -> float:
 
 def _chunk_min_relvalue(args) -> np.ndarray:
     """Run-wise minimum relative value of every portfolio in a group that
-    shares one seed: one chunk of innovations is drawn and coloured once, and
-    each asset row the group uses is accumulated and exponentiated once."""
+    shares one seed: one chunk of returns is drawn by `sample_returns` once,
+    and each asset row the group uses is accumulated and exponentiated once."""
     model, members, horizon, n, distribution, seed, chunk_index, zero_drift = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = len(model.assets)
-    if distribution == NORMAL:
-        innov = rng.standard_normal((m, horizon, n))
-    elif distribution == STUDENT_T:
-        innov = np.empty((m, horizon, n))
-        for i in range(m):
-            nu = float(model.nu[i])
-            if nu <= 2:
-                raise ModelError(f"nu must exceed 2 for the t sampler, got {nu}")
-            innov[i] = rng.standard_t(nu, (horizon, n)) / math.sqrt(nu / (nu - 2.0))
-    else:
-        raise ModelError(f"unknown distribution {distribution!r}")
-    returns = np.einsum("ij,jtn->itn", model.chol, innov)
-    del innov
-    if not zero_drift:
-        returns += model.mu[:, None, None]
+    # each asset's horizon*n draws fill its (horizon, n) block in C order: the
+    # same stream and layout as an (m, horizon, n) draw
+    returns = sample_returns(model, horizon * n, distribution, rng, zero_drift).reshape(m, horizon, n)
     rows = np.unique(np.concatenate([idx for _, idx in members]))
     rel = returns if len(rows) == m else returns[rows]
     np.cumsum(rel, axis=1, out=rel)

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ProtocolError, QuorumError, StalePriceError
 from .ledger import System
 
-STALE_AFTER_SLOTS = 3
-
 CONSTANT_OFFSET = "constant-offset"
 FIXED_TARGET = "fixed-target"
 SILENT = "silent"
@@ -43,9 +41,6 @@ class PriceFeed:
         if not self.honest and self.strategy not in (CONSTANT_OFFSET, FIXED_TARGET, SILENT):
             raise ProtocolError(f"unknown corruption strategy {self.strategy!r}")
 
-    def noise_params(self, token_id: int) -> tuple[float, float]:
-        return self.per_token.get(token_id, (self.mu, self.sigma2))
-
 
 def report_price(
     feed: PriceFeed, token_id: int, slot: int, base_price: float, rng: np.random.Generator
@@ -54,21 +49,13 @@ def report_price(
     if base_price <= 0:
         raise ProtocolError("base price must be > 0")
     if feed.honest:
-        mu, sigma2 = feed.noise_params(token_id)
+        mu, sigma2 = feed.per_token.get(token_id, (feed.mu, feed.sigma2))
         return max(0.0, base_price + rng.normal(mu, math.sqrt(sigma2)))
     if feed.strategy == SILENT:
         return None
     if feed.strategy == FIXED_TARGET:
         return max(0.0, feed.strategy_value)
     return max(0.0, base_price + feed.strategy_value)  # constant-offset
-
-
-@dataclass(frozen=True)
-class MedianizedPrice:
-    token: int
-    slot: int
-    price: float
-    feed_count: int
 
 
 def medianize(reports: list[float]) -> float:
@@ -83,22 +70,11 @@ def medianize(reports: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def update_vault_price(
-    system: System, token_id: int, reports: list[float], slot: int | None = None
-) -> MedianizedPrice:
-    """Medianize and install the price the vaults will use from now on."""
-    slot = system.slot if slot is None else slot
+def update_vault_price(system: System, token_id: int, reports: list[float]) -> float:
+    """Medianize, install and return the price the vaults will use from now on."""
     price = medianize(reports)  # raises StalePriceError when empty
-    med = MedianizedPrice(token_id, slot, price, len(reports))
     system.prices[token_id] = Fraction(price)
-    system.price_updated_slot[token_id] = slot
-    return med
-
-
-def is_stale(system: System, token_id: int, slot: int | None = None) -> bool:
-    slot = system.slot if slot is None else slot
-    last = system.price_updated_slot.get(token_id)
-    return last is None or slot - last > STALE_AFTER_SLOTS
+    return price
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Statistical substrate of the risk analysis: price-series ingestion,
-log returns, moment and tail estimation, Cholesky factorization, and
-correlated normal / Student-t samplers.
+log returns, moment and tail estimation, Cholesky factorization, and the
+one correlated normal / Student-t sampler (`sample_returns`), which the
+Monte Carlo simulator draws through.
 
 Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...``,
 ISO-8601 UTC timestamps at 5-minute slots, and decimal USD prices (empty
 cell = missing). Gaps longer than two slot durations split a series into
 periods; no return ever spans a period boundary. `common_timeline` is the
-one alignment of several symbols (shared timestamps, price panel, period
-cuts) that both the return model and the historical replay use.
+one alignment of one or more symbols (shared timestamps, price panel,
+period cuts that keep every series' own boundaries) that both the return
+model and the historical replay use.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
 with an analytic gradient (`fit_nu`), about ten passes over the data per
@@ -143,22 +145,12 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
     return out
 
 
-def log_returns(series: PriceSeries) -> np.ndarray:
-    """Per-slot log returns ln(p_{t+1}/p_t), computed within periods only."""
-    chunks = []
-    for start, end in series.periods():
-        if end - start >= 2:
-            chunks.append(np.diff(np.log(series.prices[start:end])))
-    if not chunks:
-        raise DataError(f"{series.symbol}: series too short for returns")
-    return np.concatenate(chunks)
-
-
 def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str]
                     ) -> tuple[np.ndarray, list[int]]:
     """Price panel (symbols x T) over the timestamps where every symbol has an
     observation, and the period cuts [0, ..., T] of that common timeline: the
-    gap rule is re-applied to it, so a span between two cuts is gap-free."""
+    gap rule is re-applied to it and every symbol's own period boundaries are
+    kept, so a span between two cuts lies inside one period of each series."""
     missing = [s for s in symbols if s not in series_map]
     if missing:
         raise DataError(f"symbols not in the dataset: {missing}")
@@ -167,10 +159,15 @@ def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str
         t = series_map[s].times
         common = t if i == 0 else np.intersect1d(common, t, assume_unique=True)
     panel = np.empty((len(symbols), len(common)))
+    cuts = set(_gap_boundaries(common)) | {0, len(common)}
     for i, s in enumerate(symbols):
         ser = series_map[s]
-        panel[i] = ser.prices[np.searchsorted(ser.times, common)]
-    return panel, sorted(_gap_boundaries(common) | {0, len(common)})
+        pos = np.searchsorted(ser.times, common)
+        panel[i] = ser.prices[pos]
+        # a common step whose two observations lie in different periods of ser
+        period = np.searchsorted(sorted(ser.boundaries), pos, side="right")
+        cuts.update((np.flatnonzero(np.diff(period)) + 1).tolist())
+    return panel, sorted(cuts)
 
 
 def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence[str] | None = None
@@ -349,7 +346,7 @@ def fit_model_from_series(series_map: Mapping[str, PriceSeries],
 
 
 # ----------------------------------------------------------------------
-# samplers
+# sampler
 
 NORMAL = "normal"
 STUDENT_T = "t"
@@ -370,10 +367,10 @@ def sample_returns(
     zero_drift is set.
     """
     m = len(model.assets)
-    innovations = np.empty((m, slots))
     if distribution == NORMAL:
-        innovations[:] = rng.standard_normal((m, slots))
+        innovations = rng.standard_normal((m, slots))
     elif distribution == STUDENT_T:
+        innovations = np.empty((m, slots))
         for i in range(m):  # fixed asset order keeps draws reproducible
             nu = float(model.nu[i])
             if nu <= 2:
@@ -381,23 +378,8 @@ def sample_returns(
             innovations[i] = rng.standard_t(nu, slots) / math.sqrt(nu / (nu - 2.0))
     else:
         raise ModelError(f"unknown distribution {distribution!r}")
-    returns = model.chol @ innovations
+    # einsum, not matmul: the simulator's published bits come from this sum order
+    returns = np.einsum("ij,jk->ik", model.chol, innovations)
     if not zero_drift:
         returns += model.mu[:, None]
     return returns
-
-
-def gbm_terminal(s0: float, mu: float, sigma: float, horizon: float, w: float | np.ndarray):
-    """Terminal price of a geometric Brownian motion given the Brownian value
-    w at the horizon: s0 * exp((mu - sigma^2/2) * horizon + sigma * w)."""
-    if s0 <= 0:
-        raise ModelError("s0 must be > 0")
-    if sigma < 0:
-        raise ModelError("sigma must be >= 0")
-    return s0 * np.exp((mu - 0.5 * sigma * sigma) * horizon + sigma * np.asarray(w, dtype=float))
-
-
-def prices_from_returns(s0: np.ndarray, returns: np.ndarray) -> np.ndarray:
-    """Price paths from cumulative log returns; positive by construction."""
-    cum = np.cumsum(returns, axis=-1)
-    return np.asarray(s0)[..., None] * np.exp(cum)

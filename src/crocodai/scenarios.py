@@ -356,6 +356,27 @@ def _expect(doc: Any, typ, path: str):
         raise _fail(path, f"expected {typ.__name__}, got {type(doc).__name__}")
     return doc
 
+
+_REQUIRED = object()
+
+
+def _fraction(value: Any) -> Fraction:
+    return Fraction(str(value))
+
+
+def _num(spec: dict, key: str, path: str, kind=int, default: Any = _REQUIRED):
+    """kind(spec[key]), or default when the key is absent. A missing required
+    field, or a value kind cannot convert, is a ScenarioFormatError naming its
+    JSON path."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise _fail(path, f"missing field {key!r}")
+        return default
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise _fail(f"{path}.{key}", f"not a number: {spec[key]!r}") from None
+
 _TOP_LEVEL_KEYS = {
     "name", "params", "chains", "tokens", "relays", "cdps",
     "workload", "attacks", "assertions",
@@ -397,9 +418,9 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
             spec["symbol"], chain_ids[spec["chain"]], bool(spec.get("pegged", False))
         )
         if "price" in spec:
-            system.set_price(tid, Fraction(str(spec["price"])))
+            system.set_price(tid, _num(spec, "price", f"$.tokens[{i}]", _fraction))
         if "ceiling" in spec:
-            ceilings[tid] = Fraction(str(spec["ceiling"]))
+            ceilings[tid] = _num(spec, "ceiling", f"$.tokens[{i}]", _fraction)
     if ceilings:
         system.params = system.params.with_param(
             "debt_ceilings", {t: str(z) for t, z in ceilings.items()}
@@ -414,15 +435,18 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
     relay_mod.register_relays(system, faults)
 
     for i, spec in enumerate(_expect(doc.get("cdps", []), list, "$.cdps")):
-        _expect(spec, dict, f"$.cdps[{i}]")
+        at = f"$.cdps[{i}]"
+        _expect(spec, dict, at)
         try:
             token = system.token_by_symbol(spec["token"])
         except (KeyError, ProtocolError):
-            raise _fail(f"$.cdps[{i}].token", "unknown token") from None
-        cdp_id = core.open_cdp(system, token.chain, int(spec["owner"]), token.id)
-        system.apply(token.chain, "cdp_deposit", {"cdp": cdp_id, "amount": int(spec["collateral"])})
-        if int(spec.get("debt", 0)):
-            system.apply(token.chain, "cdp_mint", {"cdp": cdp_id, "amount": int(spec["debt"])})
+            raise _fail(f"{at}.token", "unknown token") from None
+        owner, collateral = _num(spec, "owner", at), _num(spec, "collateral", at)
+        debt = _num(spec, "debt", at, default=0)
+        cdp_id = core.open_cdp(system, token.chain, owner, token.id)
+        system.apply(token.chain, "cdp_deposit", {"cdp": cdp_id, "amount": collateral})
+        if debt:
+            system.apply(token.chain, "cdp_mint", {"cdp": cdp_id, "amount": debt})
 
     event_count = 0
     for i, op in enumerate(_expect(doc.get("workload", []), list, "$.workload")):
@@ -459,52 +483,55 @@ def _run_workload_op(system: System, chain_ids: dict[str, int], op: dict, path: 
         if name not in chain_ids:
             raise _fail(f"{path}.{key}", f"unknown chain {name!r}")
         return chain_ids[name]
+    def num(key, kind=int, default=_REQUIRED):
+        return _num(op, key, path, kind, default)
     try:
         if kind == "transfer_local":
-            system.transfer_local(chain_of(), int(op["from"]), int(op["to"]), int(op["amount"]))
+            system.transfer_local(chain_of(), num("from"), num("to"), num("amount"))
         elif kind == "request_transfer":
             relay_mod.request_transfer(
-                system, chain_of(), int(op["sender"]), int(op["amount"]),
-                chain_ids.get(op.get("target_chain"), -1), int(op["target"]),
+                system, chain_of(), num("sender"), num("amount"),
+                chain_ids.get(op.get("target_chain"), -1), num("target"),
             )
         elif kind == "step":
-            for _ in range(int(op.get("count", 1))):
+            for _ in range(num("count", default=1)):
                 relay_mod.step(system)
         elif kind == "open_cdp":
             token = system.token_by_symbol(op["token"])
-            core.open_cdp(system, token.chain, int(op["owner"]), token.id)
+            core.open_cdp(system, token.chain, num("owner"), token.id)
         elif kind == "deposit_collateral":
-            core.deposit_collateral(system, int(op["cdp"]), int(op["amount"]))
+            core.deposit_collateral(system, num("cdp"), num("amount"))
         elif kind == "withdraw_stablecoins":
-            core.withdraw_stablecoins(system, int(op["cdp"]), int(op["amount"]))
+            core.withdraw_stablecoins(system, num("cdp"), num("amount"))
         elif kind == "repay_debt":
-            core.repay_debt(system, int(op["cdp"]), int(op["amount"]))
+            core.repay_debt(system, num("cdp"), num("amount"))
         elif kind == "accrue_fees":
-            core.accrue_stability_fee(system, int(op.get("slots", 1)))
+            core.accrue_stability_fee(system, num("slots", default=1))
         elif kind == "set_price":
             token = system.token_by_symbol(op["token"])
-            system.set_price(token.id, Fraction(str(op["price"])))
+            system.set_price(token.id, num("price", _fraction))
         elif kind == "oracle_update":
             # per-feed noise parameters and corruption assignments; the
             # medianized result becomes the vault price for the token
             token = system.token_by_symbol(op["token"])
-            rng = np.random.default_rng(int(op.get("seed", 0)))
-            feeds = [
-                PriceFeed(
+            rng = np.random.default_rng(num("seed", default=0))
+            feeds = []
+            for i, f in enumerate(_expect(op["feeds"], list, f"{path}.feeds")):
+                feed_path = f"{path}.feeds[{i}]"
+                _expect(f, dict, feed_path)
+                feeds.append(PriceFeed(
                     oracle_id=i,
-                    mu=float(f.get("mu", 0.0)),
-                    sigma2=float(f.get("sigma2", 1.0)),
+                    mu=_num(f, "mu", feed_path, float, 0.0),
+                    sigma2=_num(f, "sigma2", feed_path, float, 1.0),
                     honest="strategy" not in f,
                     strategy=f.get("strategy"),
-                    strategy_value=float(f.get("value", 0.0)),
-                )
-                for i, f in enumerate(op["feeds"])
-            ]
+                    strategy_value=_num(f, "value", feed_path, float, 0.0),
+                ))
+            base_price = num("base_price", float)
             reports = [
                 r
                 for feed in feeds
-                if (r := report_price(feed, token.id, system.slot, float(op["base_price"]), rng))
-                is not None
+                if (r := report_price(feed, token.id, system.slot, base_price, rng)) is not None
             ]
             update_vault_price(system, token.id, reports)
         else:
@@ -527,16 +554,16 @@ def _run_attack(system: System, chain_ids: dict[str, int], spec: dict, path: str
         if spec.get("chain") not in chain_ids:
             raise _fail(f"{path}.chain", f"unknown chain {spec.get('chain')!r}")
         return compromised_chain_scenario(
-            system, chain_ids[spec["chain"]], int(spec.get("h_prime", 0))
+            system, chain_ids[spec["chain"]], _num(spec, "h_prime", path, default=0)
         ).as_json()
     if kind == "corrupt_oracles":
         est = tail_probability_experiment(
-            int(spec.get("feeds", 5)),
-            int(spec.get("corrupt", 2)),
-            float(spec.get("sigma", 1.0)),
-            float(spec.get("c", 2.0)),
-            int(spec.get("trials", 10**5)),
-            np.random.default_rng(int(spec.get("seed", 0))),
+            _num(spec, "feeds", path, default=5),
+            _num(spec, "corrupt", path, default=2),
+            _num(spec, "sigma", path, float, 1.0),
+            _num(spec, "c", path, float, 2.0),
+            _num(spec, "trials", path, default=10**5),
+            np.random.default_rng(_num(spec, "seed", path, default=0)),
         )
         passed = est.empirical <= est.bound if est.c >= 2 * est.sigma_star else True
         return {

