@@ -150,6 +150,9 @@ class System:
         # whole world is one deterministic value)
         self.relays: dict[int, Any] = {}
         self.transfers: dict[int, Any] = {}
+        # the escrowed subset of `transfers`, in id order: a relay round
+        # walks only these, so its cost does not grow with history
+        self.pending_transfers: dict[int, Any] = {}
         self.staged_governance: list[tuple[int, Any]] = []
         self.applied_nonces: set[int] = set()
         self.deprecated_contracts: set[str] = set()

@@ -70,8 +70,12 @@ class GovernanceAction:
 def register_relays(system: System, behaviors: dict[int, str] | None = None) -> None:
     """Create the n relay nodes from system params; behaviors default to honest."""
     behaviors = behaviors or {}
+    n = system.params.relay_n
+    unknown = [node_id for node_id in behaviors if node_id not in range(n)]
+    if unknown:
+        raise ProtocolError(f"relay ids {unknown} outside the roster 0..{n - 1}")
     system.relays = {}
-    for node_id in range(system.params.relay_n):
+    for node_id in range(n):
         system.relays[node_id] = RelayNode(node_id, behaviors.get(node_id, HONEST))
 
 
@@ -106,6 +110,7 @@ def request_transfer(
     )
     transfer.state = ESCROWED
     system.transfers[tid] = transfer
+    system.pending_transfers[tid] = transfer
     return tid
 
 
@@ -127,22 +132,22 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
     (burn on source and mint on target happen atomically within the step).
     Escrows that reach the timeout expire: commits are no longer accepted
     and the escrow is refunded in the same deterministic step.
+
+    The round walks `system.pending_transfers` only; transfer ids are issued
+    in increasing order, so that index is in id order.
     """
     slot = system.slot if slot is None else slot
     out: list[dict[str, Any]] = []
     needed = quorum(system)
     timeout = system.params.transfer_timeout
+    roster = sorted(system.relays.items())
 
-    for tid in sorted(system.transfers):
-        transfer: CrossChainTransfer = system.transfers[tid]
-        if transfer.state != ESCROWED:
-            continue
-
+    for tid, transfer in list(system.pending_transfers.items()):
         if slot - transfer.request_slot >= timeout:
             # expired: refund if the escrow still exists, then close the
             # transfer so late commit certificates can never race the abort
-            for node_id in sorted(system.relays):
-                if system.relays[node_id].behavior == HONEST:
+            for node_id, node in roster:
+                if node.behavior == HONEST:
                     transfer.abort_votes.add(node_id)
             refunded = False
             source = system.chains.get(transfer.source)
@@ -150,13 +155,16 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
                 system.apply(transfer.source, "escrow_refund", {"transfer": tid})
                 refunded = True
             transfer.state = ABORTED
+            del system.pending_transfers[tid]
             out.append({"type": "abort", "transfer": tid, "slot": slot, "refunded": refunded})
             continue
 
-        for node_id in sorted(system.relays):
-            node: RelayNode = system.relays[node_id]
+        # nothing is applied while the nodes vote, so every honest node
+        # reads the same escrow
+        valid = _node_validates(system, transfer)
+        for _, node in roster:
             if node.behavior == HONEST:
-                if _node_validates(system, transfer):
+                if valid:
                     transfer.commit_votes.add(node.id)
             elif node.behavior == BYZ_EQUIVOCATE:
                 transfer.commit_votes.add(node.id)
@@ -164,7 +172,7 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
             elif node.behavior == BYZ_FORGE:
                 # votes under ids it does not own are rejected by
                 # authentication; log the attempts for the monitor
-                for forged in sorted(system.relays):
+                for forged, _ in roster:
                     if forged != node.id:
                         out.append(
                             {
@@ -177,7 +185,7 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
                         )
             # CRASHED and BYZ_REFUSE contribute nothing
 
-        if len(transfer.commit_votes) >= needed and _node_validates(system, transfer):
+        if len(transfer.commit_votes) >= needed and valid:
             system.apply(transfer.source, "escrow_burn", {"transfer": tid})
             system.apply(
                 transfer.target,
@@ -185,6 +193,7 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
                 {"account": transfer.target_addr, "amount": transfer.amount, "by": "relay", "transfer": tid},
             )
             transfer.state = COMMITTED
+            del system.pending_transfers[tid]
             out.append(
                 {
                     "type": "commit",

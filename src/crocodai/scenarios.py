@@ -377,6 +377,14 @@ def _num(spec: dict, key: str, path: str, kind=int, default: Any = _REQUIRED):
     except (TypeError, ValueError, ZeroDivisionError):
         raise _fail(f"{path}.{key}", f"not a number: {spec[key]!r}") from None
 
+
+def _seed(spec: dict, path: str) -> int:
+    seed = _num(spec, "seed", path, default=0)
+    if seed < 0:
+        raise _fail(f"{path}.seed", f"must be >= 0, got {seed}")
+    return seed
+
+
 _TOP_LEVEL_KEYS = {
     "name", "params", "chains", "tokens", "relays", "cdps",
     "workload", "attacks", "assertions",
@@ -429,9 +437,16 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
     faults = {}
     relays_doc = _expect(doc.get("relays", {}), dict, "$.relays")
     for node, behavior in _expect(relays_doc.get("faults", {}), dict, "$.relays.faults").items():
+        at = f"$.relays.faults.{node}"
         if behavior not in relay_mod.BEHAVIORS:
-            raise _fail(f"$.relays.faults.{node}", f"unknown behavior {behavior!r}")
-        faults[int(node)] = behavior
+            raise _fail(at, f"unknown behavior {behavior!r}")
+        try:
+            node_id = int(node)
+        except ValueError:
+            raise _fail(at, "relay id is not an integer") from None
+        if node_id not in range(system.params.relay_n):
+            raise _fail(at, f"relay id outside the roster 0..{system.params.relay_n - 1}")
+        faults[node_id] = behavior
     relay_mod.register_relays(system, faults)
 
     for i, spec in enumerate(_expect(doc.get("cdps", []), list, "$.cdps")):
@@ -514,7 +529,7 @@ def _run_workload_op(system: System, chain_ids: dict[str, int], op: dict, path: 
             # per-feed noise parameters and corruption assignments; the
             # medianized result becomes the vault price for the token
             token = system.token_by_symbol(op["token"])
-            rng = np.random.default_rng(num("seed", default=0))
+            rng = np.random.default_rng(_seed(op, path))
             feeds = []
             for i, f in enumerate(_expect(op["feeds"], list, f"{path}.feeds")):
                 feed_path = f"{path}.feeds[{i}]"
@@ -563,7 +578,7 @@ def _run_attack(system: System, chain_ids: dict[str, int], spec: dict, path: str
             _num(spec, "sigma", path, float, 1.0),
             _num(spec, "c", path, float, 2.0),
             _num(spec, "trials", path, default=10**5),
-            np.random.default_rng(_num(spec, "seed", path, default=0)),
+            np.random.default_rng(_seed(spec, path)),
         )
         passed = est.empirical <= est.bound if est.c >= 2 * est.sigma_star else True
         return {

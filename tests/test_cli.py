@@ -232,6 +232,11 @@ class TestScenarioCommand:
                         "feeds": 5}]}, "$.workload[0].feeds"),
         ({"tokens": [{"symbol": "ETH", "chain": "eth", "ceiling": "1/0"}]}, "$.tokens[0].ceiling"),
         ({"attacks": [{"kind": "corrupt_oracles", "trials": "many"}]}, "$.attacks[0].trials"),
+        ({"relays": {"faults": {"x": "crashed"}}}, "$.relays.faults.x: relay id is not an integer"),
+        ({"relays": {"faults": {"99": "crashed"}}}, "$.relays.faults.99: relay id outside"),
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0, "seed": -1,
+                        "feeds": [{}]}]}, "$.workload[0].seed"),
+        ({"attacks": [{"kind": "corrupt_oracles", "seed": -1}]}, "$.attacks[0].seed"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1

@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import units
-from crocodai import relay
+from crocodai import relay, scenarios
 from crocodai.errors import (
     InsufficientBalanceError,
     InvalidParameterError,
@@ -21,9 +24,12 @@ from crocodai.relay import (
     N_OF_1,
     N_OF_N,
     ONE_OF_1,
+    HONEST,
     GovernanceAction,
     cost_of_commit,
 )
+from crocodai.ledger import SCALE, System
+from crocodai.stablecoin import SystemParams
 
 
 def run_until_resolved(sys_, tid, max_slots=30):
@@ -105,6 +111,11 @@ class TestRelayStep:
         # one honest vote plus rejected forgeries never commit
         assert sys_.transfers[tid].state == ESCROWED
         assert len(sys_.transfers[tid].commit_votes) == 1
+
+    @pytest.mark.parametrize("node_id", [-1, 4])
+    def test_fault_outside_roster_rejected(self, two_chains, node_id):
+        with pytest.raises(ProtocolError):
+            relay.register_relays(two_chains, {node_id: CRASHED})
 
     def test_commit_requires_live_escrow(self, two_chains):
         # if the escrow disappears (reverted fork) before quorum, honest
@@ -207,3 +218,190 @@ class TestCostModel:
     def test_message_bytes(self):
         assert cost_of_commit(N_OF_1, 4, 1).message_bytes == 65 * 3
         assert cost_of_commit(ONE_OF_1, 16, 5).message_bytes == 65
+
+
+# ----------------------------------------------------------------------
+# the indexed relay round against a full scan of every transfer
+
+
+def _reference_round(system, slot=None):
+    """The relay round as a full scan over every transfer ever made."""
+    slot = system.slot if slot is None else slot
+    out = []
+    needed = relay.quorum(system)
+    timeout = system.params.transfer_timeout
+
+    for tid in sorted(system.transfers):
+        transfer = system.transfers[tid]
+        if transfer.state != ESCROWED:
+            continue
+
+        if slot - transfer.request_slot >= timeout:
+            for node_id in sorted(system.relays):
+                if system.relays[node_id].behavior == HONEST:
+                    transfer.abort_votes.add(node_id)
+            refunded = False
+            source = system.chains.get(transfer.source)
+            if source is not None and tid in source.escrows:
+                system.apply(transfer.source, "escrow_refund", {"transfer": tid})
+                refunded = True
+            transfer.state = ABORTED
+            out.append({"type": "abort", "transfer": tid, "slot": slot, "refunded": refunded})
+            continue
+
+        for node_id in sorted(system.relays):
+            node = system.relays[node_id]
+            if node.behavior == HONEST:
+                if relay._node_validates(system, transfer):
+                    transfer.commit_votes.add(node.id)
+            elif node.behavior == BYZ_EQUIVOCATE:
+                transfer.commit_votes.add(node.id)
+                transfer.abort_votes.add(node.id)
+            elif node.behavior == BYZ_FORGE:
+                for forged in sorted(system.relays):
+                    if forged != node.id:
+                        out.append({"type": "forged_vote_rejected", "transfer": tid,
+                                    "by": node.id, "claimed": forged, "slot": slot})
+
+        if len(transfer.commit_votes) >= needed and relay._node_validates(system, transfer):
+            system.apply(transfer.source, "escrow_burn", {"transfer": tid})
+            system.apply(transfer.target, "mint", {"account": transfer.target_addr,
+                                                   "amount": transfer.amount, "by": "relay",
+                                                   "transfer": tid})
+            transfer.state = COMMITTED
+            out.append({"type": "commit", "transfer": tid, "slot": slot,
+                        "votes": sorted(transfer.commit_votes)})
+    return out
+
+
+ROSTERS = [
+    {},
+    {0: CRASHED},
+    {1: BYZ_REFUSE},
+    {2: BYZ_EQUIVOCATE},
+    {3: BYZ_FORGE},
+    {0: BYZ_FORGE, 3: BYZ_EQUIVOCATE},
+    {1: CRASHED, 2: CRASHED},  # no quorum: escrows time out
+    {0: BYZ_FORGE, 2: CRASHED},
+]
+
+
+def _run_schedule(seed, monkeypatch, after_step, steps=180):
+    """Drive two identical worlds through one seeded schedule of transfers,
+    every roster of ROSTERS, transfer_timeout changes, 51% attacks and bare
+    forks: the first runs the indexed round, the second the full scan.
+    `after_step(indexed, reference, indexed_result, reference_result)` sees
+    both after every step."""
+    indexed, reference = (scenarios.random_backed_instance(random.Random(seed), n_chains=3)
+                          for _ in range(2))
+    rng = random.Random(seed + 1)
+    chains = sorted(indexed.chains)
+
+    def both(fn, *args):
+        first = fn(indexed, *args)
+        with monkeypatch.context() as m:
+            m.setattr(relay, "relay_step", _reference_round)
+            second = fn(reference, *args)
+        return first, second
+
+    rosters = ROSTERS[seed % len(ROSTERS):] + ROSTERS[:seed % len(ROSTERS)]
+    nonce = 0
+    for k in range(steps):
+        fork = k % 45 == 30
+        if k % 15 == 0:
+            # a fork needs a roster that commits within the attack's four steps
+            both(relay.register_relays, {} if fork else rosters.pop(0))
+        if k % 40 == 0:
+            nonce += 1
+            action = GovernanceAction("set_param", {"name": "transfer_timeout",
+                                                    "value": rng.randint(4, 12)}, nonce)
+            assert both(relay.submit_governance, action, {0, 1, 2, 3}) == (True, True)
+        for _ in range(rng.randint(0, 3)):
+            source = rng.choice(chains)
+            funded = sorted(a for a, v in indexed.chains[source].balances.items() if v > 1)
+            if funded:
+                sender = rng.choice(funded)
+                amount = rng.randint(1, indexed.chains[source].balance(sender) // 2)
+                target = rng.choice([c for c in chains if c != source])
+                both(relay.request_transfer, source, sender, amount, target, rng.randint(1, 50))
+        if fork:
+            chain = rng.choice(chains)
+            token = min(t.id for t in indexed.tokens.values() if t.chain == chain)
+            room = scenarios.ceiling_headroom(indexed, token)
+            h_prime = int(room * SCALE * Fraction(rng.randint(1, 9), 10))
+            reports = both(scenarios.compromised_chain_scenario, chain, h_prime)
+            after_step(indexed, reference, *(r.as_json() for r in reports))
+        elif k % 45 == 40:
+            # a bare fork under whatever roster is live reverts the newest
+            # escrows, so their transfers can only expire unrefunded
+            chain = rng.choice(chains)
+            both(System.mark_compromised, chain)
+            both(System.fork_revert, chain, indexed.slot - 1)
+        after_step(indexed, reference, *both(relay.step))
+
+
+def _votes(system):
+    return {tid: (t.state, t.commit_votes, t.abort_votes) for tid, t in system.transfers.items()}
+
+
+class TestIndexedRound:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_indexed_round_matches_full_scan(self, seed, monkeypatch):
+        def check(indexed, reference, indexed_events, reference_events):
+            assert indexed_events == reference_events
+            assert _votes(indexed) == _votes(reference)
+            assert indexed.state_digest() == reference.state_digest()
+            outcomes.update(x.state for x in indexed.transfers.values())
+            forks.update(r["since_slot"] for r in indexed.revert_log)
+
+        outcomes, forks = set(), set()
+        _run_schedule(seed, monkeypatch, check)
+        # the schedule reached every outcome and forked a chain
+        assert outcomes == {ESCROWED, COMMITTED, ABORTED} and forks
+
+    def test_pending_index_holds_exactly_the_escrowed_transfers(self, monkeypatch):
+        def check(indexed, reference, *_):
+            assert indexed.pending_transfers == {
+                tid: t for tid, t in indexed.transfers.items() if t.state == ESCROWED
+            }
+            assert list(indexed.pending_transfers) == sorted(indexed.pending_transfers)
+
+        _run_schedule(0, monkeypatch, check)
+
+
+class _CountingDict(dict):
+    """A transfer table that counts the entries read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_round_cost_does_not_grow_with_history(monkeypatch):
+    validations = []
+    validate = relay._node_validates
+    monkeypatch.setattr(relay, "_node_validates",
+                        lambda s, t: validations.append(t.id) or validate(s, t))
+
+    def one_round(history):
+        sys_ = System(SystemParams())
+        a = sys_.create_chain({"name": "alpha", "accounts": {"1": units(10_000)}})
+        b = sys_.create_chain({"name": "beta"})
+        relay.register_relays(sys_)
+        for _ in range(history):
+            relay.request_transfer(sys_, a, 1, units(1), b, 7)
+        relay.step(sys_)
+        assert all(t.state == COMMITTED for t in sys_.transfers.values())
+        relay.request_transfer(sys_, a, 1, units(1), b, 7)
+        sys_.transfers = _CountingDict(sys_.transfers)
+        validations.clear()
+        assert [e["type"] for e in relay.step(sys_)] == ["commit"]
+        return len(validations), sys_.transfers.reads
+
+    assert one_round(500) == one_round(0)
