@@ -81,10 +81,7 @@ def _floats(text: str, flag: str) -> list[float]:
 
 def _load_model(args) -> ReturnModel:
     if getattr(args, "model", None):
-        path = Path(args.model)
-        if not path.exists():
-            raise CliError(f"model file not found: {path}")
-        return ReturnModel.load(path)
+        return ReturnModel.load(args.model)
     series = ingest_prices(_prices_path(args))
     symbols = args.symbols.split(",") if getattr(args, "symbols", None) else None
     return fit_model_from_series(series, symbols, min_obs=args.min_obs)
@@ -183,10 +180,8 @@ def cmd_replay(args) -> int:
     gammas = _floats(args.gamma_prime, "--gamma-prime")
     series = ingest_prices(_prices_path(args))
     portfolio = _portfolio(args)
-    rows = {}
-    for g in gammas:
-        est = historical_replay(portfolio, series, g, args.theta, args.horizon)
-        rows[str(g)] = est.as_json()
+    result = historical_replay(portfolio, series, gammas, args.theta, args.horizon)
+    rows = {str(g): result.estimates[(g, portfolio.name)].as_json() for g in gammas}
     config = {
         "command": "replay",
         "portfolio": portfolio.name,

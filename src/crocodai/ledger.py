@@ -31,7 +31,6 @@ from .errors import (
 
 SCALE = 10**9
 SLOT_SECONDS = 300
-DEBT_QUANTUM = Decimal("1e-18")
 
 # CDP lifecycle states
 OPEN = "open"

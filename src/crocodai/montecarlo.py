@@ -11,15 +11,16 @@ fixed-size counter-derived substreams, so parallel and serial execution
 aggregate to bit-identical results. Every chunk is drawn by
 `riskmodel.sample_returns`, the one sampler the acceptance suite validates.
 Portfolios that share a seed (all of them under common random numbers)
-share each chunk's draws, colouring and price paths, so a table sweep costs
-about one portfolio plus a weighting per portfolio.
+share each chunk's draws, colouring and price paths. Monte Carlo runs and
+historical replay windows alike are reduced to one minimum relative value
+each, which one estimate builder thresholds at theta/gamma' for every gamma'.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,17 +77,7 @@ class FailureEstimate:
     failures: int
 
     def as_json(self) -> dict:
-        return {
-            "probability": self.probability,
-            "ci_half_width": self.ci_half_width,
-            "runs": self.runs,
-            "horizon": self.horizon,
-            "method": self.method,
-            "gamma_prime": self.gamma_prime,
-            "theta": self.theta,
-            "seed": self.seed,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def confidence_interval(failures: int, runs: int) -> float:
@@ -151,12 +142,6 @@ def _min_relative_values(
     return mins
 
 
-def _validate_levels(gamma_prime: float, theta: float) -> float:
-    if not (gamma_prime > theta > 1.0):
-        raise DataError(f"need gamma' > theta > 1, got {gamma_prime}, {theta}")
-    return theta / gamma_prime
-
-
 def simulate_failure(
     portfolio: Portfolio,
     model: ReturnModel,
@@ -185,23 +170,22 @@ def simulate_failure(
 def historical_replay(
     portfolio: Portfolio,
     series_map: Mapping[str, PriceSeries],
-    gamma_prime: float,
+    gamma_primes: Sequence[float],
     theta: float,
     horizon: int,
-) -> FailureEstimate:
-    """Evaluate the first-passage criterion over every horizon-long window of
-    actual prices that fits inside a single period of the assets' common
-    timeline. Windows are weighed REPLAY_BLOCK start slots at a time; each
-    window's relative values are the same `weights @ (seg / seg[:, :1])` as
-    one window on its own."""
-    if not (gamma_prime >= theta > 1.0):
-        raise DataError(f"need gamma' >= theta > 1, got {gamma_prime}, {theta}")
-    threshold = theta / gamma_prime
+) -> SweepResult:
+    """Evaluate the first-passage criterion, for every gamma' >= theta, over
+    every horizon-long window of actual prices inside one period of the
+    assets' common timeline. Windows are weighed REPLAY_BLOCK start slots at
+    a time, each as `weights @ (seg / seg[:, :1])` like a lone window; each
+    window's minimum is taken once for the sweep's estimate builder."""
+    for g in gamma_primes:
+        if not (g >= theta > 1.0):
+            raise DataError(f"need gamma' >= theta > 1, got {g}, {theta}")
     if horizon < 1:
         raise DataError("horizon must be >= 1")
     panel, cuts = common_timeline(series_map, portfolio.assets)
-    windows = 0
-    failures = 0
+    mins = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < horizon + 1:
             continue
@@ -213,21 +197,12 @@ def historical_replay(
             # the same layout, and sums in the same order, as a lone window
             ratio = np.empty(seg.shape)
             np.divide(seg, seg[:, :, :1], out=ratio)
-            rel = portfolio.weights @ ratio
-            failures += int(np.count_nonzero(rel.min(axis=1) <= threshold))
-        windows += len(view)
-    if windows == 0:
+            mins.append((portfolio.weights @ ratio).min(axis=1))
+    if not mins:
         raise DataError("insufficient data: no window of the requested horizon")
-    return FailureEstimate(
-        probability=failures / windows,
-        ci_half_width=confidence_interval(failures, windows),
-        runs=windows,
-        horizon=horizon,
-        method="historical",
-        gamma_prime=gamma_prime,
-        theta=theta,
-        seed=0,
-        failures=failures,
+    return _estimates(
+        np.concatenate(mins)[None, :], gamma_primes, theta, horizon, "historical",
+        [portfolio.name], [0],
     )
 
 
@@ -240,6 +215,7 @@ class SweepResult:
     gamma_primes: tuple[float, ...]
     portfolios: tuple[str, ...]
     estimates: dict[tuple[float, str], FailureEstimate]
+    runs: int  # runs (or replay windows) behind every cell
 
     def to_csv(self) -> str:
         lines = ["gamma_prime," + ",".join(self.portfolios)]
@@ -258,6 +234,38 @@ class SweepResult:
         }
 
 
+def _estimates(
+    mins: np.ndarray,
+    gamma_primes: Sequence[float],
+    theta: float,
+    horizon: int,
+    method: str,
+    names: Sequence[str],
+    seeds: Sequence[int],
+) -> SweepResult:
+    """One estimate per (gamma', portfolio) from a portfolios x runs array of
+    minimum relative values: a run fails when its minimum is at or below
+    theta/gamma'. Every gamma' counts the same minima, so the failure counts
+    are non-increasing in gamma' by construction."""
+    runs = mins.shape[1]
+    estimates: dict[tuple[float, str], FailureEstimate] = {}
+    for row, name, seed in zip(mins, names, seeds):
+        for g in gamma_primes:
+            failures = int(np.count_nonzero(row <= theta / g))
+            estimates[(g, name)] = FailureEstimate(
+                probability=failures / runs,
+                ci_half_width=confidence_interval(failures, runs),
+                runs=runs,
+                horizon=horizon,
+                method=method,
+                gamma_prime=g,
+                theta=theta,
+                seed=seed,
+                failures=failures,
+            )
+    return SweepResult(tuple(gamma_primes), tuple(names), estimates, runs)
+
+
 def table_sweep(
     portfolios: Sequence[Portfolio],
     gamma_primes: Sequence[float],
@@ -274,13 +282,16 @@ def table_sweep(
     """Cartesian product of portfolios and gamma' levels under one model.
 
     Every portfolio's run-wise minimum is computed once and thresholded per
-    gamma'. With common random numbers all portfolios share one seed, so
-    each chunk of runs is drawn, coloured and exponentiated once for the
-    whole table and only the weighting is per portfolio; the failure
-    probability is exactly non-increasing down the gamma' rows. Without
-    them portfolio i draws from seed + 7919*(i+1).
+    gamma' by the estimate builder replay also uses. With common random
+    numbers all portfolios share one seed, so each chunk of runs is drawn,
+    coloured and exponentiated once for the whole table and only the
+    weighting is per portfolio; the failure probability is exactly
+    non-increasing down the gamma' rows. Without them portfolio i draws
+    from seed + 7919*(i+1).
     """
-    thresholds = {g: _validate_levels(g, theta) for g in gamma_primes}
+    for g in gamma_primes:
+        if not (g > theta > 1.0):
+            raise DataError(f"need gamma' > theta > 1, got {g}, {theta}")
     if horizon < 1 or runs < 1:
         raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
     names = [p.name for p in portfolios]
@@ -291,23 +302,4 @@ def table_sweep(
         seed if common_random_numbers else seed + 7919 * (p_i + 1) for p_i in range(len(portfolios))
     ]
     mins = _min_relative_values(portfolios, seeds, model, horizon, runs, distribution, zero_drift, jobs)
-    estimates: dict[tuple[float, str], FailureEstimate] = {}
-    for p_i, portfolio in enumerate(portfolios):
-        for g in gamma_primes:
-            failures = int(np.count_nonzero(mins[p_i] <= thresholds[g]))
-            estimates[(g, portfolio.name)] = FailureEstimate(
-                probability=failures / runs,
-                ci_half_width=confidence_interval(failures, runs),
-                runs=runs,
-                horizon=horizon,
-                method=distribution,
-                gamma_prime=g,
-                theta=theta,
-                seed=seeds[p_i],
-                failures=failures,
-            )
-    return SweepResult(
-        gamma_primes=tuple(gamma_primes),
-        portfolios=tuple(names),
-        estimates=estimates,
-    )
+    return _estimates(mins, gamma_primes, theta, horizon, distribution, names, seeds)

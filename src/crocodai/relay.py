@@ -332,8 +332,6 @@ N_OF_N = "NofN"  # every relay node sends its own approval transaction
 N_OF_1 = "Nof1"  # one transaction carrying a batch of 2f+1 signatures
 ONE_OF_1 = "1of1"  # one transaction carrying a single threshold signature
 
-STRATEGIES = (N_OF_N, N_OF_1, ONE_OF_1)
-
 SIGNATURE_BYTES = 65
 TX_UNITS = 21.0
 VERIFY_UNITS = 3.0

@@ -236,10 +236,19 @@ class ReturnModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReturnModel":
-        doc = json.loads(Path(path).read_text())
-        if "assets" not in doc and "model" in doc:  # CLI `fit` output envelope
-            doc = doc["model"]
-        return cls.from_json(doc)
+        try:
+            doc = json.loads(Path(path).read_text())
+            if "assets" not in doc and "model" in doc:  # CLI `fit` output envelope
+                doc = doc["model"]
+            return cls.from_json(doc)
+        except OSError as exc:
+            raise ModelError(f"model file {path}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ModelError(f"model file {path}: not valid JSON: {exc}") from None
+        except KeyError as exc:
+            raise ModelError(f"model file {path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"model file {path}: malformed: {exc}") from None
 
 
 def cholesky(cov: np.ndarray) -> np.ndarray:

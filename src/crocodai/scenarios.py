@@ -506,7 +506,7 @@ def _run_workload_op(system: System, chain_ids: dict[str, int], op: dict, path: 
         elif kind == "request_transfer":
             relay_mod.request_transfer(
                 system, chain_of(), num("sender"), num("amount"),
-                chain_ids.get(op.get("target_chain"), -1), num("target"),
+                chain_of("target_chain"), num("target"),
             )
         elif kind == "step":
             for _ in range(num("count", default=1)):

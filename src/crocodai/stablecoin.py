@@ -54,6 +54,9 @@ class SystemParams:
     bootstrap_ceiling: int = 10**6 * SCALE  # absolute cap for mints while total debt is 0
 
     def __post_init__(self):
+        # every field is read as from_json reads it: a float as its decimal string
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, _coerce_param(name, value))
         self.validate()
 
     def validate(self) -> None:
@@ -61,10 +64,7 @@ class SystemParams:
             raise InvalidParameterError(
                 f"need gamma > theta > 1, got gamma={self.gamma}, theta={self.theta}"
             )
-        for name in ("stability_fee", "savings_rate"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be >= 0")
-        for name in ("liquidation_penalty", "min_bid_step", "beta"):
+        for name in ("stability_fee", "savings_rate", "liquidation_penalty", "min_bid_step", "beta"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
         for token, zeta in self.debt_ceilings.items():
@@ -85,27 +85,33 @@ class SystemParams:
         return self.debt_ceilings.get(token_id, Fraction(1))
 
     def with_param(self, name: str, value) -> "SystemParams":
-        if not hasattr(self, name):
+        if name not in self.__dataclass_fields__:
             raise InvalidParameterError(f"unknown parameter {name!r}")
-        coerced = _coerce_param(name, value)
-        return replace(self, **{name: coerced})
+        return replace(self, **{name: value})
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "SystemParams":
-        params = cls()
-        for name, value in doc.items():
-            params = params.with_param(name, value)
-        return params
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise InvalidParameterError(f"unknown parameter {unknown[0]!r}")
+        return cls(**doc)
+
+
+def _exact(kind, value):
+    return value if isinstance(value, kind) else kind(str(value))
 
 
 def _coerce_param(name: str, value):
-    if name in ("stability_fee", "savings_rate"):
-        return Decimal(str(value))
-    if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step", "beta"):
-        return Fraction(str(value))
-    if name == "debt_ceilings":
-        return {int(k): Fraction(str(v)) for k, v in dict(value).items()}
-    return int(value)
+    try:
+        if name in ("stability_fee", "savings_rate"):
+            return _exact(Decimal, value)
+        if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step", "beta"):
+            return _exact(Fraction, value)
+        if name == "debt_ceilings":
+            return {int(k): _exact(Fraction, v) for k, v in dict(value).items()}
+        return int(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise InvalidParameterError(f"parameter {name}: not a number: {value!r}") from None
 
 
 # ----------------------------------------------------------------------

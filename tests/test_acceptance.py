@@ -449,8 +449,8 @@ def test_criterion_7_published_tables():
             if abs(est.probability - expected) > 0.01:
                 failures.append(f"{name}@{gamma_prime}: {est.probability} vs {expected}")
     hist = historical_replay(
-        Portfolio("BTC", ("BTC",), np.array([1.0])), series, 1.3, 1.1, horizon=288
-    )
+        Portfolio("BTC", ("BTC",), np.array([1.0])), series, [1.3], 1.1, horizon=288
+    ).estimates[(1.3, "BTC")]
     if abs(hist.probability - 0.002) > 0.005:
         failures.append(f"historical BTC@1.3: {hist.probability}")
     report(7, not failures, failures or "t-model and historical tables reproduced")

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import write_price_csv
+from crocodai import cli
 from crocodai.cli import main
 from crocodai.ledger import SCALE
 
@@ -95,6 +98,54 @@ class TestFitSimulateReplay:
         assert code == 0
         doc = read(out)
         assert "1.2" in doc["results"]
+
+    def test_replay_weighs_windows_once_for_every_gamma_prime(self, prices, tmp_path,
+                                                               monkeypatch):
+        # replay used to run once per gamma'; now one call yields every cell
+        calls = []
+        original = cli.historical_replay
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result.runs)
+            return result
+
+        monkeypatch.setattr(cli, "historical_replay", counted)
+        out = tmp_path / "replay.json"
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 0.6, "ETH": 0.4}}))
+        assert main(["replay", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.15,1.2,1.3,1.5", "--horizon", "24",
+                     "--out", str(out)]) == 0
+        rows = read(out)["results"]
+        assert len(calls) == 1
+        assert sorted(rows) == ["1.15", "1.2", "1.3", "1.5"]
+        assert all(row["runs"] == calls[0] for row in rows.values())
+        failures = [rows[g]["failures"] for g in ("1.15", "1.2", "1.3", "1.5")]
+        assert failures == sorted(failures, reverse=True)
+
+    @pytest.mark.parametrize("make, needle", [
+        (lambda p: p.write_text("not json {"), "not valid JSON"),
+        (lambda p: p.mkdir(), "Is a directory"),
+    ], ids=["not-json", "directory"])
+    def test_unreadable_model_file_is_usage_error(self, tmp_path, capsys, make, needle):
+        model = tmp_path / "model.json"
+        make(model)
+        assert main(["simulate", "--model", str(model), "--portfolio", "C-Mix2",
+                     "--n", "100", "--horizon", "4"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and needle in err
+
+    def test_model_file_missing_field_is_usage_error(self, prices, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
+        doc = read(model)
+        del doc["model"]["mu"]
+        model.write_text(json.dumps(doc))
+        assert main(["simulate", "--model", str(model), "--portfolio", "C-Mix2",
+                     "--n", "100", "--horizon", "4"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "missing field 'mu'" in err
 
     def test_builtin_portfolio_requires_model_assets(self, prices, tmp_path):
         # C-Mix2 references assets the tiny fixture does not carry
@@ -237,6 +288,9 @@ class TestScenarioCommand:
         ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0, "seed": -1,
                         "feeds": [{}]}]}, "$.workload[0].seed"),
         ({"attacks": [{"kind": "corrupt_oracles", "seed": -1}]}, "$.attacks[0].seed"),
+        ({"workload": [{"op": "request_transfer", "chain": "eth", "sender": 1, "amount": 5,
+                        "target_chain": "sol", "target": 2}]},
+         "$.workload[0].target_chain: unknown chain 'sol'"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1
@@ -249,6 +303,15 @@ class TestScenarioCommand:
         f = tmp_path / "ok.json"
         f.write_text("{}")
         assert main(["scenario", "run", str(f)]) == 0
+
+    def test_readme_example_passes(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"\*\*Scenario JSON\*\*.*?```json\n(.*?)```", readme, re.S)
+        f = tmp_path / "readme.json"
+        f.write_text(example.group(1))
+        out = tmp_path / "report.json"
+        assert main(["scenario", str(f), "--out", str(out)]) == 0
+        assert read(out)["report"]["passed"] is True
 
 
 class TestOracleTail:

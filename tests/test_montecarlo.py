@@ -150,18 +150,24 @@ class TestSimulateFailure:
         )
 
 
+def replay_cell(portfolio, series_map, gamma_prime, theta, horizon):
+    """The one cell of a one-gamma' replay."""
+    result = historical_replay(portfolio, series_map, [gamma_prime], theta, horizon)
+    return result.estimates[(gamma_prime, portfolio.name)]
+
+
 class TestHistoricalReplay:
     def test_constant_series_never_fails(self):
         s = PriceSeries("X", np.arange(50) * 300, np.full(50, 7.0))
         p = Portfolio("solo", ("X",), np.array([1.0]))
-        est = historical_replay(p, {"X": s}, 1.3, 1.1, horizon=10)
+        est = replay_cell(p, {"X": s}, 1.3, 1.1, horizon=10)
         assert est.probability == 0.0
 
     def test_gamma_prime_equal_theta_fails_at_start(self):
         # threshold is 1 and the window-start ratio is exactly 1 (<= rule)
         s = PriceSeries("X", np.arange(30) * 300, np.linspace(5, 6, 30))
         p = Portfolio("solo", ("X",), np.array([1.0]))
-        est = historical_replay(p, {"X": s}, 1.1, 1.1, horizon=5)
+        est = replay_cell(p, {"X": s}, 1.1, 1.1, horizon=5)
         assert est.probability == 1.0
 
     def test_single_drawdown_fails_exactly_covering_windows(self):
@@ -172,7 +178,7 @@ class TestHistoricalReplay:
         s = PriceSeries("X", np.arange(100) * 300, prices)
         p = Portfolio("solo", ("X",), np.array([1.0]))
         horizon = 12
-        est = historical_replay(p, {"X": s}, 1.2, 1.1, horizon=horizon)
+        est = replay_cell(p, {"X": s}, 1.2, 1.1, horizon=horizon)
         starts = range(0, 100 - horizon)
         covering = [t for t in starts if t <= 40 <= t + horizon and t != 40]
         # a window starting exactly at the dip rebases on the dip price
@@ -182,14 +188,20 @@ class TestHistoricalReplay:
         s = PriceSeries("X", np.arange(5) * 300, np.full(5, 3.0))
         p = Portfolio("solo", ("X",), np.array([1.0]))
         with pytest.raises(DataError):
-            historical_replay(p, {"X": s}, 1.2, 1.1, horizon=10)
+            replay_cell(p, {"X": s}, 1.2, 1.1, horizon=10)
+
+    def test_every_gamma_prime_validated(self):
+        s = PriceSeries("X", np.arange(30) * 300, np.full(30, 2.0))
+        p = Portfolio("solo", ("X",), np.array([1.0]))
+        with pytest.raises(DataError, match="got 1.05, 1.1"):
+            historical_replay(p, {"X": s}, [1.2, 1.05], 1.1, horizon=5)
 
     def test_windows_never_span_periods(self):
         times = np.concatenate([np.arange(8) * 300, 10**6 + np.arange(8) * 300])
         prices = np.concatenate([np.full(8, 10.0), np.full(8, 1.0)])  # cliff at the gap
         s = PriceSeries("X", times, prices, boundaries=frozenset({8}))
         p = Portfolio("solo", ("X",), np.array([1.0]))
-        est = historical_replay(p, {"X": s}, 1.2, 1.1, horizon=5)
+        est = replay_cell(p, {"X": s}, 1.2, 1.1, horizon=5)
         assert est.probability == 0.0  # the 90% drop is hidden behind the boundary
 
 
@@ -238,16 +250,18 @@ class TestBlockedReplay:
     def test_equals_per_window_loop(self, horizon, weights):
         series = two_period_series()
         p = Portfolio("mix", ("A", "B", "C"), np.array(weights))
-        for g in (1.1, 1.15, 1.2, 1.3, 1.5):
-            est = historical_replay(p, series, g, 1.1, horizon)
+        gammas = (1.1, 1.15, 1.2, 1.3, 1.5)
+        result = historical_replay(p, series, gammas, 1.1, horizon)
+        for g in gammas:
+            est = result.estimates[(g, "mix")]
             assert (est.failures, est.runs) == reference_replay(p, series, g, 1.1, horizon)
         # the 699-slot first period (C misses one) holds more than one block of starts
-        assert est.runs == (699 - horizon) + max(400 - horizon, 0)
+        assert result.runs == (699 - horizon) + max(400 - horizon, 0)
 
     def test_gamma_prime_equal_theta_depends_on_the_weight_sum(self):
         series = two_period_series()
         p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
-        est = historical_replay(p, series, 1.1, 1.1, 24)
+        est = replay_cell(p, series, 1.1, 1.1, 24)
         assert 0 < est.failures < est.runs  # windows that only rise do not fail
         assert (est.failures, est.runs) == reference_replay(p, series, 1.1, 1.1, 24)
 
@@ -259,11 +273,11 @@ class TestBlockedReplay:
         prices[39] = 8.0
         series = {"X": PriceSeries("X", times, prices), "Y": PriceSeries("Y", times, np.full(80, 3.0))}
         p = Portfolio("solo", ("X",), np.array([1.0]))
-        est = historical_replay(p, series, 1.2, 1.1, horizon=12)
+        est = replay_cell(p, series, 1.2, 1.1, horizon=12)
         assert (est.failures, est.runs) == (1, 2 * (40 - 12))
         assert (est.failures, est.runs) == reference_replay(p, series, 1.2, 1.1, 12)
         both = Portfolio("both", ("X", "Y"), np.array([0.5, 0.5]))  # 10% drop: 0.9 <= 11/12
-        assert historical_replay(both, series, 1.2, 1.1, 12).failures == 1
+        assert replay_cell(both, series, 1.2, 1.1, 12).failures == 1
 
 
 class TestTableSweep:

@@ -34,6 +34,27 @@ class TestParams:
         p = SystemParams().with_param("gamma", "1.6")
         assert p.gamma == Fraction(8, 5)
 
+    def test_fields_coerced_as_from_json_reads_them(self):
+        # a string fee used to raise TypeError inside validate
+        p = SystemParams(stability_fee="1e-8", gamma=1.6, debt_ceilings={"0": 0.4}, relay_n="4")
+        assert p.stability_fee == Decimal("1e-8")
+        assert p.gamma == Fraction("1.6") and p.ceiling(0) == Fraction(2, 5)
+        assert p.relay_n == 4
+        assert p == SystemParams.from_json(
+            {"stability_fee": "1e-8", "gamma": 1.6, "debt_ceilings": {"0": 0.4}, "relay_n": 4}
+        )
+        with pytest.raises(InvalidParameterError, match="stability_fee"):
+            SystemParams(stability_fee="cheap")
+        with pytest.raises(InvalidParameterError, match="unknown parameter"):
+            SystemParams().with_param("validate", 1)
+
+    def test_from_json_is_order_independent(self):
+        # fields used to be set one at a time, so theta 1.6 met the default gamma 1.5
+        p = SystemParams.from_json({"theta": 1.6, "gamma": 2})
+        assert (p.gamma, p.theta) == (Fraction(2), Fraction(8, 5))
+        with pytest.raises(InvalidParameterError, match="unknown parameter 'gama'"):
+            SystemParams.from_json({"gama": 2})
+
     def test_ceiling_range(self):
         with pytest.raises(InvalidParameterError):
             SystemParams(debt_ceilings={0: Fraction(3, 2)})
