@@ -50,7 +50,12 @@ class StaleNonceError(ProtocolError):
 
 
 class InvalidParameterError(ProtocolError):
-    """A governance parameter update failed SystemParams validation."""
+    """A governance parameter update failed SystemParams validation; `param`
+    names the one parameter at fault, when there is one."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class PreconditionError(CrocodaiError):

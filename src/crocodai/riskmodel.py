@@ -3,13 +3,33 @@ log returns, moment and tail estimation, Cholesky factorization, and the
 one correlated normal / Student-t sampler (`sample_returns`), which the
 Monte Carlo simulator draws through.
 
-Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...``,
-ISO-8601 UTC timestamps at 5-minute slots, and decimal USD prices (empty
-cell = missing). Gaps longer than two slot durations split a series into
-periods; no return ever spans a period boundary. `common_timeline` is the
-one alignment of one or more symbols (shared timestamps, price panel,
-period cuts that keep every series' own boundaries) that both the return
-model and the historical replay use.
+Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...`` and one
+row of 5-minute slot data per line:
+
+- Lines end in ``\n``, ``\r\n`` or ``\r``. A line that is empty, or whose
+  cells are all empty, is skipped; error messages name rows by their line
+  number in the file, blank lines included.
+- Cells are separated by commas and read as the csv module reads them: a
+  cell may be wrapped in double quotes, but a quoted cell cannot hold a line
+  break. Whitespace around a cell is dropped.
+- A timestamp is ISO 8601 as ``datetime.fromisoformat`` reads it; ``Z`` and
+  a stamp without an offset mean UTC. Timestamps strictly increase.
+- A price is a number as ``float`` reads it, and must be positive and
+  finite: ``nan``, ``inf`` and ``1e400`` are rejected. An empty cell means
+  the price is missing.
+
+Gaps longer than two slot durations split a series into periods; no return
+ever spans a period boundary. `common_timeline` is the one alignment of one
+or more symbols (shared timestamps, price panel, period cuts that keep every
+series' own boundaries) that both the return model and the historical
+replay use.
+
+`ingest_prices` parses a block of lines at a time with numpy: the cells of
+a plain line are split on its commas, every price is converted in one call,
+and a timestamp of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z``
+or ``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
+``fromisoformat`` one at a time. Only a block that fails to parse is
+scanned row by row, to name its first bad row.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
 with an analytic gradient (`fit_nu`), about ten passes over the data per
@@ -21,8 +41,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -92,56 +114,196 @@ def _gap_boundaries(times: np.ndarray) -> frozenset[int]:
     return frozenset(int(i) for i in idx)
 
 
+def _split_line(line: str) -> list[str]:
+    """The cells of one line, quotes read as the csv module reads them."""
+    return next(csv.reader([line]), [])
+
+
+def _bad_price(row: int, price: float, symbol: str) -> DataError:
+    kind = "non-positive" if price <= 0 else "non-finite"
+    return DataError(f"row {row}: {kind} price {price} for {symbol}")
+
+
+# the file is parsed a block of about this many characters at a time, so that
+# the cells of only one block are Python strings at once
+_BLOCK_CHARS = 1 << 20
+# what makes a line not plain: a quote, or any character str.strip removes
+_NOT_PLAIN = ('"\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004'
+              '\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000')
+# a canonical stamp with its offset suffix, every digit read as 0
+_STAMP_SHAPE = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
+
+
+def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Epoch seconds of stripped timestamp cells (an object array).
+
+    A stamp of the canonical shape ``YYYY-MM-DDTHH:MM:SS`` with no suffix,
+    ``Z`` or ``+HH:MM``/``-HH:MM`` whose fields are in range is read in
+    bulk from its digits, the date counted in days by ``datetime64``.
+    Every other stamp goes through `_parse_timestamp`, the definition of
+    an accepted stamp.
+    """
+    n = len(stamps)
+    stamps = stamps.tolist()
+    lengths = np.fromiter(map(len, stamps), np.int64, n)
+    # a longer stamp is cut to 25 characters, and its length makes it not canonical
+    codes = np.array(stamps, dtype="U25").view(np.uint32).reshape(n, 25)
+    digits = codes - ord("0")  # any other character wraps round to more than 9
+    shape = np.where(digits <= 9, ord("0"), codes) == _STAMP_SHAPE
+
+    def number(first: int, last: int) -> np.ndarray:
+        value = np.zeros(n, dtype=np.int64)
+        for col in range(first, last):
+            value = value * 10 + digits[:, col]
+        return value
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    offset_hour, offset_minute = number(20, 22), number(23, 25)
+    sign = codes[:, 19]
+    canonical = shape[:, :19].all(axis=1)
+    months = np.where(canonical, (year - 1970) * 12 + month - 1, 0)
+    first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    month_days = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first_day
+    canonical &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+                  & (hour <= 23) & (minute <= 59) & (second <= 59))
+    with_offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-")))
+                   & shape[:, 20:].all(axis=1) & (offset_hour <= 23) & (offset_minute <= 59))
+    canonical &= (lengths == 19) | ((lengths == 20) & (sign == ord("Z"))) | with_offset
+    offset = np.where(with_offset, np.where(sign == ord("-"), -60, 60) * (offset_hour * 60 + offset_minute), 0)
+
+    seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second - offset
+    for i in np.flatnonzero(~canonical):
+        seconds[i] = _parse_timestamp(stamps[i], int(rows[i]))
+    return seconds
+
+
+def _parse_rows(lines: list[str], first_row: int, k: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bulk parse of consecutive data lines of a CSV with k symbol columns,
+    the first of them on line `first_row` of the file.
+
+    Returns the line number, epoch seconds and prices (NaN where a cell is
+    empty) of every row that is not blank, and the mask of the price cells
+    that were given. Raises ValueError or DataError if any line fails to
+    parse, without naming it.
+    """
+    n = len(lines)
+    rows = np.arange(first_row, first_row + n)
+    joined = ",".join(lines)
+    # a plain line has k commas and no quote or whitespace, so its cells are
+    # the pieces between commas; any other line is split on its own and its
+    # cells stripped, and a blank one becomes k + 1 empty cells
+    odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != k
+    for char in _NOT_PLAIN:
+        if char in joined:
+            odd |= np.fromiter(map(operator.contains, lines, repeat(char)), bool, n)
+    patches = []
+    if odd.any():
+        lines = list(lines)
+        for i in np.flatnonzero(odd):
+            cells = [cell.strip() for cell in _split_line(lines[i])]
+            lines[i] = "," * k
+            if any(cells):
+                if len(cells) != k + 1:
+                    raise ValueError(f"line {rows[i]}: {len(cells)} columns")
+                patches.append((i, cells))
+        joined = ",".join(lines)
+    flat = joined.split(",")
+    del joined
+    for i, cells in patches:
+        flat[i * (k + 1):(i + 1) * (k + 1)] = cells
+    grid = np.array(flat, dtype=object).reshape(-1, k + 1)
+    del flat
+    given = grid != ""
+    keep = given.any(axis=1)
+    if not keep.all():
+        rows, grid, given = rows[keep], grid[keep], given[keep]
+    times = _stamp_seconds(grid[:, 0], rows)
+    grid[~given] = "nan"
+    return rows, times, grid[:, 1:].astype(float), given[:, 1:]
+
+
+def _raise_first_bad_row(lines: list[str], first_row: int, symbols: list[str],
+                         prev_time: int | None) -> None:
+    """Row-by-row check of a block of data lines, run only after its bulk
+    parse failed: raises the DataError that names its first bad row.
+    `prev_time` is the last timestamp before the block."""
+    for row_no, line in enumerate(lines, start=first_row):
+        row = _split_line(line)
+        if all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(symbols) + 1:
+            raise DataError(f"row {row_no}: expected {len(symbols) + 1} columns, got {len(row)}")
+        t = _parse_timestamp(row[0], row_no)
+        if prev_time is not None and t <= prev_time:
+            raise DataError(f"row {row_no}: timestamps must be strictly increasing")
+        prev_time = t
+        for symbol, cell in zip(symbols, row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                price = float(cell)
+            except ValueError:
+                raise DataError(f"row {row_no}: malformed price {cell!r}") from None
+            if not 0 < price < math.inf:
+                raise _bad_price(row_no, price, symbol)
+
+
+def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time: int | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, prices and given-cell mask of a block of data lines that
+    starts on line `first_row`, after the timestamp `prev_time`; raises the
+    DataError that names the block's first bad row."""
+    try:
+        rows, times, prices, given = _parse_rows(lines, first_row, len(symbols))
+    except (ValueError, DataError):
+        _raise_first_bad_row(lines, first_row, symbols, prev_time)
+        raise
+    # the first offending cell in reading order, a row's timestamp before its prices
+    bad = np.zeros((len(rows), len(symbols) + 1), dtype=bool)
+    bad[1:, 0] = np.diff(times) <= 0
+    if prev_time is not None:
+        bad[:1, 0] = times[:1] <= prev_time
+    bad[:, 1:] = given & ~((prices > 0) & (prices < np.inf))
+    if bad.any():
+        r, c = divmod(int(np.argmax(bad)), len(symbols) + 1)
+        if c == 0:
+            raise DataError(f"row {int(rows[r])}: timestamps must be strictly increasing")
+        raise _bad_price(int(rows[r]), float(prices[r, c - 1]), symbols[c - 1])
+    return times, prices, given
+
+
 def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
     """Read the price CSV into one PriceSeries per symbol column."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with path.open() as fh:  # universal newlines: \r\n and \r read as \n
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = _split_line(first.removesuffix("\n"))
         if not header or header[0].strip().lower() != "timestamp":
             raise DataError(f"{path}: first header column must be 'timestamp'")
         symbols = [h.strip() for h in header[1:]]
         if not symbols or any(not s for s in symbols):
             raise DataError(f"{path}: header must list at least one symbol")
 
-        times: list[int] = []
-        columns: list[list[float | None]] = [[] for _ in symbols]
-        prev_time: int | None = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(symbols) + 1:
-                raise DataError(
-                    f"row {row_no}: expected {len(symbols) + 1} columns, got {len(row)}"
-                )
-            t = _parse_timestamp(row[0], row_no)
-            if prev_time is not None and t <= prev_time:
-                raise DataError(f"row {row_no}: timestamps must be strictly increasing")
-            prev_time = t
-            times.append(t)
-            for i, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    columns[i].append(None)
-                    continue
-                try:
-                    price = float(cell)
-                except ValueError:
-                    raise DataError(f"row {row_no}: malformed price {cell!r}") from None
-                if price <= 0:
-                    raise DataError(f"row {row_no}: non-positive price {price} for {symbols[i]}")
-                columns[i].append(price)
+        k = len(symbols)
+        blocks = [(np.empty(0, dtype=np.int64), np.empty((0, k)), np.empty((0, k), dtype=bool))]
+        first_row, prev_time = 2, None
+        while chunk := fh.readlines(_BLOCK_CHARS):
+            lines = "".join(chunk).removesuffix("\n").split("\n")
+            blocks.append(_read_block(lines, first_row, symbols, prev_time))
+            first_row += len(lines)
+            if len(blocks[-1][0]):
+                prev_time = int(blocks[-1][0][-1])
 
+    times, prices, given = (np.concatenate(parts) for parts in zip(*blocks))
     out: dict[str, PriceSeries] = {}
-    times_arr = np.asarray(times, dtype=np.int64)
-    for symbol, col in zip(symbols, columns):
-        mask = np.array([v is not None for v in col])
-        st = times_arr[mask]
-        sp = np.array([v for v in col if v is not None], dtype=float)
-        out[symbol] = PriceSeries(symbol, st, sp, _gap_boundaries(st))
+    for j, symbol in enumerate(symbols):
+        st = times[given[:, j]]
+        out[symbol] = PriceSeries(symbol, st, prices[given[:, j], j], _gap_boundaries(st))
     return out
 
 

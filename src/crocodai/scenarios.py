@@ -26,7 +26,7 @@ import numpy as np
 
 from . import relay as relay_mod
 from . import stablecoin as core
-from .errors import PreconditionError, ProtocolError, ScenarioFormatError
+from .errors import InvalidParameterError, PreconditionError, ProtocolError, ScenarioFormatError
 from .ledger import SCALE, System
 from .montecarlo import Portfolio
 from .oracle import (
@@ -389,6 +389,7 @@ _TOP_LEVEL_KEYS = {
     "name", "params", "chains", "tokens", "relays", "cdps",
     "workload", "attacks", "assertions",
 }
+_CDP_KEYS = {"chain", "owner", "token", "collateral", "debt"}
 
 
 def run_scenario_file(path: str | Path) -> dict[str, Any]:
@@ -405,7 +406,10 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
     if unknown:
         raise _fail("$", f"unknown keys {sorted(unknown)}")
 
-    params = SystemParams.from_json(_expect(doc.get("params", {}), dict, "$.params"))
+    try:
+        params = SystemParams.from_json(_expect(doc.get("params", {}), dict, "$.params"))
+    except InvalidParameterError as exc:
+        raise _fail(f"$.params.{exc.param}" if exc.param else "$.params", str(exc)) from None
     system = System(params)
 
     chain_ids: dict[str, int] = {}
@@ -452,10 +456,15 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
     for i, spec in enumerate(_expect(doc.get("cdps", []), list, "$.cdps")):
         at = f"$.cdps[{i}]"
         _expect(spec, dict, at)
+        unknown = set(spec) - _CDP_KEYS
+        if unknown:
+            raise _fail(at, f"unknown keys {sorted(unknown)}")
         try:
             token = system.token_by_symbol(spec["token"])
         except (KeyError, ProtocolError):
             raise _fail(f"{at}.token", "unknown token") from None
+        if "chain" in spec and chain_ids.get(spec["chain"]) != token.chain:
+            raise _fail(f"{at}.chain", f"token {token.symbol} is not on chain {spec['chain']!r}")
         owner, collateral = _num(spec, "owner", at), _num(spec, "collateral", at)
         debt = _num(spec, "debt", at, default=0)
         cdp_id = core.open_cdp(system, token.chain, owner, token.id)

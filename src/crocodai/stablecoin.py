@@ -93,7 +93,7 @@ class SystemParams:
     def from_json(cls, doc: dict[str, Any]) -> "SystemParams":
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
-            raise InvalidParameterError(f"unknown parameter {unknown[0]!r}")
+            raise InvalidParameterError(f"unknown parameter {unknown[0]!r}", unknown[0])
         return cls(**doc)
 
 
@@ -111,7 +111,7 @@ def _coerce_param(name: str, value):
             return {int(k): _exact(Fraction, v) for k, v in dict(value).items()}
         return int(value)
     except (ArithmeticError, TypeError, ValueError):
-        raise InvalidParameterError(f"parameter {name}: not a number: {value!r}") from None
+        raise InvalidParameterError(f"parameter {name}: not a number: {value!r}", name) from None
 
 
 # ----------------------------------------------------------------------

@@ -291,6 +291,9 @@ class TestScenarioCommand:
         ({"workload": [{"op": "request_transfer", "chain": "eth", "sender": 1, "amount": 5,
                         "target_chain": "sol", "target": 2}]},
          "$.workload[0].target_chain: unknown chain 'sol'"),
+        ({"params": {"gamma": "x"}}, "$.params.gamma: "),
+        ({"cdps": [{"owner": 1, "token": "ETH", "collateral": 5, "debtt": 7}]},
+         "$.cdps[0]: unknown keys ['debtt']"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1

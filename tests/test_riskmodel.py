@@ -1,11 +1,16 @@
+import csv
 import math
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import write_price_csv
+from crocodai import riskmodel
 from crocodai.errors import DataError, ModelError
 from crocodai.riskmodel import (
     NORMAL,
@@ -79,6 +84,210 @@ class TestIngest:
         series = ingest_prices(f)
         assert len(series["BTC"]) == 2
         assert len(series["ETH"]) == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "NaN", "1e400"])
+    def test_non_finite_price_rejected(self, tmp_path, cell):
+        f = tmp_path / "p.csv"
+        f.write_text(
+            "timestamp,BTC\n"
+            "2022-01-01T00:00:00Z,1\n"
+            f"2022-01-01T00:05:00Z,{cell}\n"
+            "2022-01-01T00:10:00Z,2\n"
+        )
+        with pytest.raises(DataError, match=r"^row 3: non-finite price (nan|inf) for BTC$"):
+            ingest_prices(f)
+
+    def test_row_numbers_count_blank_lines_and_blocks(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(
+            "timestamp,BTC\r\n"
+            "2022-01-01T00:00:00Z,1\r\n"
+            "2022-01-01T00:05:00Z,2\r\n"
+            "\r\n"
+            " , \r\n"
+            "2022-01-01T00:05:00Z,3\r\n"
+        )
+        for block_chars in (1, 1 << 20):
+            with mock.patch.object(riskmodel, "_BLOCK_CHARS", block_chars):
+                with pytest.raises(DataError, match="^row 6: timestamps must be strictly increasing$"):
+                    ingest_prices(f)
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            ingest_prices(f)
+        f.write_text("\n")
+        with pytest.raises(DataError, match="first header column"):
+            ingest_prices(f)
+        f.write_text("timestamp,BTC\n")
+        assert len(ingest_prices(f)["BTC"]) == 0
+
+    def test_not_plain_lists_every_stripped_character(self):
+        stripped = {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\n"}
+        assert set(riskmodel._NOT_PLAIN) == stripped | {'"'}
+
+
+def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, frozenset[int]]]:
+    """The row-by-row parser that `ingest_prices` replaced, plus its one new
+    rule: a non-finite price is rejected."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        symbols = [h.strip() for h in next(reader)[1:]]
+        times: list[int] = []
+        columns: list[list[float | None]] = [[] for _ in symbols]
+        prev_time = None
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(symbols) + 1:
+                raise DataError(f"row {row_no}: expected {len(symbols) + 1} columns, got {len(row)}")
+            t = riskmodel._parse_timestamp(row[0], row_no)
+            if prev_time is not None and t <= prev_time:
+                raise DataError(f"row {row_no}: timestamps must be strictly increasing")
+            prev_time = t
+            times.append(t)
+            for i, cell in enumerate(row[1:]):
+                cell = cell.strip()
+                if not cell:
+                    columns[i].append(None)
+                    continue
+                try:
+                    price = float(cell)
+                except ValueError:
+                    raise DataError(f"row {row_no}: malformed price {cell!r}") from None
+                if price <= 0:
+                    raise DataError(f"row {row_no}: non-positive price {price} for {symbols[i]}")
+                if not math.isfinite(price):
+                    raise DataError(f"row {row_no}: non-finite price {price} for {symbols[i]}")
+                columns[i].append(price)
+    out = {}
+    times_arr = np.asarray(times, dtype=np.int64)
+    for symbol, col in zip(symbols, columns):
+        st_ = times_arr[np.array([v is not None for v in col], dtype=bool)]
+        out[symbol] = (st_, np.array([v for v in col if v is not None], dtype=float),
+                       riskmodel._gap_boundaries(st_))
+    return out
+
+
+# (position, text) written over a row's canonical stamp: a field out of range,
+# a bad suffix, or no stamp at all
+_BAD_STAMPS = [(0, "0000"), (5, "13"), (5, "00"), (8, "32"), (8, "31"), (8, "00"), (11, "24"),
+               (14, "60"), (17, "60"), (19, "+24:00"), (19, "+05:0x"), (19, "Q"), (0, "yesterday")]
+_BAD_CELLS = {
+    "price": ["abc", "1.2.3", "0x10", "--1", "1,5"],
+    "non-positive": ["0", "-0", "-1.5", "-inf", "0.0"],
+    "non-finite": ["nan", "inf", "NaN", "1e400", "+Infinity"],
+}
+
+
+@st.composite
+def _stamp(draw, t: int) -> str:
+    utc = datetime.fromtimestamp(t, timezone.utc)
+    form = draw(st.sampled_from(["naive", "Z", "offset", "fraction", "space", "quoted"]))
+    if form == "naive":
+        stamp = utc.strftime("%Y-%m-%dT%H:%M:%S")
+    elif form == "Z":
+        stamp = utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+    elif form == "offset":
+        minutes = draw(st.integers(-(23 * 60 + 59), 23 * 60 + 59))
+        stamp = utc.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
+    elif form == "fraction":  # not the canonical shape, but fromisoformat reads it
+        stamp = utc.strftime("%Y-%m-%dT%H:%M:%S.%f")
+    elif form == "space":
+        stamp = utc.strftime("%Y-%m-%d %H:%M:%S")
+    else:
+        return utc.strftime('"%Y-%m-%dT%H:%M:%SZ"')
+    return draw(st.sampled_from(["{}", " {}", "{}\t"])).format(stamp)
+
+
+_PRICE_CELLS = st.one_of(
+    st.floats(1e-6, 1e9).map(repr),
+    st.floats(1e-3, 1e6).map(lambda x: f"{x:.6f}"),
+    st.floats(1e-3, 1e6).map(lambda x: f" {x!r}\t"),
+    st.floats(1e-3, 1e6).map(lambda x: f'"{x!r}"'),
+    st.sampled_from(["", "", "  ", "1_000", "1E3"]),
+)
+
+
+@st.composite
+def _price_csv(draw) -> tuple[str, int]:
+    """A price CSV as text, and the block size to parse it with."""
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(1_500_000_000 // 60, 1_700_000_000 // 60)) * 60
+    lines: list[list[str] | str] = []
+    times = {}  # line index -> epoch seconds of its row
+    for _ in range(draw(st.integers(0, 20))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ",", "," * k, " ," * k, '""'])))
+        t += 300 * draw(st.sampled_from([1, 1, 1, 2, 3, 50]))  # 3 and 50 slots are gaps
+        times[len(lines)] = t
+        lines.append([draw(_stamp(t))] + [draw(_PRICE_CELLS) for _ in range(k)])
+    kind = draw(st.sampled_from([None] * 4 + ["columns", "stamp", "order", *_BAD_CELLS]))
+    if kind is not None and times:
+        i = draw(st.sampled_from(sorted(times)))
+        row = lines[i]
+        if kind == "columns":
+            row.append("1") if draw(st.booleans()) else row.pop()
+        elif kind == "stamp":
+            stamp = datetime.fromtimestamp(times[i], timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            at, text = draw(st.sampled_from(_BAD_STAMPS))
+            row[0] = stamp[:at] + text + stamp[at + len(text):]
+        elif kind == "order":
+            row[0] = "2000-01-01T00:00:00Z"
+        else:
+            row[draw(st.integers(1, k))] = draw(st.sampled_from(_BAD_CELLS[kind]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(["timestamp," + ",".join(f"S{i}" for i in range(k))]
+                        + [line if isinstance(line, str) else ",".join(line) for line in lines])
+    return text + draw(st.sampled_from(["", newline])), draw(st.sampled_from([1, 64, 1 << 20]))
+
+
+class TestIngestMatchesRowParser:
+    @staticmethod
+    def assert_same(path, block_chars=1 << 20):
+        """ingest_prices gives the reference parser's series, or its error."""
+        try:
+            expected = reference_ingest(path)
+        except DataError as exc:
+            expected = str(exc)
+        try:
+            with mock.patch.object(riskmodel, "_BLOCK_CHARS", block_chars):
+                series = ingest_prices(path)
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str), expected
+        assert list(series) == list(expected)
+        for symbol, (times, prices, boundaries) in expected.items():
+            got = series[symbol]
+            assert got.times.dtype == np.int64 and got.prices.dtype == np.float64
+            assert np.array_equal(got.times, times)
+            assert np.array_equal(got.prices, prices)
+            assert got.boundaries == boundaries
+
+    @given(_price_csv())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_series_or_same_error(self, tmp_path_factory, case):
+        text, block_chars = case
+        path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        path.write_bytes(text.encode())
+        self.assert_same(path, block_chars)
+
+    @pytest.mark.parametrize("stamp", [
+        "2024-02-29T12:00:00Z", "2023-02-29T12:00:00Z", "2023-04-31T00:00:00", "2023-13-01T00:00:00",
+        "2023-00-10T00:00:00", "2023-01-00T00:00:00", "0000-01-01T00:00:00", "0001-01-01T00:00:00",
+        "9999-12-31T23:59:59", "1969-12-31T23:59:59Z", "2023-01-01T24:00:00", "2023-01-01T23:60:00",
+        "2023-01-01T23:59:60", "2023-01-01T00:00:00+05:30", "2023-01-01T00:00:00-23:59",
+        "2023-01-01T00:00:00+05:60", "2023-01-01T00:00:00+23:60", "2023-01-01T00:00:00+24:00",
+        "2023-01-01T00:00:00-00:00",
+        "2023-01-01T00:00:00z", "2023-01-01t00:00:00", "2023-01-01T00:00:00.5", "2023-01-01T00:00:00ZZ",
+        "2023-01-01T00:00", "2023-01-01", "2023-01-01T00:00:00+0530", "\u0662023-01-01T00:00:00",
+    ])
+    def test_same_stamp_or_same_error(self, tmp_path, stamp):
+        path = tmp_path / "p.csv"
+        path.write_text(f"timestamp,BTC\n{stamp},1\n")
+        self.assert_same(path)
 
 
 class TestLogReturns:

@@ -298,6 +298,41 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match="wat"):
             run_scenario_file(f)
 
+    WORLD = {"chains": [{"name": "eth"}, {"name": "sol"}],
+             "tokens": [{"symbol": "ETH", "chain": "eth", "price": 2000}]}
+
+    @pytest.mark.parametrize("cdp, message", [
+        # a misspelt debt used to open a debt-free CDP and pass
+        ({"owner": 1, "token": "ETH", "collateral": 5, "debtt": 7},
+         r"^\$\.cdps\[0\]: unknown keys \['debtt'\]$"),
+        ({"chain": "nope", "owner": 1, "token": "ETH", "collateral": 5},
+         r"^\$\.cdps\[0\]\.chain: token ETH is not on chain 'nope'$"),
+        ({"chain": "sol", "owner": 1, "token": "ETH", "collateral": 5},
+         r"^\$\.cdps\[0\]\.chain: token ETH is not on chain 'sol'$"),
+    ])
+    def test_bad_cdp_keys_rejected(self, tmp_path, cdp, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**self.WORLD, "cdps": [cdp]}))
+        with pytest.raises(ScenarioFormatError, match=message):
+            run_scenario_file(f)
+
+    def test_cdp_on_its_token_chain_accepted(self, tmp_path):
+        f = tmp_path / "ok.json"
+        f.write_text(json.dumps({**self.WORLD, "cdps": [
+            {"chain": "eth", "owner": 1, "token": "ETH", "collateral": 5}]}))
+        assert run_scenario_file(f)["passed"]
+
+    @pytest.mark.parametrize("params, message", [
+        ({"gamma": "x"}, r"^\$\.params\.gamma: parameter gamma: not a number: 'x'$"),
+        ({"gama": 1.5}, r"^\$\.params\.gama: unknown parameter 'gama'$"),
+        ({"gamma": 1.05, "theta": 1.1}, r"^\$\.params: need gamma > theta > 1"),
+    ])
+    def test_bad_params_name_their_path(self, tmp_path, params, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"params": params}))
+        with pytest.raises(ScenarioFormatError, match=message):
+            run_scenario_file(f)
+
     def test_unknown_chain_reference(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"tokens": [{"symbol": "X", "chain": "ghost"}]}))
