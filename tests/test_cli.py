@@ -35,6 +35,17 @@ class TestIngest:
         out = tmp_path / "s.json"
         assert main(["ingest", "--out", str(out)]) == 0
 
+    def test_symbol_without_observations(self, tmp_path):
+        # an empty series used to end in an IndexError traceback, exit 1
+        prices = tmp_path / "p.csv"
+        prices.write_text("timestamp,BTC,ETH\n2022-01-01T00:00:00Z,1,\n")
+        out = tmp_path / "summary.json"
+        assert main(["ingest", "--prices", str(prices), "--out", str(out)]) == 0
+        assert read(out)["symbols"] == {
+            "BTC": {"observations": 1, "periods": 1, "first": 1640995200, "last": 1640995200},
+            "ETH": {"observations": 0, "periods": 0, "first": None, "last": None},
+        }
+
     def test_no_prices_no_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CROCODAI_DATA", raising=False)
         assert main(["ingest"]) == 2
@@ -294,6 +305,10 @@ class TestScenarioCommand:
         ({"params": {"gamma": "x"}}, "$.params.gamma: "),
         ({"cdps": [{"owner": 1, "token": "ETH", "collateral": 5, "debtt": 7}]},
          "$.cdps[0]: unknown keys ['debtt']"),
+        ({"cdps": [{"owner": 1, "token": "ETH", "collateral": 5, "debt": 10**5}]},
+         "$.cdps[0]: collateral value"),
+        ({"tokens": [{"symbol": "ETH", "chain": "eth"}],
+          "cdps": [{"owner": 1, "token": "ETH", "collateral": 5, "debt": 1}]}, "$.cdps[0]: "),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1

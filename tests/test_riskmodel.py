@@ -307,6 +307,12 @@ class TestLogReturns:
         _, (r,) = aligned_log_returns({s.symbol: s})
         assert len(r) == 3  # junctions 0-1, 1-2 and 3-4 only
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_series_rejects_a_price_that_is_not_finite_and_positive(self, bad):
+        # NaN and inf used to construct and give NaN returns
+        with pytest.raises(DataError, match="X: prices must be finite and > 0"):
+            PriceSeries("X", np.arange(4) * 300, [1.0, bad, 2.0, 3.0])
+
     def test_too_short(self):
         s = PriceSeries("X", [0], [1.0])
         with pytest.raises(DataError):

@@ -10,7 +10,13 @@ from conftest import units
 from crocodai import relay as relay_mod
 from crocodai import scenarios
 from crocodai import stablecoin as core
-from crocodai.errors import PreconditionError, ProtocolError, ScenarioFormatError
+from crocodai.errors import (
+    CeilingViolationError,
+    PreconditionError,
+    ProtocolError,
+    RatioViolationError,
+    ScenarioFormatError,
+)
 from crocodai.ledger import SCALE, System
 from crocodai.scenarios import (
     BUILTIN_PORTFOLIOS,
@@ -181,6 +187,89 @@ class TestCompromisedChain:
             compromised_chain_scenario(solo, 0, 1)
 
 
+def empty_book(ceiling=None):
+    """Chains "hot" and "cold" with one token each at price 1 and no CDP;
+    `ceiling` caps HOT's share of the debt."""
+    sys_ = System(SystemParams(debt_ceilings={} if ceiling is None else {0: Fraction(ceiling)}))
+    for name in ("hot", "cold"):
+        cid = sys_.create_chain({"name": name})
+        sys_.set_price(sys_.register_token(name.upper(), cid), 1)
+    return sys_
+
+
+def protocol_refuses(system, token_id, h):
+    """Whether withdraw_stablecoins refuses the attack's mint of h minor units
+    against a fresh CDP of token_id, collateralised as the attack does."""
+    cdp = core.open_cdp(system, system.tokens[token_id].chain, 10**6, token_id)
+    core.deposit_collateral(system, cdp, int(system.params.gamma * h / system.prices[token_id]) + 1)
+    try:
+        core.withdraw_stablecoins(system, cdp, h)
+    except (RatioViolationError, CeilingViolationError):
+        return True
+    return False
+
+
+class TestCheckersAgreeWithTheProtocol:
+    def test_bootstrap_mint_on_an_empty_book(self):
+        # the checker applied the fractional rule to an empty book, where the
+        # protocol applies the bootstrap cap and accepts the mint
+        h = units(10)
+        assert not protocol_refuses(empty_book("0.5"), 0, h)
+        report = compromised_chain_scenario(empty_book("0.5"), 0, h)
+        assert not report.precondition_failed
+        assert report.details["unbacked_minted"] == h
+
+    def test_mint_over_the_bootstrap_cap_fails_the_precondition(self):
+        # with no ceiling the checker picked the token, and the protocol's
+        # CeilingViolationError escaped
+        h = units(2 * 10**6)
+        assert protocol_refuses(empty_book(), 0, h)
+        report = compromised_chain_scenario(empty_book(), 0, h)
+        assert report.precondition_failed and not report.passed
+
+    @given(
+        st.sampled_from(["random", "empty", "unconstrained"]),
+        st.integers(0, 10**6),
+        st.fractions(0, 2, max_denominator=1000),
+        st.integers(-1, 1),
+    )
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_one_ceiling_rule(self, book, seed, scale, nudge):
+        rng = random.Random(seed)
+
+        def build():
+            if book == "empty":
+                return empty_book(rng.choice([None, "0.5", Fraction(rng.randint(1, 99), 100)]))
+            system = random_backed_instance(rng)
+            if book == "unconstrained":
+                system.params = system.params.with_param("debt_ceilings", {})
+            return system
+
+        state = rng.getstate()
+        system = build()
+        token = rng.choice(sorted(system.tokens))
+        rng.setstate(state)
+        twin = build()
+        assert twin.state_digest() == system.state_digest()
+        chain = system.tokens[token].chain
+        _, total = core.debt_totals(system)
+        room = ceiling_headroom(system, token)
+        base = system.params.bootstrap_ceiling if total == 0 else min(room, 10**6) * SCALE
+        h = max(0, int(base * scale) + nudge)
+
+        if total > 0 and h > 0:
+            refused = protocol_refuses(twin, token, h)
+            assert refused == (not Fraction(h, SCALE) < room)
+        # the checker fails its precondition exactly when the protocol would
+        # refuse the mint against every token of the chain
+        refusals = []
+        for m in sorted(t.id for t in system.tokens.values() if t.chain == chain):
+            rng.setstate(state)
+            refusals.append(protocol_refuses(build(), m, h))
+        report = compromised_chain_scenario(system, chain, h)
+        assert report.precondition_failed == (h > 0 and all(refusals))
+
+
 class TestRandomInstances:
     def test_instances_satisfy_start_conditions(self):
         rng = random.Random(7)
@@ -315,6 +404,38 @@ class TestScenarioFiles:
         f.write_text(json.dumps({**self.WORLD, "cdps": [cdp]}))
         with pytest.raises(ScenarioFormatError, match=message):
             run_scenario_file(f)
+
+    @pytest.mark.parametrize("cdp, message", [
+        # genesis CDPs were written as raw events, past both rules
+        ({"owner": 1, "token": "ETH", "collateral": 5, "debt": 10**5},
+         r"^\$\.cdps\[1\]: collateral value .* would not strictly exceed gamma"),
+        ({"owner": 1, "token": "ETH", "collateral": 2000 * SCALE, "debt": 2 * 10**6 * SCALE},
+         r"^\$\.cdps\[1\]: .*debt ceiling"),
+        ({"owner": 1, "token": "ETH", "collateral": -5}, r"^\$\.cdps\[1\]: deposit amount"),
+        ({"owner": 1, "token": "ETH", "collateral": 5, "debt": -1}, r"^\$\.cdps\[1\]: mint amount"),
+    ])
+    def test_refused_genesis_cdp_names_its_path(self, tmp_path, cdp, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**self.WORLD, "cdps": [
+            {"owner": 1, "token": "ETH", "collateral": SCALE}, cdp]}))
+        with pytest.raises(ScenarioFormatError, match=message):
+            run_scenario_file(f)
+
+    def test_ceilings_install_after_the_genesis_book(self, tmp_path):
+        # BBB's 55 would breach its 0.6 ceiling against a total of 85, but
+        # the finished book (AAA 45, BBB 55) is under both ceilings
+        book = [("AAA", 30), ("BBB", 55), ("AAA", 15)]
+        f = tmp_path / "book.json"
+        f.write_text(json.dumps({
+            "chains": [{"name": "a"}, {"name": "b"}],
+            "tokens": [{"symbol": "AAA", "chain": "a", "price": 1, "ceiling": 0.5},
+                       {"symbol": "BBB", "chain": "b", "price": 1, "ceiling": 0.6}],
+            "cdps": [{"owner": 1, "token": sym, "collateral": 2 * debt * SCALE,
+                      "debt": debt * SCALE} for sym, debt in book],
+            "attacks": [{"kind": "token_crash", "tokens": ["BBB"]}],
+        }))
+        report = run_scenario_file(f)
+        assert report["passed"] and not report["attacks"][0]["precondition_failed"]
 
     def test_cdp_on_its_token_chain_accepted(self, tmp_path):
         f = tmp_path / "ok.json"

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -266,6 +266,51 @@ class TestStabilityFee:
             assert previous <= current
             previous = current
         assert previous  # fees eventually push the tightest CDP under
+
+
+def fee_accrued_vault(slots):
+    """10**11 units minted at a per-slot fee of 1e-8, then `slots` slots of
+    fees: a debt of 30 significant digits, two more than the default Decimal
+    context holds."""
+    sys_ = vault_system(fee="1e-8")
+    sys_.params = sys_.params.with_param("bootstrap_ceiling", units(10**11))
+    cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+    core.deposit_collateral(sys_, cdp, units(10**12))
+    core.withdraw_stablecoins(sys_, cdp, units(10**11))
+    core.accrue_stability_fee(sys_, slots)
+    return sys_, sys_.chains[sys_.main].cdps[cdp]
+
+
+class TestDebtContext:
+    def test_fee_accrued_debt_keeps_every_digit(self):
+        # the appliers ran in the caller's 28-digit context, so one minor
+        # unit on this debt used to drop its last two digits
+        sys_, cdp = fee_accrued_vault(1000)
+        assert cdp.debt == Decimal("100001000004.995016616741417207")
+        core.withdraw_stablecoins(sys_, cdp.id, 1)
+        assert cdp.debt == Decimal("100001000004.995016617741417207")
+        core.repay_debt(sys_, cdp.id, 1)
+        assert cdp.debt == Decimal("100001000004.995016616741417207")
+
+    def test_ambient_context_does_not_reach_debt(self):
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 6, ROUND_FLOOR
+            sys_, cdp = fee_accrued_vault(1000)
+            core.withdraw_stablecoins(sys_, cdp.id, 1)
+        assert cdp.debt == Decimal("100001000004.995016617741417207")
+        assert sys_.chains[sys_.main].pot.surplus == Decimal("1000004.995016616741417207")
+
+    @pytest.mark.parametrize("prec, rounding", [(60, ROUND_HALF_EVEN), (28, ROUND_FLOOR)])
+    def test_fork_rebuild_matches_the_live_state(self, prec, rounding):
+        # a rebuild under another context used to round this debt differently
+        sys_, cdp = fee_accrued_vault(1001)
+        core.withdraw_stablecoins(sys_, cdp.id, 1)
+        sys_.mark_compromised(sys_.main)
+        live = sys_.state_digest()
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = prec, rounding
+            sys_.fork_revert(sys_.main, sys_.slot + 1)  # keeps every event: a pure rebuild
+        assert sys_.state_digest() == live
 
 
 class TestCheckLiquidatable:
