@@ -123,8 +123,8 @@ def cmd_ingest(args) -> int:
         sym: {
             "observations": len(s),
             "periods": len(s.periods()),
-            "first": int(s.times[0]),
-            "last": int(s.times[-1]),
+            "first": int(s.times[0]) if len(s) else None,
+            "last": int(s.times[-1]) if len(s) else None,
         }
         for sym, s in sorted(series.items())
     }

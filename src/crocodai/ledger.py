@@ -7,7 +7,9 @@ reversals are exact inverses and replay is bit-identical by construction.
 Conventions:
   * stablecoin and collateral amounts are integers in minor units
     (scale 10**9 per whole unit),
-  * CDP debt is a Decimal with 18 fractional digits,
+  * CDP debt is a Decimal with 18 fractional digits; every debt sum is
+    taken in DEBT_CONTEXT, so the caller's Decimal context never reaches
+    the state, a rebuild or a digest,
   * protocol-side prices and ratios are exact `Fraction`s,
   * one clock slot corresponds to 5 minutes of data time.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
+from decimal import localcontext
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -31,6 +34,10 @@ from .errors import (
 
 SCALE = 10**9
 SLOT_SECONDS = 300
+# the one context for debt arithmetic: 60 digits hold 18 fractional digits
+# exactly up to 10**42 units
+DEBT_CONTEXT = Context(prec=60, rounding=ROUND_HALF_UP, Emin=-999999, Emax=999999, capitals=1,
+                       clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
 # CDP lifecycle states
 OPEN = "open"
@@ -302,31 +309,32 @@ class System:
 
     def state_digest(self) -> str:
         """Canonical hash of all chain state; equal digests mean equal states."""
-        view: dict[str, Any] = {}
-        for cid in sorted(self.chains):
-            c = self.chains[cid]
-            view[str(cid)] = {
-                "balances": {str(k): v for k, v in sorted(c.balances.items())},
-                "escrows": {
-                    str(k): [e.transfer, e.sender, e.amount, e.created_slot]
-                    for k, e in sorted(c.escrows.items())
-                },
-                "wards": sorted(c.wards),
-                "cdps": {
-                    str(k): [d.owner, d.token, d.collateral, str(d.debt), d.state]
-                    for k, d in sorted(c.cdps.items())
-                },
-                "auctions": {
-                    str(k): [a.best_bid, a.best_bidder, a.start_slot, a.last_bid_slot, a.open]
-                    for k, a in sorted(c.auctions.items())
-                },
-                "pot": [
-                    {str(k): v for k, v in sorted(c.pot.deposits.items())},
-                    str(c.pot.surplus),
-                    str(c.pot.interest_paid),
-                ],
-                "compromised": c.compromised,
-            }
+        with localcontext(DEBT_CONTEXT):  # str() of a Decimal reads the context
+            view: dict[str, Any] = {}
+            for cid in sorted(self.chains):
+                c = self.chains[cid]
+                view[str(cid)] = {
+                    "balances": {str(k): v for k, v in sorted(c.balances.items())},
+                    "escrows": {
+                        str(k): [e.transfer, e.sender, e.amount, e.created_slot]
+                        for k, e in sorted(c.escrows.items())
+                    },
+                    "wards": sorted(c.wards),
+                    "cdps": {
+                        str(k): [d.owner, d.token, d.collateral, str(d.debt), d.state]
+                        for k, d in sorted(c.cdps.items())
+                    },
+                    "auctions": {
+                        str(k): [a.best_bid, a.best_bidder, a.start_slot, a.last_bid_slot, a.open]
+                        for k, a in sorted(c.auctions.items())
+                    },
+                    "pot": [
+                        {str(k): v for k, v in sorted(c.pot.deposits.items())},
+                        str(c.pot.surplus),
+                        str(c.pot.interest_paid),
+                    ],
+                    "compromised": c.compromised,
+                }
         blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -366,18 +374,21 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         chain.cdps[p["cdp"]].collateral -= p["amount"]
     elif kind == "cdp_mint":
         cdp = chain.cdps[p["cdp"]]
-        cdp.debt += Decimal(p["amount"]) / SCALE
+        with localcontext(DEBT_CONTEXT):
+            cdp.debt += Decimal(p["amount"]) / SCALE
         b[cdp.owner] = b.get(cdp.owner, 0) + p["amount"]
     elif kind == "cdp_repay":
         cdp = chain.cdps[p["cdp"]]
-        cdp.debt -= Decimal(p["amount"]) / SCALE
+        with localcontext(DEBT_CONTEXT):
+            cdp.debt -= Decimal(p["amount"]) / SCALE
         b[cdp.owner] = b.get(cdp.owner, 0) - p["amount"]
     elif kind == "cdp_close":
         chain.cdps[p["cdp"]].state = CLOSED
     elif kind == "fee_accrue":
         for cdp_id, new_debt in p["debts"].items():
             chain.cdps[int(cdp_id)].debt = Decimal(new_debt)
-        chain.pot.surplus += Decimal(p["surplus_delta"])
+        with localcontext(DEBT_CONTEXT):
+            chain.pot.surplus += Decimal(p["surplus_delta"])
     elif kind == "auction_start":
         chain.auctions[p["cdp"]] = Auction(p["cdp"], p["slot"])
         chain.cdps[p["cdp"]].state = IN_AUCTION
@@ -393,29 +404,31 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         a = chain.auctions[p["cdp"]]
         cdp = chain.cdps[p["cdp"]]
         a.open = False
-        if p["winner"] is not None:
-            # bid escrow disposed: burned part vanishes, penalty to surplus,
-            # remainder refunded to the CDP owner, collateral to the winner
-            chain.pot.surplus += Decimal(p["to_surplus"]) / SCALE
-            if p["refund"]:
-                b[cdp.owner] = b.get(cdp.owner, 0) + p["refund"]
-            cdp.collateral = 0
-        if p["insolvent"]:
+        with localcontext(DEBT_CONTEXT):
             if p["winner"] is not None:
-                cdp.debt -= Decimal(p["burned"]) / SCALE
-            cdp.state = INSOLVENT
-        else:
-            cdp.debt = Decimal(0)
-            cdp.state = CLOSED
+                # bid escrow disposed: burned part vanishes, penalty to surplus,
+                # remainder refunded to the CDP owner, collateral to the winner
+                chain.pot.surplus += Decimal(p["to_surplus"]) / SCALE
+                if p["refund"]:
+                    b[cdp.owner] = b.get(cdp.owner, 0) + p["refund"]
+                cdp.collateral = 0
+            if p["insolvent"]:
+                if p["winner"] is not None:
+                    cdp.debt -= Decimal(p["burned"]) / SCALE
+                cdp.state = INSOLVENT
+            else:
+                cdp.debt = Decimal(0)
+                cdp.state = CLOSED
     elif kind == "savings_deposit":
         b[p["user"]] = b.get(p["user"], 0) - p["amount"]
         chain.pot.deposits[p["user"]] = chain.pot.deposits.get(p["user"], 0) + p["amount"]
     elif kind == "savings_accrue":
         for user, payout in p["payouts"].items():
             chain.pot.deposits[int(user)] = chain.pot.deposits.get(int(user), 0) + payout
-        total = Decimal(p["total"]) / SCALE
-        chain.pot.surplus -= total
-        chain.pot.interest_paid += total
+        with localcontext(DEBT_CONTEXT):
+            total = Decimal(p["total"]) / SCALE
+            chain.pot.surplus -= total
+            chain.pot.interest_paid += total
     elif kind == "savings_withdraw":
         chain.pot.deposits[p["user"]] -= p["amount"]
         b[p["user"]] = b.get(p["user"], 0) + p["amount"]

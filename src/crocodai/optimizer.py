@@ -161,7 +161,7 @@ def _polish(v: np.ndarray, problem: QpProblem) -> np.ndarray | None:
     return out
 
 
-def min_variance(problem: QpProblem, max_iter: int = MAX_ITER, tol: float = KKT_TOL) -> QpSolution:
+def min_variance(problem: QpProblem) -> QpSolution:
     """Projected-gradient / active-set solve of the capped-simplex QP."""
     cov = problem.cov
     caps = problem.caps
@@ -173,14 +173,14 @@ def min_variance(problem: QpProblem, max_iter: int = MAX_ITER, tol: float = KKT_
     obj = float(v @ cov @ v)
     best_resid = kkt_check(v, problem)
     iterations = 0
-    while best_resid > tol and iterations < max_iter:
+    while best_resid > KKT_TOL and iterations < MAX_ITER:
         iterations += 1
         v_next = project_capped_simplex(v - eta * (2.0 * cov @ v), caps)
         obj_next = float(v_next @ cov @ v_next)
         if obj_next <= obj:  # monotone descent by the 1/L step, kept explicit
             v, obj = v_next, obj_next
         best_resid = kkt_check(v, problem)
-        if best_resid <= tol:
+        if best_resid <= KKT_TOL:
             break
         if iterations % 20 == 0 or iterations == 1:
             polished = _polish(v, problem)

@@ -124,8 +124,8 @@ def _node_validates(system: System, transfer: CrossChainTransfer) -> bool:
     return rec is not None and rec.amount == transfer.amount
 
 
-def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
-    """One relay round at the given slot (defaults to the system clock).
+def relay_step(system: System) -> list[dict[str, Any]]:
+    """One relay round at the system clock's slot.
 
     Honest nodes vote on every escrowed transfer they can validate; a
     transfer commits once 2f+1 distinct authenticated votes accumulate
@@ -136,7 +136,7 @@ def relay_step(system: System, slot: int | None = None) -> list[dict[str, Any]]:
     The round walks `system.pending_transfers` only; transfer ids are issued
     in increasing order, so that index is in id order.
     """
-    slot = system.slot if slot is None else slot
+    slot = system.slot
     out: list[dict[str, Any]] = []
     needed = quorum(system)
     timeout = system.params.transfer_timeout

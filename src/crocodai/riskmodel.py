@@ -71,7 +71,7 @@ class PriceSeries:
 
     symbol: str
     times: np.ndarray  # int64 epoch seconds, strictly increasing
-    prices: np.ndarray  # float, > 0
+    prices: np.ndarray  # float, finite and > 0
     boundaries: frozenset[int] = field(default_factory=frozenset)  # index starts a new period
 
     def __post_init__(self):
@@ -79,8 +79,8 @@ class PriceSeries:
         self.prices = np.asarray(self.prices, dtype=float)
         if len(self.times) != len(self.prices):
             raise DataError(f"{self.symbol}: times and prices differ in length")
-        if np.any(self.prices <= 0):
-            raise DataError(f"{self.symbol}: prices must be > 0")
+        if not np.all(np.isfinite(self.prices) & (self.prices > 0)):
+            raise DataError(f"{self.symbol}: prices must be finite and > 0")
         if np.any(np.diff(self.times) <= 0):
             raise DataError(f"{self.symbol}: timestamps must be strictly increasing")
 

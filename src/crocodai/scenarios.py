@@ -81,21 +81,15 @@ def builtin_portfolio(name: str) -> Portfolio:
 
 
 def _check_start_conditions(system: System) -> None:
-    gamma = system.params.gamma
+    # every CDP above the ratio, every token with debt inside its ceiling
     for chain in system.chains.values():
         for cdp in chain.cdps.values():
-            if cdp.debt:
-                value = core.collateral_value(system, cdp)
-                if not value > gamma * Fraction(cdp.debt):
-                    raise PreconditionError(
-                        f"CDP {cdp.id} starts at ratio <= gamma"
-                    )
-    per_token, total = core.debt_totals(system)
-    if total:
-        for token_id, debt in per_token.items():
-            zeta = system.params.ceiling(token_id)
-            if zeta < 1 and not debt < zeta * total:
-                raise PreconditionError(f"debt ceiling for token {token_id} already breached")
+            if core.check_liquidatable(cdp, core.price_of(system, cdp.token), system.params.gamma):
+                raise PreconditionError(f"CDP {cdp.id} starts at ratio <= gamma")
+    totals = core.debt_totals(system)
+    for token_id in totals[0]:
+        if not core.ceiling_allows(system.params, token_id, totals, 0):
+            raise PreconditionError(f"debt ceiling for token {token_id} already breached")
 
 
 @dataclass(frozen=True)
@@ -160,10 +154,10 @@ def token_crash_scenario(system: System, affected_tokens: list[int]) -> AttackRe
 def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> AttackReport:
     """Execute the 51%-attack end to end and verify the backing bound.
 
-    h_prime is the unbacked mint in minor units; it must stay within the
-    ceiling-consistent headroom of some token on the compromised chain,
-    otherwise the report flags the failed starting condition instead of
-    asserting the bound (the protocol itself would refuse the mint).
+    h_prime is the unbacked mint in minor units; the mint-ceiling rule
+    (`stablecoin.mint_headroom`) must allow it against some priced token on
+    the compromised chain, otherwise the report flags the failed starting
+    condition instead of asserting the bound (the protocol refuses the mint).
     """
     chain = system.chain(chain_id)
     if h_prime < 0:
@@ -179,32 +173,20 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
     zeta_prime = sum((params.ceiling(m) for m in affected), Fraction(0))
     bound = params.gamma * (1 - zeta_prime)
 
-    per_token, total0 = core.debt_totals(system)
-    baseline = core.full_backing(system)
     h_frac = Fraction(h_prime, SCALE)
 
-    # the mint passes the per-token fractional ceiling iff
-    # D_m + h' < zeta_m (D* + h'); pick the token with the most headroom
-    attack_token = None
-    for m in affected:
-        zeta = params.ceiling(m)
-        if system.prices.get(m, Fraction(0)) <= 0:
-            continue
-        d_m = per_token.get(m, Fraction(0))
-        if zeta >= 1 or d_m + h_frac < zeta * (total0 + h_frac):
-            attack_token = m
-            break
+    # the first priced token the protocol would let the attacker mint h' against
+    totals = core.debt_totals(system)
+    attack_token = next(
+        (m for m in affected
+         if core.price_of(system, m) > 0 and core.ceiling_allows(params, m, totals, h_prime)),
+        None,
+    )
     if h_prime > 0 and attack_token is None:
+        now = core.full_backing(system)
         return AttackReport(
-            kind="compromised_chain",
-            affected_tokens=tuple(affected),
-            zeta_prime=zeta_prime,
-            bound=bound,
-            collateral_value=baseline.collateral_value,
-            total_debt=baseline.total_debt,
-            ratio=baseline.ratio,
-            passed=False,
-            precondition_failed=True,
+            "compromised_chain", tuple(affected), zeta_prime, bound, now.collateral_value,
+            now.total_debt, now.ratio, passed=False, precondition_failed=True,
             details={"reason": "h_prime exceeds the ceiling-consistent maximum"},
         )
 
@@ -218,8 +200,7 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
         attack_start = system.slot
 
         cdp_id = core.open_cdp(system, chain_id, attacker, attack_token)
-        price = system.prices[attack_token]
-        collateral = int(params.gamma * h_prime / price) + 1
+        collateral = int(params.gamma * h_prime / system.prices[attack_token]) + 1
         core.deposit_collateral(system, cdp_id, collateral)
         core.withdraw_stablecoins(system, cdp_id, h_prime)
         tid = relay_mod.request_transfer(
@@ -305,8 +286,8 @@ def random_backed_instance(
             ratio = gamma * (1 + Fraction(rng.randint(1, 2000), 1000))
             price = system.prices[m]
             collateral = int(ratio * part / price) + 1
-            system.apply(token.chain, "cdp_deposit", {"cdp": cdp_id, "amount": collateral})
-            system.apply(token.chain, "cdp_mint", {"cdp": cdp_id, "amount": part})
+            core.deposit_collateral(system, cdp_id, collateral)
+            core.withdraw_stablecoins(system, cdp_id, part)
             owner += 1
 
     total = Fraction(sum(debts.values()), SCALE)
@@ -333,14 +314,10 @@ def _split_int(rng: random.Random, total: int, parts: int) -> list[int]:
 
 
 def ceiling_headroom(system: System, token_id: int) -> Fraction:
-    """Largest exclusive h (stablecoin units) the token's ceiling still allows."""
-    per_token, total = core.debt_totals(system)
-    zeta = system.params.ceiling(token_id)
-    if zeta >= 1:
-        return Fraction(10**12)
-    d_m = per_token.get(token_id, Fraction(0))
-    room = (zeta * total - d_m) / (1 - zeta)
-    return max(room, Fraction(0))
+    """Largest exclusive h (stablecoin units) the mint-ceiling rule still
+    allows; 10**12 stands in for no bound."""
+    room = core.mint_headroom(system.params, token_id, core.debt_totals(system))
+    return Fraction(10**12) if room is None else max(room, Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -433,10 +410,6 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
             system.set_price(tid, _num(spec, "price", f"$.tokens[{i}]", _fraction))
         if "ceiling" in spec:
             ceilings[tid] = _num(spec, "ceiling", f"$.tokens[{i}]", _fraction)
-    if ceilings:
-        system.params = system.params.with_param(
-            "debt_ceilings", {t: str(z) for t, z in ceilings.items()}
-        )
 
     faults = {}
     relays_doc = _expect(doc.get("relays", {}), dict, "$.relays")
@@ -468,9 +441,16 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
         owner, collateral = _num(spec, "owner", at), _num(spec, "collateral", at)
         debt = _num(spec, "debt", at, default=0)
         cdp_id = core.open_cdp(system, token.chain, owner, token.id)
-        system.apply(token.chain, "cdp_deposit", {"cdp": cdp_id, "amount": collateral})
-        if debt:
-            system.apply(token.chain, "cdp_mint", {"cdp": cdp_id, "amount": debt})
+        try:
+            core.deposit_collateral(system, cdp_id, collateral)
+            core.withdraw_stablecoins(system, cdp_id, debt)
+        except ProtocolError as exc:
+            raise _fail(at, str(exc)) from None
+    # the ceilings bound shares of a debt that the genesis book creates
+    if ceilings:
+        system.params = system.params.with_param(
+            "debt_ceilings", {t: str(z) for t, z in ceilings.items()}
+        )
 
     event_count = 0
     for i, op in enumerate(_expect(doc.get("workload", []), list, "$.workload")):

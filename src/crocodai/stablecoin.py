@@ -2,15 +2,17 @@
 system-level full-backing check.
 
 All accept/reject decisions are made with exact arithmetic: Fractions for
-prices and ratios, Decimals (18 fractional digits, conservative rounding)
-for debt. The liquidation criterion `p*c/D > gamma` is strict, as is the
-fractional debt-ceiling inequality.
+prices and ratios, Decimals with 18 fractional digits for debt, computed in
+the ledger's DEBT_CONTEXT. Each rule is written once, and the attack
+checkers ask the functions the operations obey: `above_ratio` (p*c > gamma*D,
+strict) and `mint_headroom` (the bootstrap cap while total debt is 0, else
+D_m + h < zeta (D + h), strict). An unpriced token backs nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
@@ -22,7 +24,7 @@ from .errors import (
     ProtocolError,
     RatioViolationError,
 )
-from .ledger import OPEN, SCALE, Cdp, CoinChain, System
+from .ledger import DEBT_CONTEXT, OPEN, SCALE, Cdp, CoinChain, System
 
 
 def _frac(x) -> Fraction:
@@ -125,10 +127,14 @@ def _find_cdp(system: System, cdp_id: int) -> tuple[CoinChain, Cdp]:
     raise ProtocolError(f"unknown CDP id {cdp_id}")
 
 
-def collateral_value(system: System, cdp: Cdp, prices=None) -> Fraction:
-    prices = prices if prices is not None else system.prices
-    price = _frac(prices[cdp.token])
-    return price * Fraction(cdp.collateral, SCALE)
+def price_of(system: System, token_id: int) -> Fraction:
+    return system.prices.get(token_id, Fraction(0))
+
+
+def above_ratio(price, collateral: int, debt, gamma) -> bool:
+    """The ratio rule: collateral (minor units) at `price` is worth strictly
+    more than gamma times the debt (stablecoin units)."""
+    return _frac(price) * Fraction(collateral, SCALE) > _frac(gamma) * _frac(debt)
 
 
 def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
@@ -142,6 +148,28 @@ def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
                 per_token[cdp.token] = per_token.get(cdp.token, Fraction(0)) + d
                 total += d
     return per_token, total
+
+
+def mint_headroom(params: SystemParams, token_id: int, totals) -> Fraction | None:
+    """The mint-ceiling rule: at the `debt_totals` `totals`, a mint of h
+    stablecoin units against `token_id` is allowed iff h < the returned bound
+    (None: no bound). While total debt D is 0 the bootstrap cap applies
+    (h <= cap, in minor units); otherwise D_m + h < zeta (D + h), i.e.
+    h < (zeta D - D_m) / (1 - zeta) for zeta < 1.
+    """
+    per_token, total = totals
+    if total == 0:
+        return Fraction(params.bootstrap_ceiling + 1, SCALE)
+    zeta = params.ceiling(token_id)
+    if zeta >= 1:
+        return None
+    return (zeta * total - per_token.get(token_id, Fraction(0))) / (1 - zeta)
+
+
+def ceiling_allows(params: SystemParams, token_id: int, totals, amount: int) -> bool:
+    """The mint-ceiling rule's verdict on minting `amount` minor units."""
+    room = mint_headroom(params, token_id, totals)
+    return room is None or Fraction(amount, SCALE) < room
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +210,11 @@ def repay_debt(system: System, cdp_id: int, amount: int) -> None:
     system.apply(chain.id, "cdp_repay", {"cdp": cdp_id, "amount": amount})
 
 
-def withdraw_stablecoins(system: System, cdp_id: int, amount: int, prices=None) -> int:
+def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
     """Mint `amount` minor units against the CDP.
 
     Accepted only if, after the action, the CDP stays strictly above the
-    liquidation ratio and the per-token fractional debt ceiling still holds
-    system-wide. While total debt is zero the absolute bootstrap ceiling
-    applies instead of the (then-degenerate) fractional rule.
+    liquidation ratio and the mint-ceiling rule allows the mint.
     """
     chain, cdp = _find_cdp(system, cdp_id)
     params: SystemParams = system.params
@@ -199,48 +225,33 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int, prices=None) 
     if amount == 0:
         return 0
 
-    value = collateral_value(system, cdp, prices)
+    price = price_of(system, cdp.token)
     new_debt = Fraction(cdp.debt) + Fraction(amount, SCALE)
-    if not value > params.gamma * new_debt:
+    if not above_ratio(price, cdp.collateral, new_debt, params.gamma):
         raise RatioViolationError(
-            f"collateral value {float(value):.6g} would not strictly exceed "
-            f"gamma * debt = {float(params.gamma * new_debt):.6g}"
+            f"collateral value {float(price * cdp.collateral / SCALE):.6g} would not strictly "
+            f"exceed gamma * debt = {float(params.gamma * new_debt):.6g}"
         )
-
-    per_token, total = debt_totals(system)
-    if total == 0:
-        if amount > params.bootstrap_ceiling:
-            raise CeilingViolationError(
-                f"bootstrap mint {amount} exceeds absolute ceiling {params.bootstrap_ceiling}"
-            )
-    else:
-        zeta = params.ceiling(cdp.token)
-        if zeta < 1:
-            new_token_debt = per_token.get(cdp.token, Fraction(0)) + Fraction(amount, SCALE)
-            new_total = total + Fraction(amount, SCALE)
-            if not new_token_debt < zeta * new_total:
-                raise CeilingViolationError(
-                    f"token {cdp.token} debt would reach "
-                    f"{float(new_token_debt / new_total):.6g} of total, ceiling {float(zeta):.6g}"
-                )
+    if not ceiling_allows(params, cdp.token, debt_totals(system), amount):
+        raise CeilingViolationError(
+            f"a mint of {amount} against token {cdp.token} would breach the debt ceiling"
+        )
 
     system.apply(chain.id, "cdp_mint", {"cdp": cdp_id, "amount": amount})
     return amount
 
 
-def withdraw_collateral(system: System, cdp_id: int, amount: int, prices=None) -> None:
+def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
     chain, cdp = _find_cdp(system, cdp_id)
     params: SystemParams = system.params
     if amount < 0 or amount > cdp.collateral:
         raise ProtocolError("withdrawal amount out of range")
     if cdp.state != OPEN:
         raise ProtocolError(f"CDP {cdp_id} is not open")
-    if cdp.debt:
-        prices_map = prices if prices is not None else system.prices
-        price = _frac(prices_map[cdp.token])
-        remaining_value = price * Fraction(cdp.collateral - amount, SCALE)
-        if not remaining_value > params.gamma * Fraction(cdp.debt):
-            raise RatioViolationError("withdrawal would breach the liquidation ratio")
+    if cdp.debt and not above_ratio(
+        price_of(system, cdp.token), cdp.collateral - amount, cdp.debt, params.gamma
+    ):
+        raise RatioViolationError("withdrawal would breach the liquidation ratio")
     if amount == 0:
         return
     system.apply(
@@ -277,8 +288,7 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     delta = system.params.stability_fee
     if slots == 0 or delta == 0:
         return
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with localcontext(DEBT_CONTEXT):
         factor = (1 + delta) ** slots
         for chain in system.chains.values():
             debts: dict[str, str] = {}
@@ -286,7 +296,7 @@ def accrue_stability_fee(system: System, slots: int) -> None:
             for cdp in chain.cdps.values():
                 if cdp.state != OPEN or not cdp.debt:
                     continue
-                new_debt = (cdp.debt * factor).quantize(Decimal("1e-18"), ROUND_HALF_UP)
+                new_debt = (cdp.debt * factor).quantize(Decimal("1e-18"))
                 surplus_delta += new_debt - cdp.debt
                 debts[str(cdp.id)] = str(new_debt)
             if debts:
@@ -299,10 +309,7 @@ def accrue_stability_fee(system: System, slots: int) -> None:
 
 def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
     """True iff p*c/D <= gamma with D > 0 (a debt-free CDP is never liquidatable)."""
-    if not cdp.debt:
-        return False
-    value = _frac(price) * Fraction(cdp.collateral, SCALE)
-    return value <= _frac(gamma) * Fraction(cdp.debt)
+    return bool(cdp.debt) and not above_ratio(price, cdp.collateral, cdp.debt, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -316,12 +323,11 @@ def _auction_deadline(auction, params: SystemParams) -> int:
     return deadline
 
 
-def start_auction(system: System, cdp_id: int, prices=None) -> int:
+def start_auction(system: System, cdp_id: int) -> int:
     chain, cdp = _find_cdp(system, cdp_id)
     if cdp.state != OPEN:
         raise AuctionError(f"CDP {cdp_id} is not open")
-    prices_map = prices if prices is not None else system.prices
-    if not check_liquidatable(cdp, prices_map[cdp.token], system.params.gamma):
+    if not check_liquidatable(cdp, price_of(system, cdp.token), system.params.gamma):
         raise AuctionError(f"CDP {cdp_id} is not liquidatable at the current price")
     system.apply(chain.id, "auction_start", {"cdp": cdp_id, "slot": chain.clock})
     return cdp_id
@@ -433,8 +439,7 @@ def savings_accrue(system: System, chain_id: int, slots: int) -> dict[int, int]:
     rate = system.params.savings_rate
     if slots == 0 or rate == 0 or not chain.pot.deposits:
         return {}
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with localcontext(DEBT_CONTEXT):
         growth = (1 + rate) ** slots - 1
         owed = {
             user: int(Decimal(dep) * growth)  # floor, minor units
@@ -499,7 +504,7 @@ def full_backing(system: System, prices=None) -> BackingReport:
     for chain in system.chains.values():
         for cdp in chain.cdps.values():
             if cdp.collateral:
-                c_star += _frac(prices_map[cdp.token]) * Fraction(cdp.collateral, SCALE)
+                c_star += _frac(prices_map.get(cdp.token, 0)) * Fraction(cdp.collateral, SCALE)
             if cdp.debt:
                 d_star += Fraction(cdp.debt)
     if d_star == 0:

@@ -224,9 +224,9 @@ class TestCostModel:
 # the indexed relay round against a full scan of every transfer
 
 
-def _reference_round(system, slot=None):
+def _reference_round(system):
     """The relay round as a full scan over every transfer ever made."""
-    slot = system.slot if slot is None else slot
+    slot = system.slot
     out = []
     needed = relay.quorum(system)
     timeout = system.params.transfer_timeout

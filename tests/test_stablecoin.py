@@ -300,6 +300,17 @@ class TestDebtContext:
         assert cdp.debt == Decimal("100001000004.995016617741417207")
         assert sys_.chains[sys_.main].pot.surplus == Decimal("1000004.995016616741417207")
 
+    def test_digest_ignores_the_ambient_context(self):
+        # str() of the debt Decimal('1E-9') used to follow the caller's capitals
+        sys_ = vault_system()
+        cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+        core.deposit_collateral(sys_, cdp, units(1))
+        core.withdraw_stablecoins(sys_, cdp, 1)
+        live = sys_.state_digest()
+        with localcontext() as ctx:
+            ctx.capitals = 0
+            assert sys_.state_digest() == live
+
     @pytest.mark.parametrize("prec, rounding", [(60, ROUND_HALF_EVEN), (28, ROUND_FLOOR)])
     def test_fork_rebuild_matches_the_live_state(self, prec, rounding):
         # a rebuild under another context used to round this debt differently
