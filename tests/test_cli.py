@@ -309,6 +309,9 @@ class TestScenarioCommand:
          "$.cdps[0]: collateral value"),
         ({"tokens": [{"symbol": "ETH", "chain": "eth"}],
           "cdps": [{"owner": 1, "token": "ETH", "collateral": 5, "debt": 1}]}, "$.cdps[0]: "),
+        ({"attacks": [{"kind": "corrupt_oracles", "sigma": float("nan")}]},
+         "$.attacks[0]: sigma_star must be finite"),
+        ({"attacks": [{"kind": "corrupt_oracles", "c": "inf"}]}, "$.attacks[0]: c must be finite"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1
@@ -347,3 +350,17 @@ class TestOracleTail:
     def test_majority_corrupt_is_usage_error(self):
         assert main(["oracle-tail", "--feeds", "5", "--corrupt", "3",
                      "--trials", "10000"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--sigma", "nan"], ["--sigma", "inf"], ["--c", "inf"],
+                                       ["--c", "2,nan"]])
+    def test_non_finite_is_usage_error(self, tmp_path, capsys, flags):
+        # --sigma nan used to exit 0 with "sigma": NaN, which is not JSON
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--trials", "10000", "--out", str(out), *flags]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_seed_zero_exceedances(self, tmp_path):
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--seed", "0", "--out", str(out)]) == 0
+        assert [row["exceedances"] for row in read(out)["results"]] == [21, 0, 0, 0]

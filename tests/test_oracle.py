@@ -11,6 +11,8 @@ from crocodai.oracle import (
     FIXED_TARGET,
     SILENT,
     PriceFeed,
+    _median_with_target,
+    _merge_exchange,
     medianize,
     report_price,
     tail_bound,
@@ -149,3 +151,57 @@ class TestTailExperiment:
         assert got == pytest.approx(math.exp(-6.0) / (2.0 * math.sqrt(2 * math.pi)))
         got = tail_bound(7, 1, 2.0, 3.0)
         assert got == pytest.approx(math.exp(-6 * 9 / 8) * 2.0 / (3.0 * math.sqrt(2 * math.pi)))
+
+    def test_criterion_9_counts_pinned(self):
+        rng = np.random.default_rng(99)
+        counts = [
+            tail_probability_experiment(5, 2, 1.0, c, 10**6, rng).exceedances
+            for c in (2.0, 3.0, 4.0, 5.0)
+        ]
+        assert counts == [23, 0, 0, 0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_star", math.nan), ("sigma_star", math.inf),
+        ("c", math.nan), ("c", math.inf), ("c", -math.inf),
+        ("corrupt_target", math.nan), ("corrupt_target", math.inf),
+    ])
+    def test_non_finite_inputs_refused(self, field, value):
+        # NaN used to pass every check and report NaN, within bound
+        args = {"sigma_star": 1.0, "c": 2.0, "corrupt_target": None, field: value}
+        with pytest.raises(ProtocolError, match=f"{field} must be finite"):
+            tail_probability_experiment(
+                5, 2, args["sigma_star"], args["c"], 10**4, np.random.default_rng(0),
+                corrupt_target=args["corrupt_target"],
+            )
+
+
+class TestMedianKernel:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_network_sorts_every_zero_one_input(self, n):
+        # the 0-1 principle: a comparator network that sorts every 0-1
+        # input sorts every input
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        cols = list(bits.T)
+        for i, j in _merge_exchange(n):
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        assert np.array_equal(np.stack(cols, axis=1), np.sort(bits, axis=1))
+
+    def test_three_comparators_for_three_keys(self):
+        assert _merge_exchange(3) == [(0, 2), (0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("n_feeds", range(1, 16))
+    def test_bit_identical_to_np_median(self, n_feeds):
+        rng = np.random.default_rng(n_feeds)
+        for n_corrupt in range((n_feeds + 1) // 2):
+            honest = n_feeds - n_corrupt
+            normal = rng.normal(1000.0, 1.0, size=(500, honest))
+            tied = rng.integers(998, 1003, size=(500, honest)).astype(float)
+            for reports in (normal, tied):
+                lo, hi = reports.min(), reports.max()
+                # below, inside (tied with an honest report) and above the
+                # honest range
+                for target in (lo - 1.0, reports[0, 0], (lo + hi) / 2, hi + 1.0):
+                    merged = np.hstack([reports, np.full((len(reports), n_corrupt), target)])
+                    want = np.median(merged, axis=1)
+                    got = _median_with_target(reports.T, n_corrupt, target)
+                    assert got.tobytes() == want.tobytes(), (n_feeds, n_corrupt, target)

@@ -270,6 +270,16 @@ class TestCheckersAgreeWithTheProtocol:
         assert report.precondition_failed == (h > 0 and all(refusals))
 
 
+class TestEmptyBookIsOutsideTheGuarantee:
+    def test_documented_report(self):
+        # the bootstrap cap admits the mint whatever the ceilings, and after
+        # the fork nothing backs it: README and docstring name this case
+        report = compromised_chain_scenario(empty_book("0.5"), 0, units(10))
+        assert not report.passed and not report.precondition_failed
+        assert report.ratio == 0 and report.bound == Fraction(3, 4)
+        assert report.details["unbacked_minted"] == units(10)
+
+
 class TestRandomInstances:
     def test_instances_satisfy_start_conditions(self):
         rng = random.Random(7)
