@@ -14,6 +14,21 @@ Portfolios that share a seed (all of them under common random numbers)
 share each chunk's draws, colouring and price paths. Monte Carlo runs and
 historical replay windows alike are reduced to one minimum relative value
 each, which one estimate builder thresholds at theta/gamma' for every gamma'.
+
+A chunk of n runs over the horizon works in one (assets, horizon, n)
+buffer, in six stages:
+
+1. draw: `sample_returns` draws the innovations into the buffer;
+2. colour: it colours them in place by the Cholesky factor, in einsum's
+   sum order;
+3. cumsum: each slot adds the one before it, in place, as `np.cumsum` does;
+4. exp: `np.exp` in place gives every asset's price-ratio path;
+5. weight: each portfolio's value path is a sequential multiply-add of its
+   assets' paths into one reused (horizon, n) buffer, in einsum's sum order;
+6. min: the run-wise minimum over the horizon.
+
+Each stage gives the bits of the einsum and cumsum formulation it replaced,
+except where horizon * n is 1 (see `riskmodel.sample_returns`).
 """
 
 from __future__ import annotations
@@ -91,7 +106,12 @@ def confidence_interval(failures: int, runs: int) -> float:
 def _chunk_min_relvalue(args) -> np.ndarray:
     """Run-wise minimum relative value of every portfolio in a group that
     shares one seed: one chunk of returns is drawn by `sample_returns` once,
-    and each asset row the group uses is accumulated and exponentiated once."""
+    and each asset row the group uses is accumulated and exponentiated once.
+
+    The path sums are sequential, slot t adding slot t-1 in place, as
+    `np.cumsum(axis=1)` sums. Each portfolio's value path is w[0]*r[0], plus
+    w[i]*r[i] for ascending i, each product rounded before it is added: the
+    sum order of `np.einsum("i,itn->tn", w, r)` whenever horizon*n > 1."""
     model, members, horizon, n, distribution, seed, chunk_index, zero_drift = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = len(model.assets)
@@ -100,12 +120,19 @@ def _chunk_min_relvalue(args) -> np.ndarray:
     returns = sample_returns(model, horizon * n, distribution, rng, zero_drift).reshape(m, horizon, n)
     rows = np.unique(np.concatenate([idx for _, idx in members]))
     rel = returns if len(rows) == m else returns[rows]
-    np.cumsum(rel, axis=1, out=rel)
+    for t in range(1, horizon):
+        np.add(rel[:, t - 1], rel[:, t], out=rel[:, t])
     np.exp(rel, out=rel)  # per-asset price ratio paths
-    return np.stack([
-        np.einsum("i,itn->tn", weights, rel[np.searchsorted(rows, idx)]).min(axis=0)
-        for weights, idx in members
-    ])
+    mins = np.empty((len(members), n))
+    acc, term = np.empty((horizon, n)), np.empty((horizon, n))
+    for out, (weights, idx) in zip(mins, members):
+        pos = np.searchsorted(rows, idx)
+        np.multiply(weights[0], rel[pos[0]], out=acc)
+        for w, p in zip(weights[1:], pos[1:]):
+            np.multiply(w, rel[p], out=term)
+            acc += term
+        acc.min(axis=0, out=out)
+    return mins
 
 
 def _min_relative_values(

@@ -93,13 +93,18 @@ def update_vault_price(system: System, token_id: int, reports: list[float]) -> f
 def tail_bound(n_feeds: int, n_corrupt: int, sigma_star: float, c: float) -> float:
     """Analytic exceedance bound: every honest feed must independently land
     beyond c for the median to cross, so the Gaussian tail bound applies once
-    per honest feed."""
+    per honest feed.
+
+    The log of the Gaussian factor, -honest * (c/sigma_star)^2 / 2, is taken
+    from the ratio c/sigma_star, so neither c^2 nor sigma_star^2 is formed and
+    no finite input overflows before the result itself does. At a
+    sigma_star that is a power of two, 1 included, the bits are those of
+    exp(-honest c^2 / (2 sigma_star^2))."""
     if c <= 0:
         return math.inf
     honest = n_feeds - n_corrupt
-    return math.exp(-honest * c * c / (2.0 * sigma_star**2)) * sigma_star / (
-        c * math.sqrt(2.0 * math.pi)
-    )
+    ratio = c / sigma_star
+    return math.exp(-honest * ratio * ratio / 2.0) * sigma_star / (c * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,12 @@ def tail_probability_experiment(
 
     # base price large enough that the floor-at-zero rule never binds
     base = 1000.0 * max(sigma_star, 1.0) + abs(c)
+    if not math.isfinite(base):
+        raise ProtocolError(f"sigma_star {sigma_star} or c {c} too large: "
+                            "the base price 1000 * max(sigma_star, 1) + |c| is not finite")
+    bound = tail_bound(n_feeds, n_corrupt, sigma_star, c)
+    if not math.isfinite(bound) and c > 0:  # at c <= 0 the bound is inf by definition
+        raise ProtocolError(f"tail bound not finite for sigma_star {sigma_star} and c {c}")
     target = base + c if corrupt_target is None else corrupt_target
     honest = n_feeds - n_corrupt
 
@@ -201,7 +212,7 @@ def tail_probability_experiment(
     return TailEstimate(
         c=c,
         empirical=exceed / trials,
-        bound=tail_bound(n_feeds, n_corrupt, sigma_star, c),
+        bound=bound,
         trials=trials,
         exceedances=exceed,
         n_feeds=n_feeds,

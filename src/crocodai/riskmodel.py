@@ -384,14 +384,29 @@ class ReturnModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ReturnModel":
-        return cls(
-            assets=list(doc["assets"]),
-            mu=np.asarray(doc["mu"], dtype=float),
-            cov=np.asarray(doc["cov"], dtype=float),
-            chol=np.asarray(doc["chol"], dtype=float),
-            nu=np.asarray(doc["nu"], dtype=float),
-            n_obs=int(doc["n_obs"]),
-        )
+        """Read a `to_json` document. `assets` must name each asset once,
+        `mu` and `nu` must have one entry per asset, `cov` and `chol` one
+        row and column per asset, every entry must be finite, and `chol`
+        must be lower-triangular, as the sampler's colouring reads only its
+        lower triangle; else ModelError names the field."""
+        assets = list(doc["assets"])
+        m = len(assets)
+        if len(set(assets)) != m:
+            raise ModelError("field 'assets' must name each asset once")
+        fields = {}
+        for name, shape in (("mu", (m,)), ("cov", (m, m)), ("chol", (m, m)), ("nu", (m,))):
+            value = np.asarray(doc[name], dtype=float)
+            if value.shape != shape:
+                want = (f"have {m} entries, one per asset" if len(shape) == 1
+                        else f"be {m}x{m}, one row and column per asset")
+                raise ModelError(f"field {name!r} must {want}, got shape {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ModelError(f"field {name!r} must be finite")
+            fields[name] = value
+        if np.any(np.triu(fields["chol"], 1)):
+            raise ModelError("field 'chol' must be lower-triangular, "
+                             "got a nonzero entry above the diagonal")
+        return cls(assets=assets, n_obs=int(doc["n_obs"]), **fields)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
@@ -411,6 +426,8 @@ class ReturnModel:
             raise ModelError(f"model file {path}: missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise ModelError(f"model file {path}: malformed: {exc}") from None
+        except ModelError as exc:
+            raise ModelError(f"model file {path}: {exc}") from None
 
 
 def cholesky(cov: np.ndarray) -> np.ndarray:
@@ -521,6 +538,7 @@ def fit_model_from_series(series_map: Mapping[str, PriceSeries],
 
 NORMAL = "normal"
 STUDENT_T = "t"
+COLOUR_BLOCK = 16_384  # columns coloured together: 128 KiB per row buffer
 
 
 def sample_returns(
@@ -533,24 +551,41 @@ def sample_returns(
     """Draw an (assets x slots) matrix of correlated per-slot log returns.
 
     Student-t innovations are standardized to unit variance (divide by
-    sqrt(nu/(nu-2))) before the Cholesky coloring so the target covariance
-    is matched for any degrees of freedom; drift is added per slot unless
-    zero_drift is set.
+    sqrt(nu/(nu-2))) so the target covariance is matched for any degrees of
+    freedom. The innovations x are then coloured in place by the
+    lower-triangular Cholesky factor L, COLOUR_BLOCK columns at a time and
+    row i = m-1 down to 0, so each row reads only rows not yet overwritten:
+    every entry is L[i,0]*x[0], plus L[i,j]*x[j] for j = 1..i in ascending
+    j, each product rounded before it is added, plus mu[i] unless zero_drift
+    is set. This is the sum order of `np.einsum("ij,jk->ik", L, x) + mu`
+    for every slot count above one; at one slot einsum's dot-product kernel
+    sums in another order, and this kernel's result, which differs from it
+    by up to about 1e-18, is the defined one.
     """
     m = len(model.assets)
     if distribution == NORMAL:
-        innovations = rng.standard_normal((m, slots))
+        x = rng.standard_normal((m, slots))
     elif distribution == STUDENT_T:
-        innovations = np.empty((m, slots))
+        x = np.empty((m, slots))
         for i in range(m):  # fixed asset order keeps draws reproducible
             nu = float(model.nu[i])
             if nu <= 2:
                 raise ModelError(f"nu must exceed 2 for the t sampler, got {nu}")
-            innovations[i] = rng.standard_t(nu, slots) / math.sqrt(nu / (nu - 2.0))
+            np.divide(rng.standard_t(nu, slots), math.sqrt(nu / (nu - 2.0)), out=x[i])
     else:
         raise ModelError(f"unknown distribution {distribution!r}")
-    # einsum, not matmul: the simulator's published bits come from this sum order
-    returns = np.einsum("ij,jk->ik", model.chol, innovations)
-    if not zero_drift:
-        returns += model.mu[:, None]
-    return returns
+    chol, mu = model.chol, model.mu
+    acc = np.empty(min(slots, COLOUR_BLOCK))
+    term = np.empty_like(acc)
+    for lo in range(0, slots, COLOUR_BLOCK):
+        block = x[:, lo : lo + COLOUR_BLOCK]
+        a, t = acc[: block.shape[1]], term[: block.shape[1]]
+        for i in range(m - 1, -1, -1):
+            np.multiply(chol[i, 0], block[0], out=a)
+            for j in range(1, i + 1):
+                np.multiply(chol[i, j], block[j], out=t)
+                a += t
+            if not zero_drift:
+                a += mu[i]
+            block[i] = a
+    return x

@@ -158,6 +158,36 @@ class TestFitSimulateReplay:
         err = capsys.readouterr().err
         assert str(model) in err and "missing field 'mu'" in err
 
+    @pytest.mark.parametrize("field, edit, needle", [
+        ("chol", lambda v: [row[:2] for row in v], "'chol' must be 3x3"),
+        ("chol", lambda v: v[:2], "'chol' must be 3x3"),
+        ("cov", lambda v: [row + [0.0] for row in v], "'cov' must be 3x3"),
+        ("mu", lambda v: v + [0.0], "'mu' must have 3 entries"),
+        ("nu", lambda v: v[:2], "'nu' must have 3 entries"),
+        ("nu", lambda v: 5.0, "'nu' must have 3 entries"),
+        ("mu", lambda v: [float("inf")] + v[1:], "'mu' must be finite"),
+        ("cov", lambda v: [[float("nan")] + v[0][1:]] + v[1:], "'cov' must be finite"),
+        ("nu", lambda v: [float("nan")] + v[1:], "'nu' must be finite"),
+        ("chol", lambda v: [v[0][:2] + [1e-3]] + v[1:], "'chol' must be lower-triangular"),
+        ("assets", lambda v: [v[0], v[0], v[2]], "'assets' must name each asset once"),
+    ], ids=["chol-3x2", "chol-2x3", "cov-3x4", "mu-long", "nu-short", "nu-scalar", "mu-inf",
+            "cov-nan", "nu-nan", "chol-upper", "assets-repeated"])
+    def test_exit_two_on_bad_model_field(self, prices, tmp_path, capsys, field, edit, needle):
+        # a chol of the wrong shape or a short nu used to end in a traceback,
+        # exit 1; an entry above chol's diagonal was silently used, and a
+        # repeated asset name silently mapped to its last row
+        model = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
+        doc = read(model)
+        doc["model"][field] = edit(doc["model"][field])
+        model.write_text(json.dumps(doc))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        assert main(["simulate", "--model", str(model), "--portfolio", str(weights),
+                     "--n", "100", "--horizon", "4"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and needle in err
+
     def test_builtin_portfolio_requires_model_assets(self, prices, tmp_path):
         # C-Mix2 references assets the tiny fixture does not carry
         assert main(["simulate", "--prices", str(prices), "--portfolio", "C-Mix2",
@@ -312,6 +342,7 @@ class TestScenarioCommand:
         ({"attacks": [{"kind": "corrupt_oracles", "sigma": float("nan")}]},
          "$.attacks[0]: sigma_star must be finite"),
         ({"attacks": [{"kind": "corrupt_oracles", "c": "inf"}]}, "$.attacks[0]: c must be finite"),
+        ({"attacks": [{"kind": "corrupt_oracles", "sigma": 1e306}]}, "$.attacks[0]: sigma_star"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1
@@ -358,6 +389,21 @@ class TestOracleTail:
         out = tmp_path / "tail.json"
         assert main(["oracle-tail", "--trials", "10000", "--out", str(out), *flags]) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_sigma_reports_a_finite_bound(self, tmp_path):
+        # sigma**2 used to raise OverflowError, a traceback with exit 1
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--sigma", "1e200", "--trials", "10000", "--c", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert doc["results"][0]["bound"] == pytest.approx(1e200 / (2 * 3.141592653589793) ** 0.5)
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1e306"], ["--sigma", "1e300", "--c", "1e-10"]])
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--trials", "10000", "--out", str(out), *flags]) == 2
+        assert "sigma_star" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_seed_zero_exceedances(self, tmp_path):

@@ -6,6 +6,7 @@ from crocodai.errors import DataError, ModelError
 from crocodai.montecarlo import (
     CHUNK_RUNS,
     Portfolio,
+    _chunk_min_relvalue,
     confidence_interval,
     historical_replay,
     simulate_failure,
@@ -420,3 +421,41 @@ class TestOneSampler:
             expected = int(np.count_nonzero(mins <= theta / g))
             assert 0 < expected < runs
             assert res.estimates[(g, p.name)].failures == expected
+
+
+class TestChunkKernel:
+    """`_chunk_min_relvalue` sums each path slot by slot and weighs each
+    portfolio by a sequential multiply-add: bit-identical to np.cumsum and
+    np.einsum("i,itn->tn") over the same draws."""
+
+    HORIZON, N, SEED, CHUNK = 24, 300, 21, 3
+
+    def model(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(5, 5)) * 0.02
+        model = toy_model(a @ a.T, mu=rng.normal(size=5) * 1e-3)
+        model.nu = np.array([2.5, 3.0, 4.5, 8.0, 40.0])
+        return model
+
+    def reference(self, model, members, distribution):
+        m, horizon, n = len(model.assets), self.HORIZON, self.N
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.SEED, spawn_key=(self.CHUNK,)))
+        rel = np.exp(np.cumsum(
+            sample_returns(model, horizon * n, distribution, rng).reshape(m, horizon, n), axis=1))
+        return np.stack([np.einsum("i,itn->tn", w, rel[idx]).min(axis=0) for w, idx in members])
+
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    @pytest.mark.parametrize("baskets", [
+        # every asset row in use, one basket listing its assets out of order
+        [((0, 1, 2, 3, 4), (0.1, 0.2, 0.3, 0.15, 0.25)), ((3, 0), (0.6, 0.4)), ((2,), (1.0,))],
+        # a subset of the rows, so the group works on a copy of them
+        [((4, 1), (0.7, 0.3)), ((1,), (1.0,)), ((1, 3, 4), (0.5, 0.25, 0.25))],
+    ], ids=["all-rows", "row-subset"])
+    def test_bit_identical_to_cumsum_and_einsum(self, distribution, baskets):
+        model = self.model()
+        members = tuple((np.array(w), np.array(idx)) for idx, w in baskets)
+        got = _chunk_min_relvalue(
+            (model, members, self.HORIZON, self.N, distribution, self.SEED, self.CHUNK, False))
+        want = self.reference(model, members, distribution)
+        assert got.shape == (len(members), self.N)
+        assert np.array_equal(got, want)

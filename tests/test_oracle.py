@@ -160,6 +160,26 @@ class TestTailExperiment:
         ]
         assert counts == [23, 0, 0, 0]
 
+    def test_huge_sigma_has_a_finite_bound(self):
+        # sigma_star**2 used to raise OverflowError above about 1.3e154
+        assert tail_bound(5, 2, 1e200, 1.0) == pytest.approx(1e200 / math.sqrt(2 * math.pi))
+        assert tail_bound(5, 2, 1e200, 1e200) == pytest.approx(
+            math.exp(-1.5) / math.sqrt(2 * math.pi))
+        est = tail_probability_experiment(5, 2, 1e200, 1.0, 10**4, np.random.default_rng(0))
+        assert math.isfinite(est.bound) and 0.0 <= est.empirical <= 1.0
+
+    def test_bound_bits_at_unit_sigma(self):
+        # the values the CLI's default run reports
+        assert [tail_bound(5, 2, 1.0, c) for c in (2.0, 3.0, 4.0, 5.0)] == [
+            0.000494439522954646, 1.8231118141971048e-07, 3.765151959792317e-12,
+            4.1294954327152956e-18]
+
+    @pytest.mark.parametrize("sigma_star, c", [(1e306, 1.0), (1e305, 1.7e308), (1e300, 1e-10)])
+    def test_out_of_range_is_refused(self, sigma_star, c):
+        # the base price 1000 * sigma_star + |c| or the bound is not finite
+        with pytest.raises(ProtocolError, match="too large|not finite"):
+            tail_probability_experiment(5, 2, sigma_star, c, 10**4, np.random.default_rng(0))
+
     @pytest.mark.parametrize("field, value", [
         ("sigma_star", math.nan), ("sigma_star", math.inf),
         ("c", math.nan), ("c", math.inf), ("c", -math.inf),

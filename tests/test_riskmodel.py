@@ -529,3 +529,63 @@ class TestSampler:
         model = toy_model(np.eye(1), nu=2.0)
         with pytest.raises(ModelError):
             sample_returns(model, 5, STUDENT_T, np.random.default_rng(0))
+
+
+def generic_model(m: int) -> ReturnModel:
+    """A model with a dense, non-diagonal Cholesky factor, a drift and
+    per-asset degrees of freedom."""
+    rng = np.random.default_rng(100 + m)
+    a = rng.normal(size=(m, m)) * 0.01
+    model = toy_model(a @ a.T + 1e-5 * np.eye(m), mu=rng.normal(size=m) * 1e-4)
+    model.nu = np.linspace(2.5, 30.0, m)
+    return model
+
+
+def einsum_reference(model, slots, distribution, rng, zero_drift):
+    """The sampler as einsum defines it: the same draws, coloured by
+    np.einsum("ij,jk->ik", chol, innovations) plus the drift."""
+    m = len(model.assets)
+    if distribution == NORMAL:
+        innovations = rng.standard_normal((m, slots))
+    else:
+        innovations = np.empty((m, slots))
+        for i, nu in enumerate(model.nu):
+            innovations[i] = rng.standard_t(nu, slots) / math.sqrt(nu / (nu - 2.0))
+    returns = np.einsum("ij,jk->ik", model.chol, innovations)
+    if not zero_drift:
+        returns = returns + model.mu[:, None]
+    return returns
+
+
+class TestColouringKernel:
+    """`sample_returns` colours in place, block by block and row by row, in
+    the sum order of np.einsum: its output is bit-identical to einsum's for
+    every slot count above one."""
+
+    B = riskmodel.COLOUR_BLOCK
+
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("slots", [2, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    @pytest.mark.parametrize("zero_drift", [False, True])
+    def test_bit_identical_to_einsum(self, m, slots, distribution, zero_drift):
+        model = generic_model(m)
+        assert m == 1 or np.count_nonzero(np.tril(model.chol, -1)) == m * (m - 1) // 2
+        got = sample_returns(model, slots, distribution, np.random.default_rng(slots), zero_drift)
+        want = einsum_reference(model, slots, distribution, np.random.default_rng(slots), zero_drift)
+        assert got.shape == (m, slots)
+        assert np.array_equal(got, want)
+
+    def test_one_slot_is_the_sequential_sum(self):
+        # einsum's dot-product kernel takes over at one slot; the kernel's
+        # sequential multiply-add is the defined result there
+        model = generic_model(8)
+        x = np.random.default_rng(0).standard_normal((8, 1))
+        want = np.empty(8)
+        for i in range(8):
+            acc = model.chol[i, 0] * x[0, 0]
+            for j in range(1, i + 1):
+                acc += model.chol[i, j] * x[j, 0]
+            want[i] = acc + model.mu[i]
+        got = sample_returns(model, 1, NORMAL, np.random.default_rng(0))
+        assert np.array_equal(got[:, 0], want)
