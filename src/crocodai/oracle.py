@@ -32,6 +32,11 @@ FIXED_TARGET = "fixed-target"
 SILENT = "silent"
 
 
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ProtocolError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class PriceFeed:
     """One oracle's feed: honest reports carry N(mu, sigma2) observation noise."""
@@ -45,6 +50,8 @@ class PriceFeed:
     per_token: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("mu", "sigma2", "strategy_value"):
+            _finite(name, getattr(self, name))
         if self.sigma2 <= 0:
             raise ProtocolError("sigma2 must be > 0")
         if not self.honest and self.strategy not in (CONSTANT_OFFSET, FIXED_TARGET, SILENT):
@@ -55,6 +62,7 @@ def report_price(
     feed: PriceFeed, token_id: int, slot: int, base_price: float, rng: np.random.Generator
 ) -> float | None:
     """One report; corrupt feeds follow their strategy, silent ones return None."""
+    _finite("base price", base_price)
     if base_price <= 0:
         raise ProtocolError("base price must be > 0")
     if feed.honest:
@@ -82,6 +90,8 @@ def medianize(reports: list[float]) -> float:
 def update_vault_price(system: System, token_id: int, reports: list[float]) -> float:
     """Medianize, install and return the price the vaults will use from now on."""
     price = medianize(reports)  # raises StalePriceError when empty
+    if not math.isfinite(price):
+        raise ProtocolError(f"medianized price {price} is not finite")
     system.prices[token_id] = Fraction(price)
     return price
 
@@ -184,8 +194,8 @@ def tail_probability_experiment(
     if trials < 10**4:
         raise ProtocolError("need at least 10^4 trials")
     for name, value in (("sigma_star", sigma_star), ("c", c), ("corrupt_target", corrupt_target)):
-        if value is not None and not math.isfinite(value):
-            raise ProtocolError(f"{name} must be finite, got {value}")
+        if value is not None:
+            _finite(name, value)
     if sigma_star <= 0:
         raise ProtocolError("sigma_star must be > 0")
 

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import relay as relay_mod
 from . import stablecoin as core
 from .errors import InvalidParameterError, PreconditionError, ProtocolError, ScenarioFormatError
-from .ledger import SCALE, System
+from .ledger import SCALE, System, Token
 from .montecarlo import Portfolio
 from .oracle import (
     PriceFeed,
@@ -326,290 +327,315 @@ def ceiling_headroom(system: System, token_id: int) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# scenario files
+# scenario files: parse_scenario checks the whole document, run_scenario runs it
 
 
 def _fail(path: str, message: str) -> ScenarioFormatError:
     return ScenarioFormatError(f"{path}: {message}")
 
 
-def _expect(doc: Any, typ, path: str):
-    if not isinstance(doc, typ):
-        raise _fail(path, f"expected {typ.__name__}, got {type(doc).__name__}")
-    return doc
+def _typed(typ):
+    def read(value: Any, path: str):
+        if not isinstance(value, typ):
+            raise _fail(path, f"expected {typ.__name__}, got {type(value).__name__}")
+        return value
+    return read
 
 
-_REQUIRED = object()
+_str, _bool, _dict, _array = (_typed(t) for t in (str, bool, dict, list))
 
 
-def _fraction(value: Any) -> Fraction:
-    return Fraction(str(value))
-
-
-def _num(spec: dict, key: str, path: str, kind=int, default: Any = _REQUIRED):
-    """kind(spec[key]), or default when the key is absent. A missing required
-    field, or a value kind cannot convert, is a ScenarioFormatError naming its
-    JSON path."""
-    if key not in spec:
-        if default is _REQUIRED:
+def _read(spec: Any, path: str, schema: dict) -> dict[str, Any]:
+    """The one schema check: `spec` is an object with no key the schema lacks.
+    Each key maps to a reader, `reader(value, path)`, or to `(reader, default)`
+    when it is optional. The fields come back in schema order."""
+    _dict(spec, path)
+    unknown = sorted(set(spec) - set(schema), key=str)
+    if unknown:
+        raise _fail(path, f"unknown keys {unknown}")
+    fields = {}
+    for key, rule in schema.items():
+        reader, *default = rule if isinstance(rule, tuple) else (rule,)
+        if key not in spec and not default:
             raise _fail(path, f"missing field {key!r}")
-        return default
+        fields[key] = reader(spec[key], f"{path}.{key}") if key in spec else default[0]
+    return fields
+
+
+def _int(value: Any, path: str, low: int | None = None) -> int:
+    if type(value) is not int:  # a JSON integer: not true, 1.7, 1e9 or "3"
+        raise _fail(path, f"not an integer: {value!r}")
+    if low is not None and value < low:
+        raise _fail(path, f"must be >= {low}, got {value}")
+    return value
+
+
+_count = partial(_int, low=0)
+
+
+def _number(kind):
+    """A reader of kind(str(value)): a JSON number or a numeric string ("1/3", "inf")."""
+    def read(value: Any, path: str):
+        try:
+            return kind(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise _fail(path, f"not a number: {value!r}") from None
+    return read
+
+
+_float, _fraction = _number(float), _number(Fraction)
+
+
+def _list(reader):
+    def read(value: Any, path: str) -> list:
+        return [reader(item, f"{path}[{j}]") for j, item in enumerate(_array(value, path))]
+    return read
+
+
+def _ids(reader, what: str, roster: range | None = None):
+    """A reader of an object keyed by integer ids (accounts, relays), from `roster` if given."""
+    def read(value: Any, path: str) -> dict[int, Any]:
+        out = {}
+        for key, item in _dict(value, path).items():
+            try:
+                node = int(key)
+            except ValueError:
+                raise _fail(f"{path}.{key}", f"{what} is not an integer") from None
+            if roster is not None and node not in roster:
+                raise _fail(f"{path}.{key}", f"{what} outside the roster 0..{roster[-1]}")
+            out[node] = reader(item, f"{path}.{key}")
+        return out
+    return read
+
+
+def _behavior(value: Any, path: str) -> str:
+    if value not in relay_mod.BEHAVIORS:
+        raise _fail(path, f"unknown behavior {value!r}")
+    return value
+
+
+def _params(value: Any, path: str) -> SystemParams:
     try:
-        return kind(spec[key])
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise _fail(f"{path}.{key}", f"not a number: {spec[key]!r}") from None
+        return SystemParams.from_json(_dict(value, path))
+    except InvalidParameterError as exc:
+        raise _fail(f"{path}.{exc.param}" if exc.param else path, str(exc)) from None
 
 
-def _seed(spec: dict, path: str) -> int:
-    seed = _num(spec, "seed", path, default=0)
-    if seed < 0:
-        raise _fail(f"{path}.seed", f"must be >= 0, got {seed}")
-    return seed
+_TOP_LEVEL = {"name": (_str, None), "params": (_params, SystemParams()), "relays": (_dict, {}),
+              **{section: (_array, []) for section in
+                 ("chains", "tokens", "cdps", "workload", "attacks", "assertions")}}
+_FEED = {"mu": (_float, 0.0), "sigma2": (_float, 1.0), "strategy": (_str, None),
+         "value": (_float, 0.0)}
+
+Step = tuple[str, Callable[[System], Any]]  # (JSON path, action)
 
 
-_TOP_LEVEL_KEYS = {
-    "name", "params", "chains", "tokens", "relays", "cdps",
-    "workload", "attacks", "assertions",
-}
-_CDP_KEYS = {"chain", "owner", "token", "collateral", "debt"}
+@dataclass(frozen=True)
+class Scenario:
+    """A checked scenario document: the steps of each section, in order."""
+    name: str | None
+    params: SystemParams
+    setup: tuple[Step, ...]  # chains, tokens, relays, genesis CDPs, ceilings
+    workload: tuple[Step, ...]
+    attacks: tuple[Step, ...]
+    assertions: tuple[Step, ...]
+
+
+def parse_scenario(doc: Any) -> Scenario:
+    """Read every entry through `_read` and resolve every chain name and token
+    symbol to the id a fresh System gives it. Builds no System."""
+    top = _read(doc, "$", _TOP_LEVEL)
+    chains: dict[str, int] = {}
+    tokens: dict[str, tuple[int, int]] = {}  # symbol -> (token id, chain id)
+
+    def chain(value: Any, path: str) -> int:
+        if not isinstance(value, str) or value not in chains:  # a str first: {} is unhashable
+            raise _fail(path, f"unknown chain {value!r}")
+        return chains[value]
+
+    def token(value: Any, path: str) -> int:
+        if not isinstance(value, str) or value not in tokens:
+            raise _fail(path, f"unknown token symbol {value!r}")
+        return tokens[value][0]
+
+    def step(spec: Any, path: str, schema: dict, action) -> Step:
+        fields = _read(spec, path, schema)
+        if "token" in fields and "chain" in fields:  # a CDP's chain is its token's
+            home, name = tokens[spec["token"]][1], fields["chain"]
+            if name is not None and chains.get(name) != home:
+                raise _fail(f"{path}.chain", f"token {spec['token']} is not on chain {name!r}")
+            fields["chain"] = home
+        args = tuple(fields.values())
+        return path, lambda system: action(system, *args)
+
+    def steps(section: str, key: str, kinds: dict, what: str) -> tuple[Step, ...]:
+        out = []
+        for i, spec in enumerate(top[section]):
+            at = f"$.{section}[{i}]"
+            kind = _dict(spec, at).get(key)
+            if not isinstance(kind, str) or kind not in kinds:
+                raise _fail(at, f"unknown {what} {kind!r}")
+            schema, action = kinds[kind]
+            out.append(step({k: v for k, v in spec.items() if k != key}, at, schema, action))
+        return tuple(out)
+
+    setup: list[Step] = []
+    for i, spec in enumerate(top["chains"]):
+        at = f"$.chains[{i}]"
+        f = _read(spec, at, {"name": (_str, f"chain-{i}"), "wards": (_list(_int), []),
+                             "accounts": (_ids(_int, "account id"), {})})
+        if f["name"] in chains:
+            raise _fail(f"{at}.name", f"chain name already registered: {f['name']!r}")
+        chains[f["name"]] = i
+        setup.append((at, partial(System.create_chain, config=f)))
+    ceilings: dict[int, Fraction] = {}
+    for i, spec in enumerate(top["tokens"]):
+        at = f"$.tokens[{i}]"
+        f = _read(spec, at, {"symbol": _str, "chain": chain, "pegged": (_bool, False),
+                             "price": (_fraction, None), "ceiling": (_fraction, None)})
+        if f["symbol"] in tokens:
+            raise _fail(f"{at}.symbol", f"token symbol already registered: {f['symbol']!r}")
+        tokens[f["symbol"]] = i, f["chain"]
+        if (ceiling := f.pop("ceiling")) is not None:
+            ceilings[i] = ceiling
+        setup.append((at, partial(_register_token, **f)))
+    faults = _ids(_behavior, "relay id", range(top["params"].relay_n))
+    relays = _read(top["relays"], "$.relays", {"faults": (faults, {})})
+    setup.append(("$.relays", partial(relay_mod.register_relays, behaviors=relays["faults"])))
+    cdp = {"chain": (_str, None), "owner": _int, "token": token, "collateral": _int,
+           "debt": (_int, 0)}
+    setup += [step(spec, f"$.cdps[{i}]", cdp, _genesis_cdp) for i, spec in enumerate(top["cdps"])]
+    if ceilings:  # the ceilings bound shares of a debt that the genesis book creates
+        setup.append(("$.tokens", lambda system: setattr(
+            system, "params", system.params.with_param("debt_ceilings", ceilings))))
+    ops, attacks = _kinds(chain, token)
+    return Scenario(top["name"], top["params"], tuple(setup),
+                    steps("workload", "op", ops, "workload op"),
+                    steps("attacks", "kind", attacks, "attack kind"),
+                    steps("assertions", "check", _ASSERTIONS, "assertion"))
+
+
+def run_scenario(scenario: Scenario) -> dict[str, Any]:
+    """Run a checked scenario on a fresh System. A step the protocol refuses
+    raises ScenarioFormatError naming the step's JSON path."""
+    system = System(scenario.params)
+
+    def run(steps: tuple[Step, ...]) -> list:
+        results = []
+        for path, action in steps:
+            try:
+                results.append(action(system))
+            except (ProtocolError, PreconditionError) as exc:
+                raise _fail(path, str(exc)) from None
+        return results
+
+    run(scenario.setup)
+    run(scenario.workload)
+    attacks, checks = run(scenario.attacks), run(scenario.assertions)
+    passed = all(c["passed"] for c in checks) and all(r["passed"] for r in attacks)
+    return {"name": scenario.name, "passed": passed, "attacks": attacks, "checks": checks,
+            "workload_ops": len(scenario.workload), "final_slot": system.slot}
 
 
 def run_scenario_file(path: str | Path) -> dict[str, Any]:
-    """Execute a JSON scenario: build the world, run the workload and the
-    attacks, evaluate the assertions. The report's "passed" flag is the
-    conjunction of every attack bound and assertion."""
+    """Check a JSON scenario whole, then run it: build the world, run the
+    workload and the attacks, evaluate the assertions. The report's "passed"
+    flag is the conjunction of every attack bound and assertion."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"$: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    _expect(doc, dict, "$")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise _fail("$", f"unknown keys {sorted(unknown)}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a 5000-digit integer, deep nesting
+        raise ScenarioFormatError(f"$: unreadable JSON: {exc}") from None
+    scenario = parse_scenario(doc)
+    return run_scenario(replace(scenario, name=path.stem) if scenario.name is None else scenario)
 
-    try:
-        params = SystemParams.from_json(_expect(doc.get("params", {}), dict, "$.params"))
-    except InvalidParameterError as exc:
-        raise _fail(f"$.params.{exc.param}" if exc.param else "$.params", str(exc)) from None
-    system = System(params)
 
-    chain_ids: dict[str, int] = {}
-    for i, spec in enumerate(_expect(doc.get("chains", []), list, "$.chains")):
-        _expect(spec, dict, f"$.chains[{i}]")
-        cid = system.create_chain(spec)
-        chain_ids[system.chains[cid].name] = cid
+# actions: each takes the System, then its entry's fields in schema order
+def _register_token(system: System, symbol, chain, pegged, price) -> None:
+    token_id = system.register_token(symbol, chain, pegged)
+    if price is not None:
+        system.set_price(token_id, price)
 
-    ceilings: dict[int, Fraction] = {}
-    for i, spec in enumerate(_expect(doc.get("tokens", []), list, "$.tokens")):
-        _expect(spec, dict, f"$.tokens[{i}]")
-        for key in ("symbol", "chain"):
-            if key not in spec:
-                raise _fail(f"$.tokens[{i}]", f"missing {key!r}")
-        if spec["chain"] not in chain_ids:
-            raise _fail(f"$.tokens[{i}].chain", f"unknown chain {spec['chain']!r}")
-        tid = system.register_token(
-            spec["symbol"], chain_ids[spec["chain"]], bool(spec.get("pegged", False))
-        )
-        if "price" in spec:
-            system.set_price(tid, _num(spec, "price", f"$.tokens[{i}]", _fraction))
-        if "ceiling" in spec:
-            ceilings[tid] = _num(spec, "ceiling", f"$.tokens[{i}]", _fraction)
 
-    faults = {}
-    relays_doc = _expect(doc.get("relays", {}), dict, "$.relays")
-    for node, behavior in _expect(relays_doc.get("faults", {}), dict, "$.relays.faults").items():
-        at = f"$.relays.faults.{node}"
-        if behavior not in relay_mod.BEHAVIORS:
-            raise _fail(at, f"unknown behavior {behavior!r}")
-        try:
-            node_id = int(node)
-        except ValueError:
-            raise _fail(at, "relay id is not an integer") from None
-        if node_id not in range(system.params.relay_n):
-            raise _fail(at, f"relay id outside the roster 0..{system.params.relay_n - 1}")
-        faults[node_id] = behavior
-    relay_mod.register_relays(system, faults)
+def _genesis_cdp(system: System, chain, owner, token, collateral, debt) -> None:
+    cdp_id = core.open_cdp(system, chain, owner, token)
+    core.deposit_collateral(system, cdp_id, collateral)
+    core.withdraw_stablecoins(system, cdp_id, debt)
 
-    for i, spec in enumerate(_expect(doc.get("cdps", []), list, "$.cdps")):
-        at = f"$.cdps[{i}]"
-        _expect(spec, dict, at)
-        unknown = set(spec) - _CDP_KEYS
-        if unknown:
-            raise _fail(at, f"unknown keys {sorted(unknown)}")
-        try:
-            token = system.token_by_symbol(spec["token"])
-        except (KeyError, ProtocolError):
-            raise _fail(f"{at}.token", "unknown token") from None
-        if "chain" in spec and chain_ids.get(spec["chain"]) != token.chain:
-            raise _fail(f"{at}.chain", f"token {token.symbol} is not on chain {spec['chain']!r}")
-        owner, collateral = _num(spec, "owner", at), _num(spec, "collateral", at)
-        debt = _num(spec, "debt", at, default=0)
-        cdp_id = core.open_cdp(system, token.chain, owner, token.id)
-        try:
-            core.deposit_collateral(system, cdp_id, collateral)
-            core.withdraw_stablecoins(system, cdp_id, debt)
-        except ProtocolError as exc:
-            raise _fail(at, str(exc)) from None
-    # the ceilings bound shares of a debt that the genesis book creates
-    if ceilings:
-        system.params = system.params.with_param(
-            "debt_ceilings", {t: str(z) for t, z in ceilings.items()}
-        )
 
-    event_count = 0
-    for i, op in enumerate(_expect(doc.get("workload", []), list, "$.workload")):
-        _expect(op, dict, f"$.workload[{i}]")
-        event_count += _run_workload_op(system, chain_ids, op, f"$.workload[{i}]")
+def _steps(system: System, count: int) -> None:
+    for _ in range(count):
+        relay_mod.step(system)
 
-    attack_reports = []
-    for i, spec in enumerate(_expect(doc.get("attacks", []), list, "$.attacks")):
-        _expect(spec, dict, f"$.attacks[{i}]")
-        attack_reports.append(_run_attack(system, chain_ids, spec, f"$.attacks[{i}]"))
 
-    checks = []
-    for i, spec in enumerate(_expect(doc.get("assertions", []), list, "$.assertions")):
-        _expect(spec, dict, f"$.assertions[{i}]")
-        checks.append(_run_assertion(system, spec, f"$.assertions[{i}]"))
+def _oracle_update(system: System, token: int, base_price: float, seed: int, feeds) -> None:
+    # the median of the feeds' reports becomes the vault price for the token
+    rng = np.random.default_rng(seed)
+    reports = []
+    for i, f in enumerate(feeds):
+        feed = PriceFeed(i, f["mu"], f["sigma2"], f["strategy"] is None, f["strategy"], f["value"])
+        if (r := report_price(feed, token, system.slot, base_price, rng)) is not None:
+            reports.append(r)
+    update_vault_price(system, token, reports)
 
-    passed = all(c["passed"] for c in checks) and all(
-        r.get("passed", True) for r in attack_reports
-    )
-    return {
-        "name": doc.get("name", path.stem),
-        "passed": passed,
-        "attacks": attack_reports,
-        "checks": checks,
-        "workload_ops": event_count,
-        "final_slot": system.slot,
+
+def _corrupt_oracles(system: System, feeds, corrupt, sigma, c, trials, seed) -> dict:
+    est = tail_probability_experiment(feeds, corrupt, sigma, c, trials, np.random.default_rng(seed))
+    passed = est.empirical <= est.bound if est.c >= 2 * est.sigma_star else True
+    return {"kind": "corrupt_oracles", "empirical": est.empirical, "bound": est.bound,
+            "trials": est.trials, "passed": passed}
+
+
+def _kinds(chain, token) -> tuple[dict, dict]:
+    """Each workload op's and attack kind's (schema, action); `chain`, `token` read names."""
+    cdp_amount = {"cdp": _int, "amount": _int}
+    ops = {
+        "transfer_local": ({"chain": chain, "from": _int, "to": _int, "amount": _int},
+                           System.transfer_local),
+        "request_transfer": ({"chain": chain, "sender": _int, "amount": _int,
+                              "target_chain": chain, "target": _int}, relay_mod.request_transfer),
+        "step": ({"count": (_count, 1)}, _steps),
+        "open_cdp": ({"chain": (_str, None), "owner": _int, "token": token}, core.open_cdp),
+        "deposit_collateral": (cdp_amount, core.deposit_collateral),
+        "withdraw_stablecoins": (cdp_amount, core.withdraw_stablecoins),
+        "repay_debt": (cdp_amount, core.repay_debt),
+        "accrue_fees": ({"slots": (_int, 1)}, core.accrue_stability_fee),
+        "set_price": ({"token": token, "price": _fraction}, System.set_price),
+        "oracle_update": ({"token": token, "base_price": _float, "seed": (_count, 0),
+                           "feeds": _list(lambda v, p: _read(v, p, _FEED))}, _oracle_update),
     }
+    attacks = {
+        "token_crash": ({"tokens": (_list(token), [])},
+                        lambda s, ids: token_crash_scenario(s, ids).as_json()),
+        "compromised_chain": ({"chain": chain, "h_prime": (_int, 0)},
+                              lambda s, cid, h: compromised_chain_scenario(s, cid, h).as_json()),
+        "corrupt_oracles": ({"feeds": (_int, 5), "corrupt": (_int, 2), "sigma": (_float, 1.0),
+                             "c": (_float, 2.0), "trials": (_int, 10**5), "seed": (_count, 0)},
+                            _corrupt_oracles),
+    }
+    return ops, attacks
 
 
-def _run_workload_op(system: System, chain_ids: dict[str, int], op: dict, path: str) -> int:
-    kind = op.get("op")
-    def chain_of(key="chain"):
-        name = op.get(key)
-        if name not in chain_ids:
-            raise _fail(f"{path}.{key}", f"unknown chain {name!r}")
-        return chain_ids[name]
-    def num(key, kind=int, default=_REQUIRED):
-        return _num(op, key, path, kind, default)
-    try:
-        if kind == "transfer_local":
-            system.transfer_local(chain_of(), num("from"), num("to"), num("amount"))
-        elif kind == "request_transfer":
-            relay_mod.request_transfer(
-                system, chain_of(), num("sender"), num("amount"),
-                chain_of("target_chain"), num("target"),
-            )
-        elif kind == "step":
-            for _ in range(num("count", default=1)):
-                relay_mod.step(system)
-        elif kind == "open_cdp":
-            token = system.token_by_symbol(op["token"])
-            core.open_cdp(system, token.chain, num("owner"), token.id)
-        elif kind == "deposit_collateral":
-            core.deposit_collateral(system, num("cdp"), num("amount"))
-        elif kind == "withdraw_stablecoins":
-            core.withdraw_stablecoins(system, num("cdp"), num("amount"))
-        elif kind == "repay_debt":
-            core.repay_debt(system, num("cdp"), num("amount"))
-        elif kind == "accrue_fees":
-            core.accrue_stability_fee(system, num("slots", default=1))
-        elif kind == "set_price":
-            token = system.token_by_symbol(op["token"])
-            system.set_price(token.id, num("price", _fraction))
-        elif kind == "oracle_update":
-            # per-feed noise parameters and corruption assignments; the
-            # medianized result becomes the vault price for the token
-            token = system.token_by_symbol(op["token"])
-            rng = np.random.default_rng(_seed(op, path))
-            feeds = []
-            for i, f in enumerate(_expect(op["feeds"], list, f"{path}.feeds")):
-                feed_path = f"{path}.feeds[{i}]"
-                _expect(f, dict, feed_path)
-                feeds.append(PriceFeed(
-                    oracle_id=i,
-                    mu=_num(f, "mu", feed_path, float, 0.0),
-                    sigma2=_num(f, "sigma2", feed_path, float, 1.0),
-                    honest="strategy" not in f,
-                    strategy=f.get("strategy"),
-                    strategy_value=_num(f, "value", feed_path, float, 0.0),
-                ))
-            base_price = num("base_price", float)
-            reports = [
-                r
-                for feed in feeds
-                if (r := report_price(feed, token.id, system.slot, base_price, rng)) is not None
-            ]
-            update_vault_price(system, token.id, reports)
-        else:
-            raise _fail(path, f"unknown workload op {kind!r}")
-    except KeyError as exc:
-        raise _fail(path, f"missing field {exc.args[0]!r}") from None
-    return 1
+def _full_backing(system: System) -> dict:
+    report = core.full_backing(system)
+    ratio = None if report.ratio is None else str(report.ratio)
+    return {"check": "full_backing", "passed": report.ok, "ratio": ratio}
 
 
-def _run_attack(system: System, chain_ids: dict[str, int], spec: dict, path: str) -> dict:
-    kind = spec.get("kind")
-    if kind == "token_crash":
-        symbols = _expect(spec.get("tokens", []), list, f"{path}.tokens")
-        try:
-            ids = [system.token_by_symbol(s).id for s in symbols]
-        except ProtocolError as exc:
-            raise _fail(f"{path}.tokens", str(exc)) from None
-        return token_crash_scenario(system, ids).as_json()
-    if kind == "compromised_chain":
-        if spec.get("chain") not in chain_ids:
-            raise _fail(f"{path}.chain", f"unknown chain {spec.get('chain')!r}")
-        return compromised_chain_scenario(
-            system, chain_ids[spec["chain"]], _num(spec, "h_prime", path, default=0)
-        ).as_json()
-    if kind == "corrupt_oracles":
-        try:
-            est = tail_probability_experiment(
-                _num(spec, "feeds", path, default=5),
-                _num(spec, "corrupt", path, default=2),
-                _num(spec, "sigma", path, float, 1.0),
-                _num(spec, "c", path, float, 2.0),
-                _num(spec, "trials", path, default=10**5),
-                np.random.default_rng(_seed(spec, path)),
-            )
-        except ProtocolError as exc:
-            raise _fail(path, str(exc)) from None
-        passed = est.empirical <= est.bound if est.c >= 2 * est.sigma_star else True
-        return {
-            "kind": "corrupt_oracles",
-            "empirical": est.empirical,
-            "bound": est.bound,
-            "trials": est.trials,
-            "passed": passed,
-        }
-    raise _fail(path, f"unknown attack kind {kind!r}")
+def _no_unbacked(system: System) -> dict:
+    monitor = relay_mod.audit(system)
+    return {"check": "no_unbacked", "passed": monitor.ok, "unbacked": monitor.unbacked_minted}
 
 
-def _run_assertion(system: System, spec: dict, path: str) -> dict:
-    check = spec.get("check")
-    if check == "full_backing":
-        report = core.full_backing(system)
-        return {
-            "check": check,
-            "passed": report.ok,
-            "ratio": None if report.ratio is None else str(report.ratio),
-        }
-    if check == "no_unbacked":
-        monitor = relay_mod.audit(system)
-        return {"check": check, "passed": monitor.ok, "unbacked": monitor.unbacked_minted}
-    if check == "conservation":
-        _, total_debt = core.debt_totals(system)
-        interest = sum(
-            (Fraction(c.pot.interest_paid) for c in system.chains.values()), Fraction(0)
-        )
-        circulating = Fraction(system.total_circulating(), SCALE)
-        return {
-            "check": check,
-            "passed": circulating <= total_debt + interest,
-            "circulating": str(circulating),
-            "debt_plus_interest": str(total_debt + interest),
-        }
-    raise _fail(path, f"unknown assertion {check!r}")
+def _conservation(system: System) -> dict:
+    _, total_debt = core.debt_totals(system)
+    interest = sum((Fraction(c.pot.interest_paid) for c in system.chains.values()), Fraction(0))
+    circulating = Fraction(system.total_circulating(), SCALE)
+    return {"check": "conservation", "passed": circulating <= total_debt + interest,
+            "circulating": str(circulating), "debt_plus_interest": str(total_debt + interest)}
+
+
+_ASSERTIONS = {"full_backing": ({}, _full_backing), "no_unbacked": ({}, _no_unbacked),
+               "conservation": ({}, _conservation)}

@@ -106,7 +106,10 @@ def _exact(kind, value):
 def _coerce_param(name: str, value):
     try:
         if name in ("stability_fee", "savings_rate"):
-            return _exact(Decimal, value)
+            rate = _exact(Decimal, value)
+            if not rate.is_finite():  # a NaN would raise from every comparison
+                raise ValueError(name)
+            return rate
         if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step", "beta"):
             return _exact(Fraction, value)
         if name == "debt_ceilings":
@@ -125,6 +128,14 @@ def _find_cdp(system: System, cdp_id: int) -> tuple[CoinChain, Cdp]:
         if cdp_id in chain.cdps:
             return chain, chain.cdps[cdp_id]
     raise ProtocolError(f"unknown CDP id {cdp_id}")
+
+
+def _approx(x: Fraction) -> str:
+    """x to 6 significant digits for a message."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:  # past the float range
+        return "-inf" if x < 0 else "inf"
 
 
 def price_of(system: System, token_id: int) -> Fraction:
@@ -229,8 +240,8 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
     new_debt = Fraction(cdp.debt) + Fraction(amount, SCALE)
     if not above_ratio(price, cdp.collateral, new_debt, params.gamma):
         raise RatioViolationError(
-            f"collateral value {float(price * cdp.collateral / SCALE):.6g} would not strictly "
-            f"exceed gamma * debt = {float(params.gamma * new_debt):.6g}"
+            f"collateral value {_approx(price * cdp.collateral / SCALE)} would not strictly "
+            f"exceed gamma * debt = {_approx(params.gamma * new_debt)}"
         )
     if not ceiling_allows(params, cdp.token, debt_totals(system), amount):
         raise CeilingViolationError(
@@ -289,22 +300,29 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     if slots == 0 or delta == 0:
         return
     with localcontext(DEBT_CONTEXT):
-        factor = (1 + delta) ** slots
-        for chain in system.chains.values():
-            debts: dict[str, str] = {}
-            surplus_delta = Decimal(0)
-            for cdp in chain.cdps.values():
-                if cdp.state != OPEN or not cdp.debt:
-                    continue
-                new_debt = (cdp.debt * factor).quantize(Decimal("1e-18"))
-                surplus_delta += new_debt - cdp.debt
-                debts[str(cdp.id)] = str(new_debt)
-            if debts:
-                system.apply(
-                    chain.id,
-                    "fee_accrue",
-                    {"debts": debts, "surplus_delta": str(surplus_delta)},
-                )
+        accruals = []  # every new debt is computed before any is applied
+        try:
+            factor = (1 + delta) ** slots
+            for chain in system.chains.values():
+                debts: dict[str, str] = {}
+                surplus_delta = Decimal(0)
+                for cdp in chain.cdps.values():
+                    if cdp.state != OPEN or not cdp.debt:
+                        continue
+                    new_debt = (cdp.debt * factor).quantize(Decimal("1e-18"))
+                    surplus_delta += new_debt - cdp.debt
+                    debts[str(cdp.id)] = str(new_debt)
+                if debts:
+                    payload = {"debts": debts, "surplus_delta": str(surplus_delta)}
+                    accruals.append((chain.id, payload))
+        except ArithmeticError:  # decimal.Overflow, or a debt past the context's 60 digits
+            raise _growth_error(delta, slots) from None
+        for chain_id, payload in accruals:
+            system.apply(chain_id, "fee_accrue", payload)
+
+
+def _growth_error(rate: Decimal, slots: int) -> ProtocolError:
+    return ProtocolError(f"growth factor (1 + {rate}) ** {slots} overflows the debt context")
 
 
 def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
@@ -346,7 +364,7 @@ def place_bid(system: System, cdp_id: int, bidder: int, amount: int) -> None:
         min_next = Fraction(auction.best_bid) * (1 + system.params.min_bid_step)
         if Fraction(amount) < min_next:
             raise AuctionError(
-                f"bid {amount} below minimum step, needs >= {float(min_next):.6g}"
+                f"bid {amount} below minimum step, needs >= {_approx(min_next)}"
             )
     if chain.balance(bidder) < amount:
         raise InsufficientBalanceError(f"bidder {bidder} cannot cover bid of {amount}")
@@ -440,12 +458,15 @@ def savings_accrue(system: System, chain_id: int, slots: int) -> dict[int, int]:
     if slots == 0 or rate == 0 or not chain.pot.deposits:
         return {}
     with localcontext(DEBT_CONTEXT):
-        growth = (1 + rate) ** slots - 1
-        owed = {
-            user: int(Decimal(dep) * growth)  # floor, minor units
-            for user, dep in sorted(chain.pot.deposits.items())
-            if dep > 0
-        }
+        try:
+            growth = (1 + rate) ** slots - 1
+            owed = {
+                user: int(Decimal(dep) * growth)  # floor, minor units
+                for user, dep in sorted(chain.pot.deposits.items())
+                if dep > 0
+            }
+        except ArithmeticError:  # decimal.Overflow
+            raise _growth_error(rate, slots) from None
         owed = {u: w for u, w in owed.items() if w > 0}
         if not owed:
             return {}

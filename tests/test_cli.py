@@ -343,6 +343,68 @@ class TestScenarioCommand:
          "$.attacks[0]: sigma_star must be finite"),
         ({"attacks": [{"kind": "corrupt_oracles", "c": "inf"}]}, "$.attacks[0]: c must be finite"),
         ({"attacks": [{"kind": "corrupt_oracles", "sigma": 1e306}]}, "$.attacks[0]: sigma_star"),
+        # malformed values used to end in a ValueError, AttributeError or TypeError traceback
+        ({"chains": [{"name": "eth", "accounts": {"x": 1}}]}, "$.chains[0].accounts.x"),
+        ({"chains": [{"name": "eth", "accounts": {"1": "abc"}}]}, "$.chains[0].accounts.1"),
+        ({"chains": [{"name": "eth", "accounts": [1, 2]}]}, "$.chains[0].accounts"),
+        ({"chains": [{"name": "eth", "wards": 5}]}, "$.chains[0].wards"),
+        ({"chains": [{"name": ["x"]}]}, "$.chains[0].name"),
+        ({"tokens": [{"symbol": ["A"], "chain": "eth"}]}, "$.tokens[0].symbol"),
+        ({"attacks": [{"kind": "token_crash", "tokens": [[]]}]}, "$.attacks[0].tokens[0]"),
+        # misspelt keys used to be ignored
+        ({"chains": [{"name": "eth", "acounts": {"1": 5}}]},
+         "$.chains[0]: unknown keys ['acounts']"),
+        ({"tokens": [{"symbol": "ETH", "chain": "eth", "prise": 5}]},
+         "$.tokens[0]: unknown keys ['prise']"),
+        ({"workload": [{"op": "step", "cuont": 3}]}, "$.workload[0]: unknown keys ['cuont']"),
+        ({"attacks": [{"kind": "token_crash", "tokenz": ["ETH"]}]},
+         "$.attacks[0]: unknown keys ['tokenz']"),
+        # values that used to be coerced or ignored
+        ({"tokens": [{"symbol": "ETH", "chain": "eth", "pegged": "false"}]}, "$.tokens[0].pegged"),
+        ({"workload": [{"op": "transfer_local", "chain": "eth", "from": 1, "to": 2,
+                        "amount": 1.7}]}, "$.workload[0].amount"),
+        ({"workload": [{"op": "transfer_local", "chain": "eth", "from": 1, "to": 2,
+                        "amount": True}]}, "$.workload[0].amount"),
+        ({"workload": [{"op": "step", "count": "3"}]}, "$.workload[0].count"),
+        ({"workload": [{"op": "step", "count": -3}]}, "$.workload[0].count: must be >= 0"),
+        ({"workload": [{"op": "deposit_collateral", "cdp": 0, "amount": 1e9}]},
+         "$.workload[0].amount"),
+        # refusals that used to name no JSON path
+        ({"workload": [{"op": "set_price", "token": "NOPE", "price": 1}]},
+         "$.workload[0].token: unknown token symbol 'NOPE'"),
+        ({"workload": [{"op": "transfer_local", "chain": "eth", "from": 3, "to": 2, "amount": 5}]},
+         "$.workload[0]: account 3 holds 0, needs 5"),
+        ({"chains": [{"name": "eth"}, {"name": "sol"}],
+          "attacks": [{"kind": "compromised_chain", "chain": "eth", "h_prime": -1}]},
+         "$.attacks[0]: h_prime must be >= 0"),
+        ({"cdps": [{"owner": 1, "token": "ETH", "collateral": SCALE, "debt": 1000 * SCALE}],
+          "workload": [{"op": "set_price", "token": "ETH", "price": 1000}],
+          "attacks": [{"kind": "token_crash", "tokens": []}]},
+         "$.attacks[0]: CDP 0 starts at ratio <= gamma"),
+        ({"chains": [{"name": "eth"}, {"name": "eth"}]},
+         "$.chains[1].name: chain name already registered: 'eth'"),
+        ({"tokens": [{"symbol": "ETH", "chain": "eth"}, {"symbol": "ETH", "chain": "eth"}]},
+         "$.tokens[1].symbol: token symbol already registered: 'ETH'"),
+        ({"workload": [{"op": "open_cdp", "chain": "sol", "owner": 1, "token": "ETH"}]},
+         "$.workload[0].chain: token ETH is not on chain 'sol'"),
+        # non-finite oracle inputs: a NaN base price used to install a vault
+        # price of 0, an infinite sigma2 to raise OverflowError
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": float("nan"),
+                        "feeds": [{}]}]}, "$.workload[0]: base price must be finite"),
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0,
+                        "feeds": [{"sigma2": "inf"}]}]}, "$.workload[0]: sigma2 must be finite"),
+        ({"workload": [{"op": "oracle_update", "token": "ETH", "base_price": 1800.0,
+                        "feeds": [{"mu": float("nan")}]}]}, "$.workload[0]: mu must be finite"),
+        # decimal.Overflow used to escape the fee accrual
+        ({"params": {"stability_fee": 0.001},
+          "cdps": [{"owner": 1, "token": "ETH", "collateral": SCALE, "debt": SCALE}],
+          "workload": [{"op": "accrue_fees", "slots": 10**12}]}, "$.workload[0]: growth factor"),
+        # the refusal's message used to raise OverflowError from float(gamma * debt)
+        ({"params": {"gamma": "1e400"},
+          "cdps": [{"owner": 1, "token": "ETH", "collateral": SCALE, "debt": SCALE}]},
+         "$.cdps[0]: collateral value 2000 would not strictly exceed gamma * debt = inf"),
+        # a NaN rate used to raise decimal.InvalidOperation from SystemParams.validate
+        ({"params": {"stability_fee": float("nan")}}, "$.params.stability_fee: "),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1
@@ -350,6 +412,27 @@ class TestScenarioCommand:
         f.write_text(json.dumps({**self.WORLD, **section}))
         assert main(["scenario", str(f)]) == 2
         assert needle in capsys.readouterr().err
+
+    # ops 0-2 open, fund and over-mint a CDP: 2000 of collateral against 1900 of debt
+    UNDER_RATIO = [
+        {"op": "open_cdp", "owner": 1, "token": "ETH"},
+        {"op": "deposit_collateral", "cdp": 0, "amount": SCALE},
+        {"op": "withdraw_stablecoins", "cdp": 0, "amount": 1900 * SCALE},
+    ]
+
+    def test_whole_document_checked_before_any_op_runs(self, tmp_path, capsys):
+        # ops 0-2 used to run, and the refused op 2 ended the run before op 3 was read
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**self.WORLD, "workload": [*self.UNDER_RATIO, {"op": "bogus"}]}))
+        assert main(["scenario", str(f)]) == 2
+        assert "error: $.workload[3]: unknown workload op 'bogus'" in capsys.readouterr().err
+
+    def test_refused_op_exits_two_naming_its_path(self, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**self.WORLD, "workload": self.UNDER_RATIO}))
+        assert main(["scenario", str(f)]) == 2
+        assert ("error: $.workload[2]: collateral value 2000 would not strictly exceed "
+                "gamma * debt = 2850") in capsys.readouterr().err
 
     def test_run_prefix_accepted(self, tmp_path):
         f = tmp_path / "ok.json"

@@ -50,6 +50,18 @@ class TestReportPrice:
         with pytest.raises(ProtocolError):
             report_price(PriceFeed(0), 0, 0, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("base_price", [math.nan, math.inf])
+    def test_non_finite_base_price_refused(self, base_price):
+        # a NaN base price used to floor the report to 0.0
+        with pytest.raises(ProtocolError, match="base price must be finite"):
+            report_price(PriceFeed(0), 0, 0, base_price, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("field", ["mu", "sigma2", "strategy_value"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feed_refused(self, field, value):
+        with pytest.raises(ProtocolError, match=f"{field} must be finite"):
+            PriceFeed(0, **{field: value})
+
     def test_per_token_noise_overrides(self):
         feed = PriceFeed(0, mu=0.0, sigma2=1.0, per_token={7: (50.0, 1e-30)})
         rng = np.random.default_rng(0)
@@ -88,6 +100,13 @@ class TestVaultPriceUpdates:
     def test_update_and_staleness(self, system):
         assert oracle.update_vault_price(system, system.eth, [1.0, 1.2, 1.1]) == 1.1
         assert float(system.prices[system.eth]) == 1.1
+
+    @pytest.mark.parametrize("reports", [[math.inf], [1.0, math.inf, math.inf], [math.nan]])
+    def test_non_finite_median_refused(self, system, reports):
+        # an infinite median used to raise OverflowError from Fraction(inf)
+        with pytest.raises(ProtocolError, match="not finite"):
+            oracle.update_vault_price(system, system.eth, reports)
+        assert system.prices[system.eth] == 1
 
 
 class TestTailExperiment:

@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import units
 from crocodai import relay as relay_mod
+from crocodai.cli import main
 from crocodai import scenarios
 from crocodai import stablecoin as core
 from crocodai.errors import (
@@ -23,7 +28,9 @@ from crocodai.scenarios import (
     builtin_portfolio,
     ceiling_headroom,
     compromised_chain_scenario,
+    parse_scenario,
     random_backed_instance,
+    run_scenario,
     run_scenario_file,
     token_crash_scenario,
 )
@@ -519,3 +526,108 @@ class TestScenarioFiles:
         f.write_text(json.dumps(doc))
         report = run_scenario_file(f)
         assert report["passed"]
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_EXAMPLE = json.loads(
+    re.search(r"\*\*Scenario JSON\*\*.*?```json\n(.*?)```", README, re.S)[1])
+
+
+class TestParseThenRun:
+    def test_parse_builds_no_system(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a System was built")
+        monkeypatch.setattr(System, "__init__", refuse)
+        scenario = parse_scenario(README_EXAMPLE)
+        assert scenario.workload[-1][0] == "$.workload[9]"
+        with pytest.raises(AssertionError, match="a System was built"):
+            run_scenario(scenario)
+        # op 2 would be refused at run time, but the parse reports op 3 and runs nothing
+        doc = {"chains": [{"name": "eth"}],
+               "tokens": [{"symbol": "ETH", "chain": "eth", "price": 1}],
+               "workload": [{"op": "open_cdp", "owner": 1, "token": "ETH"},
+                            {"op": "deposit_collateral", "cdp": 0, "amount": SCALE},
+                            {"op": "withdraw_stablecoins", "cdp": 0, "amount": SCALE},
+                            {"op": "bogus"}]}
+        with pytest.raises(ScenarioFormatError, match=r"^\$\.workload\[3\]: unknown workload"):
+            parse_scenario(doc)
+
+    def test_parse_then_run_matches_the_file_runner(self, tmp_path):
+        f = tmp_path / "demo.json"
+        f.write_text(json.dumps(README_EXAMPLE))
+        assert run_scenario(parse_scenario(README_EXAMPLE)) == run_scenario_file(f)
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+        b"1" * 5000,  # ValueError: past the 4300-digit limit of int()
+        b"\xff\xfe{}",  # UnicodeDecodeError
+    ], ids=["deep", "long-int", "not-utf8"])
+    def test_unreadable_json_names_the_root(self, tmp_path, data):
+        # each used to end in a traceback
+        f = tmp_path / "bad.json"
+        f.write_bytes(data)
+        with pytest.raises(ScenarioFormatError, match=r"^\$: unreadable JSON"):
+            run_scenario_file(f)
+
+
+# JSON values: scalars, NaN and infinity included, and nested lists and
+# objects. Integers stay small: a huge `count`, `slots` or `trials` makes a
+# long run, not an error.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.floats(), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.7, -0.5, 1e300, 5e-324]),
+    st.sampled_from(["eth", "sol", "ETH", "SOL", "0", "1", "1/3", "nan", "inf", "1e400",
+                     "crashed"]),
+)
+_JSON = _SCALARS | st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                                | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                                max_leaves=6)
+
+
+@st.composite
+def _mutated_readme(draw):
+    """The README example with one to three values replaced, keys deleted or
+    entries added, each at a random depth."""
+    doc = copy.deepcopy(README_EXAMPLE)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.integers(0, 3)):
+                node = node[key]
+                continue
+            edit = draw(st.sampled_from(["replace", "delete", "add"]))
+            if edit == "replace":
+                node[key] = draw(_JSON)
+            elif edit == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(st.text(max_size=8))] = draw(_JSON)
+            else:
+                node.append(draw(_JSON))
+            break
+    return doc
+
+
+class TestScenarioFuzz:
+    """Every document exits 0, 1 or 2, never with an uncaught exception."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("fuzz")
+
+        def run(doc) -> int:
+            f = folder / "doc.json"
+            f.write_text(json.dumps(doc))
+            return main(["scenario", str(f), "--out", str(folder / "report.json")])
+        return run
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(doc=_mutated_readme())
+    def test_mutated_readme_example(self, run, doc):
+        assert run(doc) in (0, 1, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=_JSON | st.fixed_dictionaries({}, optional=dict.fromkeys(README_EXAMPLE, _JSON)))
+    def test_random_documents(self, run, doc):
+        assert run(doc) in (0, 1, 2)

@@ -267,6 +267,16 @@ class TestStabilityFee:
             previous = current
         assert previous  # fees eventually push the tightest CDP under
 
+    def test_overflowing_growth_is_refused(self):
+        # 1.001 ** 10**12 overflows DEBT_CONTEXT: decimal.Overflow used to escape
+        sys_ = vault_system(fee="0.001")
+        cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+        core.deposit_collateral(sys_, cdp, units(10))
+        core.withdraw_stablecoins(sys_, cdp, units(1))
+        with pytest.raises(ProtocolError, match="growth factor"):
+            core.accrue_stability_fee(sys_, 10**12)
+        assert sys_.chains[sys_.main].cdps[cdp].debt == Decimal(1)
+
 
 def fee_accrued_vault(slots):
     """10**11 units minted at a per-slot fee of 1e-8, then `slots` slots of
@@ -453,6 +463,13 @@ class TestSavings:
         chain = sys_.chains[sys_.main]
         chain.pot.surplus = Decimal(surplus)  # surplus injected for the test
         return sys_
+
+    def test_overflowing_growth_is_refused(self):
+        sys_ = self.savings_setup(rate="0.001")
+        core.savings_deposit(sys_, sys_.main, 1, units(100))
+        with pytest.raises(ProtocolError, match="growth factor"):
+            core.savings_accrue(sys_, sys_.main, 10**12)
+        assert sys_.chains[sys_.main].pot.deposits[1] == units(100)
 
     def test_one_slot_interest(self):
         sys_ = self.savings_setup()
