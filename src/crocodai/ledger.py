@@ -7,10 +7,9 @@ reversals are exact inverses and replay is bit-identical by construction.
 Conventions:
   * stablecoin and collateral amounts are integers in minor units
     (scale 10**9 per whole unit),
-  * CDP debt is a Decimal with 18 fractional digits; every debt sum is
-    taken in DEBT_CONTEXT, so the caller's Decimal context never reaches
-    the state, a rebuild or a digest,
-  * protocol-side prices and ratios are exact `Fraction`s,
+  * CDP debt and the savings pot's surplus and interest paid are exact
+    `Fraction`s of a stablecoin unit, and so are protocol-side prices and
+    ratios; no applier, rebuild or digest reads a Decimal context,
   * one clock slot corresponds to 5 minutes of data time.
 """
 
@@ -19,8 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
-from decimal import localcontext
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -33,11 +30,8 @@ from .errors import (
 )
 
 SCALE = 10**9
+FEE_SCALE = 10**18  # fee-accrued debts are whole multiples of 1 / FEE_SCALE units
 SLOT_SECONDS = 300
-# the one context for debt arithmetic: 60 digits hold 18 fractional digits
-# exactly up to 10**42 units
-DEBT_CONTEXT = Context(prec=60, rounding=ROUND_HALF_UP, Emin=-999999, Emax=999999, capitals=1,
-                       clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
 # CDP lifecycle states
 OPEN = "open"
@@ -68,7 +62,7 @@ class Cdp:
     owner: int
     token: int
     collateral: int = 0  # minor units of the collateral token
-    debt: Decimal = field(default_factory=lambda: Decimal(0))
+    debt: Fraction = Fraction(0)  # stablecoin units
     state: str = OPEN
 
 
@@ -85,8 +79,8 @@ class Auction:
 @dataclass
 class SavingsPot:
     deposits: dict[int, int] = field(default_factory=dict)
-    surplus: Decimal = field(default_factory=lambda: Decimal(0))
-    interest_paid: Decimal = field(default_factory=lambda: Decimal(0))
+    surplus: Fraction = Fraction(0)  # stablecoin units
+    interest_paid: Fraction = Fraction(0)
 
 
 @dataclass
@@ -309,32 +303,31 @@ class System:
 
     def state_digest(self) -> str:
         """Canonical hash of all chain state; equal digests mean equal states."""
-        with localcontext(DEBT_CONTEXT):  # str() of a Decimal reads the context
-            view: dict[str, Any] = {}
-            for cid in sorted(self.chains):
-                c = self.chains[cid]
-                view[str(cid)] = {
-                    "balances": {str(k): v for k, v in sorted(c.balances.items())},
-                    "escrows": {
-                        str(k): [e.transfer, e.sender, e.amount, e.created_slot]
-                        for k, e in sorted(c.escrows.items())
-                    },
-                    "wards": sorted(c.wards),
-                    "cdps": {
-                        str(k): [d.owner, d.token, d.collateral, str(d.debt), d.state]
-                        for k, d in sorted(c.cdps.items())
-                    },
-                    "auctions": {
-                        str(k): [a.best_bid, a.best_bidder, a.start_slot, a.last_bid_slot, a.open]
-                        for k, a in sorted(c.auctions.items())
-                    },
-                    "pot": [
-                        {str(k): v for k, v in sorted(c.pot.deposits.items())},
-                        str(c.pot.surplus),
-                        str(c.pot.interest_paid),
-                    ],
-                    "compromised": c.compromised,
-                }
+        view: dict[str, Any] = {}
+        for cid in sorted(self.chains):
+            c = self.chains[cid]
+            view[str(cid)] = {
+                "balances": {str(k): v for k, v in sorted(c.balances.items())},
+                "escrows": {
+                    str(k): [e.transfer, e.sender, e.amount, e.created_slot]
+                    for k, e in sorted(c.escrows.items())
+                },
+                "wards": sorted(c.wards),
+                "cdps": {
+                    str(k): [d.owner, d.token, d.collateral, str(d.debt), d.state]
+                    for k, d in sorted(c.cdps.items())
+                },
+                "auctions": {
+                    str(k): [a.best_bid, a.best_bidder, a.start_slot, a.last_bid_slot, a.open]
+                    for k, a in sorted(c.auctions.items())
+                },
+                "pot": [
+                    {str(k): v for k, v in sorted(c.pot.deposits.items())},
+                    str(c.pot.surplus),
+                    str(c.pot.interest_paid),
+                ],
+                "compromised": c.compromised,
+            }
         blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -374,21 +367,18 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         chain.cdps[p["cdp"]].collateral -= p["amount"]
     elif kind == "cdp_mint":
         cdp = chain.cdps[p["cdp"]]
-        with localcontext(DEBT_CONTEXT):
-            cdp.debt += Decimal(p["amount"]) / SCALE
+        cdp.debt += Fraction(p["amount"], SCALE)
         b[cdp.owner] = b.get(cdp.owner, 0) + p["amount"]
     elif kind == "cdp_repay":
         cdp = chain.cdps[p["cdp"]]
-        with localcontext(DEBT_CONTEXT):
-            cdp.debt -= Decimal(p["amount"]) / SCALE
+        cdp.debt -= Fraction(p["amount"], SCALE)
         b[cdp.owner] = b.get(cdp.owner, 0) - p["amount"]
     elif kind == "cdp_close":
         chain.cdps[p["cdp"]].state = CLOSED
     elif kind == "fee_accrue":
         for cdp_id, new_debt in p["debts"].items():
-            chain.cdps[int(cdp_id)].debt = Decimal(new_debt)
-        with localcontext(DEBT_CONTEXT):
-            chain.pot.surplus += Decimal(p["surplus_delta"])
+            chain.cdps[int(cdp_id)].debt = Fraction(new_debt, FEE_SCALE)
+        chain.pot.surplus += Fraction(p["surplus_delta"], FEE_SCALE)
     elif kind == "auction_start":
         chain.auctions[p["cdp"]] = Auction(p["cdp"], p["slot"])
         chain.cdps[p["cdp"]].state = IN_AUCTION
@@ -404,31 +394,29 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         a = chain.auctions[p["cdp"]]
         cdp = chain.cdps[p["cdp"]]
         a.open = False
-        with localcontext(DEBT_CONTEXT):
+        if p["winner"] is not None:
+            # bid escrow disposed: burned part vanishes, penalty to surplus,
+            # remainder refunded to the CDP owner, collateral to the winner
+            chain.pot.surplus += Fraction(p["to_surplus"], SCALE)
+            if p["refund"]:
+                b[cdp.owner] = b.get(cdp.owner, 0) + p["refund"]
+            cdp.collateral = 0
+        if p["insolvent"]:
             if p["winner"] is not None:
-                # bid escrow disposed: burned part vanishes, penalty to surplus,
-                # remainder refunded to the CDP owner, collateral to the winner
-                chain.pot.surplus += Decimal(p["to_surplus"]) / SCALE
-                if p["refund"]:
-                    b[cdp.owner] = b.get(cdp.owner, 0) + p["refund"]
-                cdp.collateral = 0
-            if p["insolvent"]:
-                if p["winner"] is not None:
-                    cdp.debt -= Decimal(p["burned"]) / SCALE
-                cdp.state = INSOLVENT
-            else:
-                cdp.debt = Decimal(0)
-                cdp.state = CLOSED
+                cdp.debt -= Fraction(p["burned"], SCALE)
+            cdp.state = INSOLVENT
+        else:
+            cdp.debt = Fraction(0)
+            cdp.state = CLOSED
     elif kind == "savings_deposit":
         b[p["user"]] = b.get(p["user"], 0) - p["amount"]
         chain.pot.deposits[p["user"]] = chain.pot.deposits.get(p["user"], 0) + p["amount"]
     elif kind == "savings_accrue":
         for user, payout in p["payouts"].items():
             chain.pot.deposits[int(user)] = chain.pot.deposits.get(int(user), 0) + payout
-        with localcontext(DEBT_CONTEXT):
-            total = Decimal(p["total"]) / SCALE
-            chain.pot.surplus -= total
-            chain.pot.interest_paid += total
+        total = Fraction(p["total"], SCALE)
+        chain.pot.surplus -= total
+        chain.pot.interest_paid += total
     elif kind == "savings_withdraw":
         chain.pot.deposits[p["user"]] -= p["amount"]
         b[p["user"]] = b.get(p["user"], 0) + p["amount"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -373,17 +373,19 @@ def _int(value: Any, path: str, low: int | None = None) -> int:
 _count = partial(_int, low=0)
 
 
-def _number(kind):
-    """A reader of kind(str(value)): a JSON number or a numeric string ("1/3", "inf")."""
+def _number(convert):
+    """A reader of convert(value): a JSON number or a numeric string ("1/3", "inf")."""
     def read(value: Any, path: str):
         try:
-            return kind(str(value))
+            return convert(value)
+        except OverflowError as exc:  # a decimal exponent past the digit limit
+            raise _fail(path, str(exc)) from None
         except (ValueError, ZeroDivisionError):
             raise _fail(path, f"not a number: {value!r}") from None
     return read
 
 
-_float, _fraction = _number(float), _number(Fraction)
+_float, _fraction = _number(lambda value: float(str(value))), _number(core.exact_fraction)
 
 
 def _list(reader):
@@ -414,9 +416,15 @@ def _behavior(value: Any, path: str) -> str:
     return value
 
 
+_INT_PARAMS = {name for name, kind in get_type_hints(SystemParams).items() if kind is int}
+
+
 def _params(value: Any, path: str) -> SystemParams:
+    doc = _dict(value, path)
+    for name in sorted(_INT_PARAMS & doc.keys()):
+        _int(doc[name], f"{path}.{name}")
     try:
-        return SystemParams.from_json(_dict(value, path))
+        return SystemParams.from_json(doc)
     except InvalidParameterError as exc:
         raise _fail(f"{path}.{exc.param}" if exc.param else path, str(exc)) from None
 
@@ -631,7 +639,7 @@ def _no_unbacked(system: System) -> dict:
 
 def _conservation(system: System) -> dict:
     _, total_debt = core.debt_totals(system)
-    interest = sum((Fraction(c.pot.interest_paid) for c in system.chains.values()), Fraction(0))
+    interest = sum((c.pot.interest_paid for c in system.chains.values()), Fraction(0))
     circulating = Fraction(system.total_circulating(), SCALE)
     return {"check": "conservation", "passed": circulating <= total_debt + interest,
             "circulating": str(circulating), "debt_plus_interest": str(total_debt + interest)}

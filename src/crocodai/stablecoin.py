@@ -1,18 +1,24 @@
 """CDP lifecycle, stability fees, liquidation auctions, savings pot and the
 system-level full-backing check.
 
-All accept/reject decisions are made with exact arithmetic: Fractions for
-prices and ratios, Decimals with 18 fractional digits for debt, computed in
-the ledger's DEBT_CONTEXT. Each rule is written once, and the attack
-checkers ask the functions the operations obey: `above_ratio` (p*c > gamma*D,
-strict) and `mint_headroom` (the bootstrap cap while total debt is 0, else
-D_m + h < zeta (D + h), strict). An unpriced token backs nothing.
+All accept/reject decisions are made with exact arithmetic: debt, the
+savings pot, prices and ratios are Fractions. Decimal serves only the two
+growth factors (1 + rate) ** slots, taken in DEBT_CONTEXT; a fee-accrued debt
+is its 60-digit product with the factor, rounded to 10**-18 units. Each rule
+is written once, and the attack checkers ask the functions the operations
+obey: `above_ratio` (p*c > gamma*D, strict) and `mint_headroom` (the
+bootstrap cap while total debt is 0, else D_m + h < zeta (D + h), strict).
+An unpriced token backs nothing.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
+from decimal import localcontext
 from fractions import Fraction
 from typing import Any
 
@@ -24,11 +30,15 @@ from .errors import (
     ProtocolError,
     RatioViolationError,
 )
-from .ledger import DEBT_CONTEXT, OPEN, SCALE, Cdp, CoinChain, System
+from .ledger import FEE_SCALE, OPEN, SCALE, Cdp, CoinChain, System
 
+# the context of the two growth factors (1 + rate) ** slots and of the
+# fee-accrued debt products; 60 digits hold 18 fractional digits exactly up
+# to 10**42 units
+DEBT_CONTEXT = Context(prec=60, rounding=ROUND_HALF_UP, Emin=-999999, Emax=999999, capitals=1,
+                       clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+MAX_RELAYS = 64  # the largest relay_n: the relay module builds one node per relay
 
 
 @dataclass(frozen=True)
@@ -37,7 +47,9 @@ class SystemParams:
 
     gamma > theta > 1 is required; per-token debt ceilings are fractions of
     system-wide debt (1 means unconstrained). The relay quorum needs
-    n >= 3f+1 so that 2f+1 votes certify a decision.
+    n >= 3f+1 so that 2f+1 votes certify a decision, and n <= MAX_RELAYS.
+    An int field takes an int or its decimal string, never a bool or a
+    fraction.
     """
 
     gamma: Fraction = Fraction(3, 2)  # liquidation ratio
@@ -78,6 +90,8 @@ class SystemParams:
             raise InvalidParameterError(
                 f"relay quorum needs n >= 3f+1, got n={self.relay_n}, f={self.relay_f}"
             )
+        if self.relay_n > MAX_RELAYS:
+            raise InvalidParameterError(f"relay_n must be <= {MAX_RELAYS}", "relay_n")
         if self.transfer_timeout <= 0:
             raise InvalidParameterError("transfer_timeout must be positive")
         if self.bootstrap_ceiling < 0:
@@ -99,24 +113,43 @@ class SystemParams:
         return cls(**doc)
 
 
-def _exact(kind, value):
-    return value if isinstance(value, kind) else kind(str(value))
+def exact_fraction(value) -> Fraction:
+    """Fraction(str(value)): a number, or a numeric string such as "1/3" or
+    "2.5e-3". A decimal exponent past sys.get_int_max_str_digits() raises
+    OverflowError before 10**exponent is built, whose cost grows faster than
+    the exponent."""
+    if isinstance(value, Fraction):
+        return value
+    text = str(value)
+    exponent = text.lower().partition("e")[2]  # no other Fraction literal has an "e"
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent and abs(int(exponent)) > limit:
+        raise OverflowError(f"decimal exponent of {text!r} is past +-{limit}")
+    return Fraction(text)
 
 
 def _coerce_param(name: str, value):
     try:
         if name in ("stability_fee", "savings_rate"):
-            rate = _exact(Decimal, value)
+            rate = value if isinstance(value, Decimal) else Decimal(str(value))
             if not rate.is_finite():  # a NaN would raise from every comparison
                 raise ValueError(name)
             return rate
         if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step", "beta"):
-            return _exact(Fraction, value)
+            return exact_fraction(value)
         if name == "debt_ceilings":
-            return {int(k): _exact(Fraction, v) for k, v in dict(value).items()}
-        return int(value)
+            return {int(k): exact_fraction(v) for k, v in dict(value).items()}
+    except OverflowError as exc:
+        raise InvalidParameterError(f"parameter {name}: {exc}", name) from None
     except (ArithmeticError, TypeError, ValueError):
         raise InvalidParameterError(f"parameter {name}: not a number: {value!r}", name) from None
+    # an int field: int() alone would take true as 1 and truncate 4.9 to 4
+    if not isinstance(value, bool):
+        with suppress(ArithmeticError, TypeError, ValueError):
+            number = int(value)
+            if isinstance(value, str) or number == value:
+                return number
+    raise InvalidParameterError(f"parameter {name}: not an integer: {value!r}", name)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +178,7 @@ def price_of(system: System, token_id: int) -> Fraction:
 def above_ratio(price, collateral: int, debt, gamma) -> bool:
     """The ratio rule: collateral (minor units) at `price` is worth strictly
     more than gamma times the debt (stablecoin units)."""
-    return _frac(price) * Fraction(collateral, SCALE) > _frac(gamma) * _frac(debt)
+    return price * Fraction(collateral, SCALE) > gamma * debt
 
 
 def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
@@ -155,9 +188,8 @@ def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
     for chain in system.chains.values():
         for cdp in chain.cdps.values():
             if cdp.debt:
-                d = Fraction(cdp.debt)
-                per_token[cdp.token] = per_token.get(cdp.token, Fraction(0)) + d
-                total += d
+                per_token[cdp.token] = per_token.get(cdp.token, Fraction(0)) + cdp.debt
+                total += cdp.debt
     return per_token, total
 
 
@@ -214,8 +246,8 @@ def repay_debt(system: System, cdp_id: int, amount: int) -> None:
         raise ProtocolError("repay amount must be >= 0")
     if chain.balance(cdp.owner) < amount:
         raise InsufficientBalanceError(f"owner {cdp.owner} cannot cover repayment of {amount}")
-    if Fraction(amount, SCALE) > Fraction(cdp.debt):
-        raise ProtocolError(f"repay {amount} exceeds outstanding debt {cdp.debt}")
+    if Fraction(amount, SCALE) > cdp.debt:
+        raise ProtocolError(f"repay {amount} exceeds outstanding debt {_approx(cdp.debt)}")
     if amount == 0:
         return
     system.apply(chain.id, "cdp_repay", {"cdp": cdp_id, "amount": amount})
@@ -237,7 +269,7 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
         return 0
 
     price = price_of(system, cdp.token)
-    new_debt = Fraction(cdp.debt) + Fraction(amount, SCALE)
+    new_debt = cdp.debt + Fraction(amount, SCALE)
     if not above_ratio(price, cdp.collateral, new_debt, params.gamma):
         raise RatioViolationError(
             f"collateral value {_approx(price * cdp.collateral / SCALE)} would not strictly "
@@ -277,7 +309,7 @@ def close_cdp(system: System, cdp_id: int) -> None:
     if cdp.state != OPEN:
         raise ProtocolError(f"CDP {cdp_id} is not open")
     if cdp.debt != 0:
-        raise ProtocolError(f"CDP {cdp_id} still has debt {cdp.debt}")
+        raise ProtocolError(f"CDP {cdp_id} still has debt {_approx(cdp.debt)}")
     if cdp.collateral:
         system.apply(
             chain.id,
@@ -299,26 +331,26 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     delta = system.params.stability_fee
     if slots == 0 or delta == 0:
         return
+    accruals = []  # every new debt is computed before any is applied
     with localcontext(DEBT_CONTEXT):
-        accruals = []  # every new debt is computed before any is applied
         try:
             factor = (1 + delta) ** slots
             for chain in system.chains.values():
-                debts: dict[str, str] = {}
-                surplus_delta = Decimal(0)
+                debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
+                surplus_delta = 0
                 for cdp in chain.cdps.values():
                     if cdp.state != OPEN or not cdp.debt:
                         continue
-                    new_debt = (cdp.debt * factor).quantize(Decimal("1e-18"))
-                    surplus_delta += new_debt - cdp.debt
-                    debts[str(cdp.id)] = str(new_debt)
+                    old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
+                    new = int((Decimal(old) * factor).quantize(Decimal(1)))
+                    surplus_delta += new - old
+                    debts[str(cdp.id)] = new
                 if debts:
-                    payload = {"debts": debts, "surplus_delta": str(surplus_delta)}
-                    accruals.append((chain.id, payload))
+                    accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
         except ArithmeticError:  # decimal.Overflow, or a debt past the context's 60 digits
             raise _growth_error(delta, slots) from None
-        for chain_id, payload in accruals:
-            system.apply(chain_id, "fee_accrue", payload)
+    for chain_id, payload in accruals:
+        system.apply(chain_id, "fee_accrue", payload)
 
 
 def _growth_error(rate: Decimal, slots: int) -> ProtocolError:
@@ -405,12 +437,11 @@ def settle_auction(system: System, cdp_id: int) -> dict:
         return payload
 
     bid = auction.best_bid
-    debt_minor = Fraction(cdp.debt) * SCALE  # exact
-    debt_ceil = int(debt_minor) + (0 if debt_minor.denominator == 1 else 1)
+    debt_ceil = math.ceil(cdp.debt * SCALE)
     if bid >= debt_ceil:
         burned = debt_ceil
         excess = bid - burned
-        penalty_cap = int(Fraction(cdp.debt) * params.liquidation_penalty * SCALE)
+        penalty_cap = int(cdp.debt * params.liquidation_penalty * SCALE)
         to_surplus = min(excess, penalty_cap)
         refund = excess - to_surplus
         insolvent = False
@@ -467,22 +498,22 @@ def savings_accrue(system: System, chain_id: int, slots: int) -> dict[int, int]:
             }
         except ArithmeticError:  # decimal.Overflow
             raise _growth_error(rate, slots) from None
-        owed = {u: w for u, w in owed.items() if w > 0}
-        if not owed:
+    owed = {u: w for u, w in owed.items() if w > 0}
+    if not owed:
+        return {}
+    total_owed = sum(owed.values())
+    available = int(chain.pot.surplus * SCALE)  # floor
+    if available <= 0:
+        return {}
+    if total_owed <= available:
+        payouts = owed
+    else:
+        payouts = {
+            u: w * available // total_owed for u, w in owed.items()
+        }
+        payouts = {u: w for u, w in payouts.items() if w > 0}
+        if not payouts:
             return {}
-        total_owed = sum(owed.values())
-        available = int(chain.pot.surplus * SCALE)  # floor
-        if available <= 0:
-            return {}
-        if total_owed <= available:
-            payouts = owed
-        else:
-            payouts = {
-                u: w * available // total_owed for u, w in owed.items()
-            }
-            payouts = {u: w for u, w in payouts.items() if w > 0}
-            if not payouts:
-                return {}
     total = sum(payouts.values())
     system.apply(
         chain_id,
@@ -525,9 +556,9 @@ def full_backing(system: System, prices=None) -> BackingReport:
     for chain in system.chains.values():
         for cdp in chain.cdps.values():
             if cdp.collateral:
-                c_star += _frac(prices_map.get(cdp.token, 0)) * Fraction(cdp.collateral, SCALE)
+                c_star += prices_map.get(cdp.token, 0) * Fraction(cdp.collateral, SCALE)
             if cdp.debt:
-                d_star += Fraction(cdp.debt)
+                d_star += cdp.debt
     if d_star == 0:
         return BackingReport(c_star, d_star, None, True)
     ratio = c_star / d_star

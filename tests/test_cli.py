@@ -405,6 +405,15 @@ class TestScenarioCommand:
          "$.cdps[0]: collateral value 2000 would not strictly exceed gamma * debt = inf"),
         # a NaN rate used to raise decimal.InvalidOperation from SystemParams.validate
         ({"params": {"stability_fee": float("nan")}}, "$.params.stability_fee: "),
+        # int params used to be truncated or coerced to 4, 12 and 1
+        ({"params": {"relay_n": 4.9}}, "$.params.relay_n: not an integer: 4.9"),
+        ({"params": {"auction_duration": "12"}}, "$.params.auction_duration: not an integer"),
+        ({"params": {"transfer_timeout": True}}, "$.params.transfer_timeout: not an integer"),
+        # one relay node is built per relay
+        ({"params": {"relay_n": 10**9}}, "$.params.relay_n: relay_n must be <= 64"),
+        # 10**999999999 used to be built before anything was checked
+        ({"tokens": [{"symbol": "ETH", "chain": "eth", "price": "1e999999999"}]},
+         "$.tokens[0].price: decimal exponent of '1e999999999' is past +-4300"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1

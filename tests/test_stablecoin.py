@@ -13,7 +13,8 @@ from crocodai.errors import (
     ProtocolError,
     RatioViolationError,
 )
-from crocodai.ledger import CLOSED, INSOLVENT, System
+from crocodai.ledger import CLOSED, INSOLVENT, SCALE, System
+from crocodai.scenarios import _conservation
 from crocodai.stablecoin import SystemParams
 
 
@@ -47,6 +48,24 @@ class TestParams:
             SystemParams(stability_fee="cheap")
         with pytest.raises(InvalidParameterError, match="unknown parameter"):
             SystemParams().with_param("validate", 1)
+
+    @pytest.mark.parametrize("value", [True, 4.9, Fraction(9, 2), "4.0"])
+    def test_int_fields_are_not_truncated(self, value):
+        # int() used to take true as 1 and truncate 4.9 to 4
+        with pytest.raises(InvalidParameterError, match="relay_n: not an integer"):
+            SystemParams(relay_n=value)
+        assert SystemParams(relay_n=4.0).relay_n == 4
+
+    def test_relay_roster_is_capped(self):
+        assert SystemParams(relay_n=core.MAX_RELAYS).relay_n == core.MAX_RELAYS
+        with pytest.raises(InvalidParameterError, match="relay_n must be <="):
+            SystemParams(relay_n=core.MAX_RELAYS + 1)
+
+    def test_fraction_exponent_is_bounded(self):
+        # Fraction("1e999999999") builds a billion-digit power of ten
+        with pytest.raises(InvalidParameterError, match="gamma: decimal exponent"):
+            SystemParams(gamma="1e-999999999")
+        assert SystemParams(gamma="1e4300").gamma == 10**4300
 
     def test_from_json_is_order_independent(self):
         # fields used to be set one at a time, so theta 1.6 met the default gamma 1.5
@@ -333,6 +352,22 @@ class TestDebtContext:
             sys_.fork_revert(sys_.main, sys_.slot + 1)  # keeps every event: a pure rebuild
         assert sys_.state_digest() == live
 
+    def test_debt_stays_exact_past_sixty_digits(self):
+        # the 60-digit context rounded 10**52 units plus one minor unit: the
+        # repay left debt 0E-7, refused the last unit, and it circulated unbacked
+        sys_ = System(SystemParams(bootstrap_ceiling=10**70))
+        main = sys_.create_chain({"name": "main"})  # no genesis coins: every coin is minted
+        eth = sys_.register_token("ETH", main)
+        sys_.set_price(eth, 1)
+        cdp = core.open_cdp(sys_, main, 1, eth)
+        core.deposit_collateral(sys_, cdp, 2 * 10**61)
+        core.withdraw_stablecoins(sys_, cdp, 10**61 + 1)
+        core.repay_debt(sys_, cdp, 10**61)
+        assert sys_.chains[main].cdps[cdp].debt == Fraction(1, SCALE)
+        core.repay_debt(sys_, cdp, 1)
+        assert sys_.chains[main].cdps[cdp].debt == 0
+        assert _conservation(sys_)["passed"]
+
 
 class TestCheckLiquidatable:
     def test_cases(self):
@@ -461,7 +496,7 @@ class TestSavings:
         sys_ = vault_system()
         sys_.params = SystemParams(savings_rate=Decimal(rate))
         chain = sys_.chains[sys_.main]
-        chain.pot.surplus = Decimal(surplus)  # surplus injected for the test
+        chain.pot.surplus = Fraction(surplus)  # surplus injected for the test
         return sys_
 
     def test_overflowing_growth_is_refused(self):
@@ -510,7 +545,7 @@ class TestFullBacking:
         cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
         core.deposit_collateral(sys_, cdp, units(150))
         core.withdraw_stablecoins(sys_, cdp, units(99))
-        sys_.chains[sys_.main].cdps[cdp].debt = Decimal(100)  # exercise the reporting path
+        sys_.chains[sys_.main].cdps[cdp].debt = Fraction(100)  # exercise the reporting path
         report = core.full_backing(sys_)
         assert report.ratio == Fraction(3, 2) and report.ok
 
@@ -518,7 +553,7 @@ class TestFullBacking:
         sys_ = vault_system()
         cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
         core.deposit_collateral(sys_, cdp, units(109))
-        sys_.chains[sys_.main].cdps[cdp].debt = Decimal(100)
+        sys_.chains[sys_.main].cdps[cdp].debt = Fraction(100)
         report = core.full_backing(sys_)
         assert report.ratio == Fraction(109, 100) and not report.ok
 
