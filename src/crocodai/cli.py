@@ -264,8 +264,7 @@ def cmd_oracle_tail(args) -> int:
                 "exceedances": est.exceedances,
             }
         )
-        if c >= 2 * args.sigma and est.empirical > est.bound:
-            ok = False
+        ok &= est.within_bound
     config = {
         "command": "oracle-tail",
         "feeds": args.feeds,

@@ -107,7 +107,6 @@ class CoinChain:
         self._genesis_balances = dict(balances)
         self._genesis_wards = set(wards)
         self.compromised = False
-        self.clock = 0
         self.events: list[Event] = []
         self.reset_state()
 
@@ -176,7 +175,6 @@ class System:
             raise ProtocolError("initial balances must be >= 0")
         wards = {int(w) for w in config.get("wards", [])}
         chain = CoinChain(chain_id, name, balances, wards)
-        chain.clock = self.slot
         self.chains[chain_id] = chain
         self._chain_names[name] = chain_id
         self._next_chain += 1
@@ -231,8 +229,6 @@ class System:
 
     def tick(self) -> int:
         self.slot += 1
-        for chain in self.chains.values():
-            chain.clock = self.slot
         return self.slot
 
     # ------------------------------------------------------------------
@@ -240,7 +236,7 @@ class System:
 
     def apply(self, chain_id: int, kind: str, payload: dict[str, Any]) -> Event:
         chain = self.chain(chain_id)
-        ev = Event(chain.clock, len(chain.events), kind, payload)
+        ev = Event(self.slot, len(chain.events), kind, payload)
         chain.events.append(ev)
         _apply_to_state(chain, kind, payload)
         return ev

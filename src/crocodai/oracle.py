@@ -128,6 +128,12 @@ class TailEstimate:
     n_corrupt: int
     sigma_star: float
 
+    @property
+    def within_bound(self) -> bool:
+        """The verdict on the bound, which is claimed only for c >= 2 sigma_star:
+        there the empirical tail must not exceed it, and below it any passes."""
+        return self.c < 2 * self.sigma_star or self.empirical <= self.bound
+
 
 def _merge_exchange(n: int) -> list[tuple[int, int]]:
     """Comparators (i, j), i < j, of Batcher's merge-exchange sort of n keys

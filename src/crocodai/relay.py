@@ -206,7 +206,7 @@ def relay_step(system: System) -> list[dict[str, Any]]:
 
 
 def step(system: System) -> list[dict[str, Any]]:
-    """Advance one slot: tick clocks, apply due governance, run the relay round."""
+    """Advance one slot: tick the clock, apply due governance, run the relay round."""
     system.tick()
     events = _apply_staged_governance(system)
     events.extend(relay_step(system))

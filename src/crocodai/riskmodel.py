@@ -28,8 +28,9 @@ replay use.
 a plain line are split on its commas, every price is converted in one call,
 and a timestamp of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z``
 or ``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
-``fromisoformat`` one at a time. Only a block that fails to parse is
-scanned row by row, to name its first bad row.
+``fromisoformat`` one at a time. Every rule is checked on the whole block
+at once, and the error names the first bad cell in reading order; only that
+cell's line is split again, to quote the cell in the message.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
 with an analytic gradient (`fit_nu`), about ten passes over the data per
@@ -119,11 +120,6 @@ def _split_line(line: str) -> list[str]:
     return next(csv.reader([line]), [])
 
 
-def _bad_price(row: int, price: float, symbol: str) -> DataError:
-    kind = "non-positive" if price <= 0 else "non-finite"
-    return DataError(f"row {row}: {kind} price {price} for {symbol}")
-
-
 # the file is parsed a block of about this many characters at a time, so that
 # the cells of only one block are Python strings at once
 _BLOCK_CHARS = 1 << 20
@@ -134,8 +130,9 @@ _NOT_PLAIN = ('"\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2
 _STAMP_SHAPE = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
 
 
-def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Epoch seconds of stripped timestamp cells (an object array).
+def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of stripped timestamp cells (an object array), and the
+    mask of the stamps that are malformed.
 
     A stamp of the canonical shape ``YYYY-MM-DDTHH:MM:SS`` with no suffix,
     ``Z`` or ``+HH:MM``/``-HH:MM`` whose fields are in range is read in
@@ -173,42 +170,57 @@ def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     offset = np.where(with_offset, np.where(sign == ord("-"), -60, 60) * (offset_hour * 60 + offset_minute), 0)
 
     seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second - offset
+    malformed = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~canonical):
-        seconds[i] = _parse_timestamp(stamps[i], int(rows[i]))
-    return seconds
+        try:
+            seconds[i] = _parse_timestamp(stamps[i], int(rows[i]))
+        except DataError:
+            malformed[i] = True
+    return seconds, malformed
 
 
-def _parse_rows(lines: list[str], first_row: int, k: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bulk parse of consecutive data lines of a CSV with k symbol columns,
-    the first of them on line `first_row` of the file.
+def _price(cell: str) -> float:
+    """The price a cell reads as, NaN (a bad price) if float cannot read it."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
-    Returns the line number, epoch seconds and prices (NaN where a cell is
-    empty) of every row that is not blank, and the mask of the price cells
-    that were given. Raises ValueError or DataError if any line fails to
-    parse, without naming it.
+
+def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time: int | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, prices (NaN where a cell is empty) and given-cell mask of the
+    rows of a block of data lines that starts on line `first_row`, after the
+    timestamp `prev_time`; blank lines are skipped.
+
+    Every rule is checked on the whole block at once, and the DataError of
+    the first bad cell in reading order is raised; only its line is split
+    again, to quote the cell as the csv module reads it.
     """
+    k = len(symbols)
     n = len(lines)
     rows = np.arange(first_row, first_row + n)
     joined = ",".join(lines)
     # a plain line has k commas and no quote or whitespace, so its cells are
     # the pieces between commas; any other line is split on its own and its
-    # cells stripped, and a blank one becomes k + 1 empty cells
+    # cells stripped, and a blank one, or one with the wrong number of cells,
+    # becomes k + 1 empty cells
     odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != k
     for char in _NOT_PLAIN:
         if char in joined:
             odd |= np.fromiter(map(operator.contains, lines, repeat(char)), bool, n)
     patches = []
+    misshapen = np.zeros(n, dtype=bool)
     if odd.any():
-        lines = list(lines)
+        plain = list(lines)
         for i in np.flatnonzero(odd):
             cells = [cell.strip() for cell in _split_line(lines[i])]
-            lines[i] = "," * k
-            if any(cells):
-                if len(cells) != k + 1:
-                    raise ValueError(f"line {rows[i]}: {len(cells)} columns")
+            plain[i] = "," * k
+            if len(cells) == k + 1:
                 patches.append((i, cells))
-        joined = ",".join(lines)
+            else:
+                misshapen[i] = any(cells)
+        joined = ",".join(plain)
     flat = joined.split(",")
     del joined
     for i, cells in patches:
@@ -216,63 +228,41 @@ def _parse_rows(lines: list[str], first_row: int, k: int
     grid = np.array(flat, dtype=object).reshape(-1, k + 1)
     del flat
     given = grid != ""
-    keep = given.any(axis=1)
+    keep = given.any(axis=1) | misshapen
     if not keep.all():
-        rows, grid, given = rows[keep], grid[keep], given[keep]
-    times = _stamp_seconds(grid[:, 0], rows)
+        rows, grid, given, misshapen = rows[keep], grid[keep], given[keep], misshapen[keep]
+    times, malformed = _stamp_seconds(grid[:, 0], rows)
     grid[~given] = "nan"
-    return rows, times, grid[:, 1:].astype(float), given[:, 1:]
-
-
-def _raise_first_bad_row(lines: list[str], first_row: int, symbols: list[str],
-                         prev_time: int | None) -> None:
-    """Row-by-row check of a block of data lines, run only after its bulk
-    parse failed: raises the DataError that names its first bad row.
-    `prev_time` is the last timestamp before the block."""
-    for row_no, line in enumerate(lines, start=first_row):
-        row = _split_line(line)
-        if all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(symbols) + 1:
-            raise DataError(f"row {row_no}: expected {len(symbols) + 1} columns, got {len(row)}")
-        t = _parse_timestamp(row[0], row_no)
-        if prev_time is not None and t <= prev_time:
-            raise DataError(f"row {row_no}: timestamps must be strictly increasing")
-        prev_time = t
-        for symbol, cell in zip(symbols, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                price = float(cell)
-            except ValueError:
-                raise DataError(f"row {row_no}: malformed price {cell!r}") from None
-            if not 0 < price < math.inf:
-                raise _bad_price(row_no, price, symbol)
-
-
-def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time: int | None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, prices and given-cell mask of a block of data lines that
-    starts on line `first_row`, after the timestamp `prev_time`; raises the
-    DataError that names the block's first bad row."""
     try:
-        rows, times, prices, given = _parse_rows(lines, first_row, len(symbols))
-    except (ValueError, DataError):
-        _raise_first_bad_row(lines, first_row, symbols, prev_time)
-        raise
-    # the first offending cell in reading order, a row's timestamp before its prices
-    bad = np.zeros((len(rows), len(symbols) + 1), dtype=bool)
-    bad[1:, 0] = np.diff(times) <= 0
+        prices = grid[:, 1:].astype(float)
+    except ValueError:
+        prices = np.frompyfunc(_price, 1, 1)(grid[:, 1:]).astype(float)
+
+    # the first offending cell in reading order, a row's width and timestamp
+    # before its prices
+    bad = np.zeros((len(rows), k + 1), dtype=bool)
+    bad[:, 0] = misshapen | malformed
+    bad[1:, 0] |= np.diff(times) <= 0
     if prev_time is not None:
-        bad[:1, 0] = times[:1] <= prev_time
-    bad[:, 1:] = given & ~((prices > 0) & (prices < np.inf))
+        bad[:1, 0] |= times[:1] <= prev_time
+    bad[:, 1:] = given[:, 1:] & ~((prices > 0) & (prices < np.inf))
     if bad.any():
-        r, c = divmod(int(np.argmax(bad)), len(symbols) + 1)
+        r, c = divmod(int(np.argmax(bad)), k + 1)
+        row = int(rows[r])
+        cells = _split_line(lines[row - first_row])
+        if len(cells) != k + 1:
+            raise DataError(f"row {row}: expected {k + 1} columns, got {len(cells)}")
         if c == 0:
-            raise DataError(f"row {int(rows[r])}: timestamps must be strictly increasing")
-        raise _bad_price(int(rows[r]), float(prices[r, c - 1]), symbols[c - 1])
-    return times, prices, given
+            _parse_timestamp(cells[0], row)  # raises for a malformed stamp
+            raise DataError(f"row {row}: timestamps must be strictly increasing")
+        cell = cells[c].strip()
+        try:
+            price = float(cell)
+        except ValueError:
+            raise DataError(f"row {row}: malformed price {cell!r}") from None
+        kind = "non-positive" if price <= 0 else "non-finite"
+        raise DataError(f"row {row}: {kind} price {price} for {symbols[c - 1]}")
+    return times, prices, given[:, 1:]
 
 
 def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:

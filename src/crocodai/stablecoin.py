@@ -335,20 +335,24 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     with localcontext(DEBT_CONTEXT):
         try:
             factor = (1 + delta) ** slots
-            for chain in system.chains.values():
-                debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
-                surplus_delta = 0
-                for cdp in chain.cdps.values():
-                    if cdp.state != OPEN or not cdp.debt:
-                        continue
-                    old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
-                    new = int((Decimal(old) * factor).quantize(Decimal(1)))
-                    surplus_delta += new - old
-                    debts[str(cdp.id)] = new
-                if debts:
-                    accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
-        except ArithmeticError:  # decimal.Overflow, or a debt past the context's 60 digits
+        except ArithmeticError:  # decimal.Overflow
             raise _growth_error(delta, slots) from None
+        for chain in system.chains.values():
+            debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
+            surplus_delta = 0
+            for cdp in chain.cdps.values():
+                if cdp.state != OPEN or not cdp.debt:
+                    continue
+                old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
+                try:
+                    new = int((Decimal(old) * factor).quantize(Decimal(1)))
+                except ArithmeticError:  # decimal.InvalidOperation: more whole units than digits
+                    raise ProtocolError(f"CDP {cdp.id}: debt {_approx(cdp.debt)} is past what DEBT_CONTEXT "
+                                        f"holds in 10**-18 units ({DEBT_CONTEXT.prec} digits)") from None
+                surplus_delta += new - old
+                debts[str(cdp.id)] = new
+            if debts:
+                accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
     for chain_id, payload in accruals:
         system.apply(chain_id, "fee_accrue", payload)
 
@@ -379,7 +383,7 @@ def start_auction(system: System, cdp_id: int) -> int:
         raise AuctionError(f"CDP {cdp_id} is not open")
     if not check_liquidatable(cdp, price_of(system, cdp.token), system.params.gamma):
         raise AuctionError(f"CDP {cdp_id} is not liquidatable at the current price")
-    system.apply(chain.id, "auction_start", {"cdp": cdp_id, "slot": chain.clock})
+    system.apply(chain.id, "auction_start", {"cdp": cdp_id, "slot": system.slot})
     return cdp_id
 
 
@@ -388,7 +392,7 @@ def place_bid(system: System, cdp_id: int, bidder: int, amount: int) -> None:
     auction = chain.auctions.get(cdp_id)
     if auction is None or not auction.open:
         raise AuctionError(f"no open auction for CDP {cdp_id}")
-    if chain.clock >= _auction_deadline(auction, system.params):
+    if system.slot >= _auction_deadline(auction, system.params):
         raise AuctionError("auction expired")
     if amount <= 0:
         raise AuctionError("bid must be positive")
@@ -401,7 +405,7 @@ def place_bid(system: System, cdp_id: int, bidder: int, amount: int) -> None:
     if chain.balance(bidder) < amount:
         raise InsufficientBalanceError(f"bidder {bidder} cannot cover bid of {amount}")
     system.apply(
-        chain.id, "auction_bid", {"cdp": cdp_id, "bidder": bidder, "amount": amount, "slot": chain.clock}
+        chain.id, "auction_bid", {"cdp": cdp_id, "bidder": bidder, "amount": amount, "slot": system.slot}
     )
 
 
@@ -418,7 +422,7 @@ def settle_auction(system: System, cdp_id: int) -> dict:
     auction = chain.auctions.get(cdp_id)
     if auction is None or not auction.open:
         raise AuctionError(f"no open auction for CDP {cdp_id}")
-    if chain.clock < _auction_deadline(auction, system.params):
+    if system.slot < _auction_deadline(auction, system.params):
         raise AuctionError("auction deadline not reached")
 
     params: SystemParams = system.params

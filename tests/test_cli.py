@@ -50,6 +50,21 @@ class TestIngest:
         monkeypatch.delenv("CROCODAI_DATA", raising=False)
         assert main(["ingest"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["ingest"], ["fit"], ["replay", "--portfolio", "C-Mix2"],
+    ], ids=["ingest", "fit", "replay"])
+    def test_malformed_price_is_usage_error(self, prices, tmp_path, capsys, command):
+        lines = prices.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "abc"
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        assert main([*command, "--prices", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: row 6: malformed price 'abc'\n"
+        assert not out.exists()
+
 
 class TestFitSimulateReplay:
     def test_fit_writes_model(self, prices, tmp_path):

@@ -223,20 +223,26 @@ def _price_csv(draw) -> tuple[str, int]:
         t += 300 * draw(st.sampled_from([1, 1, 1, 2, 3, 50]))  # 3 and 50 slots are gaps
         times[len(lines)] = t
         lines.append([draw(_stamp(t))] + [draw(_PRICE_CELLS) for _ in range(k)])
-    kind = draw(st.sampled_from([None] * 4 + ["columns", "stamp", "order", *_BAD_CELLS]))
-    if kind is not None and times:
+    # up to three faults of different kinds, each on any row, so the first bad
+    # cell in reading order is found across kinds
+    faults = draw(st.sampled_from([0, 0, 1, 1, 2, 3]))
+    for kind in draw(st.permutations(["columns", "stamp", "order", *_BAD_CELLS]))[:faults]:
+        if not times:
+            break
         i = draw(st.sampled_from(sorted(times)))
         row = lines[i]
+        # a malformed stamp or price may be wrapped in spaces or quotes
+        wrap = draw(st.sampled_from(["{}", "{}", " {} ", '"{}"', ' "{}" ', '" {}"']))
         if kind == "columns":
             row.append("1") if draw(st.booleans()) else row.pop()
         elif kind == "stamp":
             stamp = datetime.fromtimestamp(times[i], timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
             at, text = draw(st.sampled_from(_BAD_STAMPS))
-            row[0] = stamp[:at] + text + stamp[at + len(text):]
+            row[0] = wrap.format(stamp[:at] + text + stamp[at + len(text):])
         elif kind == "order":
             row[0] = "2000-01-01T00:00:00Z"
-        else:
-            row[draw(st.integers(1, k))] = draw(st.sampled_from(_BAD_CELLS[kind]))
+        elif len(row) > 1:  # a row cut to its stamp has no price to spoil
+            row[draw(st.integers(1, len(row) - 1))] = wrap.format(draw(st.sampled_from(_BAD_CELLS[kind])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(["timestamp," + ",".join(f"S{i}" for i in range(k))]
                         + [line if isinstance(line, str) else ",".join(line) for line in lines])

@@ -368,6 +368,25 @@ class TestDebtContext:
         assert sys_.chains[main].cdps[cdp].debt == 0
         assert _conservation(sys_)["passed"]
 
+    def test_debt_past_the_context_is_named_and_nothing_accrues(self):
+        # the 10**52-unit debt's product needs more than 60 digits in 10**-18
+        # units; the refusal used to blame the growth factor (1 + 0.000001) ** 1
+        sys_ = System(SystemParams(bootstrap_ceiling=10**70, stability_fee=Decimal("1e-6")))
+        main = sys_.create_chain({"name": "main"})
+        eth = sys_.register_token("ETH", main)
+        sys_.set_price(eth, 1)
+        small, big = core.open_cdp(sys_, main, 1, eth), core.open_cdp(sys_, main, 2, eth)
+        core.deposit_collateral(sys_, small, units(2))
+        core.withdraw_stablecoins(sys_, small, units(1))
+        core.deposit_collateral(sys_, big, 2 * units(10**52))
+        core.withdraw_stablecoins(sys_, big, units(10**52))
+        events = len(sys_.chains[main].events)
+        with pytest.raises(ProtocolError, match=rf"^CDP {big}: debt 1e\+52 is past what DEBT_CONTEXT holds"):
+            core.accrue_stability_fee(sys_, 1)
+        cdps = sys_.chains[main].cdps
+        assert (cdps[small].debt, cdps[big].debt) == (1, 10**52)
+        assert len(sys_.chains[main].events) == events
+
 
 class TestCheckLiquidatable:
     def test_cases(self):
