@@ -156,17 +156,16 @@ class System:
         self.applied_nonces: set[int] = set()
         self.deprecated_contracts: set[str] = set()
         self.revert_log: list[dict[str, Any]] = []
-        self._next_chain = 0
-        self._next_token = 0
+        # chains, tokens and transfers are never removed, so each new id is
+        # the count so far; a fork can drop a CDP, so CDP ids keep a counter
         self._next_cdp = 0
-        self._next_transfer = 0
 
     # ------------------------------------------------------------------
     # registration
 
     def create_chain(self, config: dict[str, Any] | None = None) -> int:
         config = config or {}
-        chain_id = self._next_chain
+        chain_id = len(self.chains)
         name = config.get("name", f"chain-{chain_id}")
         if name in self._chain_names:
             raise DuplicateChainError(f"chain name already registered: {name!r}")
@@ -177,7 +176,6 @@ class System:
         chain = CoinChain(chain_id, name, balances, wards)
         self.chains[chain_id] = chain
         self._chain_names[name] = chain_id
-        self._next_chain += 1
         return chain_id
 
     def chain(self, chain_id: int) -> CoinChain:
@@ -195,10 +193,9 @@ class System:
         self.chain(chain_id)
         if symbol in self._token_symbols:
             raise ProtocolError(f"token symbol already registered: {symbol!r}")
-        token_id = self._next_token
+        token_id = len(self.tokens)
         self.tokens[token_id] = Token(token_id, symbol, chain_id, pegged)
         self._token_symbols[symbol] = token_id
-        self._next_token += 1
         return token_id
 
     def token_by_symbol(self, symbol: str) -> Token:
@@ -209,7 +206,10 @@ class System:
     def set_price(self, token_id: int, price: Fraction | int | str) -> None:
         if token_id not in self.tokens:
             raise ProtocolError(f"unknown token id {token_id}")
-        p = Fraction(price)
+        try:
+            p = Fraction(price)
+        except (ValueError, OverflowError):  # NaN, +-inf, or no number at all
+            raise ProtocolError(f"price {price!r}: not finite or not a number") from None
         if p < 0:
             raise ProtocolError("prices must be >= 0")
         self.prices[token_id] = p
@@ -218,11 +218,6 @@ class System:
         cdp_id = self._next_cdp
         self._next_cdp += 1
         return cdp_id
-
-    def new_transfer_id(self) -> int:
-        tid = self._next_transfer
-        self._next_transfer += 1
-        return tid
 
     # ------------------------------------------------------------------
     # clock

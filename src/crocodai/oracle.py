@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,9 +89,7 @@ def medianize(reports: list[float]) -> float:
 def update_vault_price(system: System, token_id: int, reports: list[float]) -> float:
     """Medianize, install and return the price the vaults will use from now on."""
     price = medianize(reports)  # raises StalePriceError when empty
-    if not math.isfinite(price):
-        raise ProtocolError(f"medianized price {price} is not finite")
-    system.prices[token_id] = Fraction(price)
+    system.set_price(token_id, price)
     return price
 
 

@@ -99,7 +99,7 @@ def request_transfer(
         raise InsufficientBalanceError(
             f"sender {sender} holds {chain.balance(sender)}, needs {amount}"
         )
-    tid = system.new_transfer_id()
+    tid = len(system.transfers)  # transfers are never removed
     transfer = CrossChainTransfer(
         tid, source_chain, target_chain, sender, target_addr, amount, request_slot=system.slot
     )
@@ -117,10 +117,7 @@ def request_transfer(
 def _node_validates(system: System, transfer: CrossChainTransfer) -> bool:
     # an honest node re-reads the source chain and votes only if the escrow
     # is actually there with the advertised amount
-    chain = system.chains.get(transfer.source)
-    if chain is None:
-        return False
-    rec = chain.escrows.get(transfer.id)
+    rec = system.chains[transfer.source].escrows.get(transfer.id)
     return rec is not None and rec.amount == transfer.amount
 
 
@@ -149,11 +146,9 @@ def relay_step(system: System) -> list[dict[str, Any]]:
             for node_id, node in roster:
                 if node.behavior == HONEST:
                     transfer.abort_votes.add(node_id)
-            refunded = False
-            source = system.chains.get(transfer.source)
-            if source is not None and tid in source.escrows:
+            refunded = tid in system.chains[transfer.source].escrows
+            if refunded:
                 system.apply(transfer.source, "escrow_refund", {"transfer": tid})
-                refunded = True
             transfer.state = ABORTED
             del system.pending_transfers[tid]
             out.append({"type": "abort", "transfer": tid, "slot": slot, "refunded": refunded})
@@ -241,9 +236,9 @@ def _validate_action(system: System, action: GovernanceAction) -> None:
     elif kind in ("add_ward", "remove_ward"):
         if "chain" in payload:
             system.chain(payload["chain"])
-    elif kind == "add_chain":
-        name = payload.get("config", {}).get("name")
-        if name is not None and name in system._chain_names:
+    elif kind == "add_chain":  # the name create_chain would give it now
+        name = payload.get("config", {}).get("name", f"chain-{len(system.chains)}")
+        if name in system._chain_names:
             raise ProtocolError(f"chain name already registered: {name!r}")
     elif kind == "deprecate_contract":
         if "contract" not in payload:
@@ -258,6 +253,12 @@ def _apply_staged_governance(system: System) -> list[dict[str, Any]]:
     out = []
     for _, action in due:
         kind, payload = action.kind, action.payload
+        try:  # an action applied since this one was staged may have made it invalid
+            _validate_action(system, action)
+        except ProtocolError as exc:
+            out.append({"type": "governance_failed", "kind": kind, "nonce": action.nonce,
+                        "error": str(exc)})
+            continue
         if kind == "set_param":
             system.params = system.params.with_param(payload["name"], payload["value"])
         elif kind in ("add_ward", "remove_ward"):
@@ -281,7 +282,7 @@ def _apply_staged_governance(system: System) -> list[dict[str, Any]]:
 class AuditReport:
     unbacked_minted: int  # committed transfers whose source burn was reverted
     unmatched_burns: list[int]  # committed transfers burned but never minted
-    stuck_escrows: list[int]  # aborted transfers that never got a refund
+    stuck_escrows: list[int]  # aborted transfers whose escrow was never refunded
     circulating: int
     ok: bool
 
@@ -290,13 +291,10 @@ def audit(system: System) -> AuditReport:
     """Cross-check every transfer against the surviving chain event logs."""
     burn_seen: set[int] = set()
     mint_seen: dict[int, int] = {}
-    refund_seen: set[int] = set()
     for chain in system.chains.values():
         for ev in chain.events:
             if ev.kind == "escrow_burn":
                 burn_seen.add(ev.payload["transfer"])
-            elif ev.kind == "escrow_refund":
-                refund_seen.add(ev.payload["transfer"])
             elif ev.kind == "mint" and ev.payload.get("by") == "relay":
                 tid = ev.payload.get("transfer")
                 if tid is not None:
@@ -311,11 +309,9 @@ def audit(system: System) -> AuditReport:
                 unbacked += mint_seen[tid]
             if tid in burn_seen and tid not in mint_seen:
                 unmatched.append(tid)
-        elif transfer.state == ABORTED:
-            source = system.chains.get(transfer.source)
-            still_escrowed = source is not None and tid in source.escrows
-            if tid not in refund_seen and still_escrowed:
-                stuck.append(tid)
+        elif transfer.state == ABORTED and tid in system.chains[transfer.source].escrows:
+            # an escrow still held was never refunded: a refund deletes it for good
+            stuck.append(tid)
     return AuditReport(
         unbacked_minted=unbacked,
         unmatched_burns=unmatched,

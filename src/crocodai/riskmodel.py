@@ -11,7 +11,8 @@ row of 5-minute slot data per line:
   number in the file, blank lines included.
 - Cells are separated by commas and read as the csv module reads them: a
   cell may be wrapped in double quotes, but a quoted cell cannot hold a line
-  break. Whitespace around a cell is dropped.
+  break. Whitespace around a cell is dropped. A cell the csv module refuses
+  as past its field limit is an error naming its row.
 - A timestamp is ISO 8601 as ``datetime.fromisoformat`` reads it; ``Z`` and
   a stamp without an offset mean UTC. Timestamps strictly increase.
 - A price is a number as ``float`` reads it, and must be positive and
@@ -115,9 +116,13 @@ def _gap_boundaries(times: np.ndarray) -> frozenset[int]:
     return frozenset(int(i) for i in idx)
 
 
-def _split_line(line: str) -> list[str]:
-    """The cells of one line, quotes read as the csv module reads them."""
-    return next(csv.reader([line]), [])
+def _split_line(line: str, where: str) -> list[str]:
+    """The cells of one line, quotes read as the csv module reads them; a
+    cell past csv.field_size_limit() is a DataError that names `where`."""
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 # the file is parsed a block of about this many characters at a time, so that
@@ -214,7 +219,7 @@ def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time:
     if odd.any():
         plain = list(lines)
         for i in np.flatnonzero(odd):
-            cells = [cell.strip() for cell in _split_line(lines[i])]
+            cells = [cell.strip() for cell in _split_line(lines[i], f"row {rows[i]}")]
             plain[i] = "," * k
             if len(cells) == k + 1:
                 patches.append((i, cells))
@@ -249,7 +254,7 @@ def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time:
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), k + 1)
         row = int(rows[r])
-        cells = _split_line(lines[row - first_row])
+        cells = _split_line(lines[row - first_row], f"row {row}")
         if len(cells) != k + 1:
             raise DataError(f"row {row}: expected {k + 1} columns, got {len(cells)}")
         if c == 0:
@@ -272,7 +277,7 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")
-        header = _split_line(first.removesuffix("\n"))
+        header = _split_line(first.removesuffix("\n"), f"{path}: header")
         if not header or header[0].strip().lower() != "timestamp":
             raise DataError(f"{path}: first header column must be 'timestamp'")
         symbols = [h.strip() for h in header[1:]]

@@ -123,33 +123,31 @@ class AttackReport:
         }
 
 
+def _verdict(kind: str, params: SystemParams, affected, backing: core.BackingReport,
+             unbacked=0, **overrides) -> AttackReport:
+    """The report on `backing` with `unbacked` more debt: zeta' of the
+    affected tokens, the bound gamma * (1 - zeta'), and the ratio held against
+    the bound and, as `full_backing` holds it, against theta. `overrides`
+    replace any of the report's fields."""
+    zeta_prime = sum((params.ceiling(m) for m in affected), Fraction(0))
+    bound = params.gamma * (1 - zeta_prime)
+    total_debt = backing.total_debt + unbacked
+    ratio = None if total_debt == 0 else backing.collateral_value / total_debt
+    fields = dict(kind=kind, affected_tokens=tuple(affected), zeta_prime=zeta_prime, bound=bound,
+                  collateral_value=backing.collateral_value, total_debt=total_debt, ratio=ratio,
+                  passed=ratio is None or ratio > bound,
+                  backing_ok=ratio is None or ratio > params.theta)
+    return AttackReport(**{**fields, **overrides})
+
+
 def token_crash_scenario(system: System, affected_tokens: list[int]) -> AttackReport:
     """Zero out the affected tokens' prices and verify the backing bound."""
     unknown = [m for m in affected_tokens if m not in system.tokens]
     if unknown:
         raise ProtocolError(f"unknown token ids {unknown}")
     _check_start_conditions(system)
-    params: SystemParams = system.params
-    zeta_prime = sum((params.ceiling(m) for m in affected_tokens), Fraction(0))
-    bound = params.gamma * (1 - zeta_prime)
-
-    crashed = dict(system.prices)
-    for m in affected_tokens:
-        crashed[m] = Fraction(0)
-    report = core.full_backing(system, crashed)
-    ratio = report.ratio
-    passed = True if ratio is None else ratio > bound
-    return AttackReport(
-        kind="token_crash",
-        affected_tokens=tuple(affected_tokens),
-        zeta_prime=zeta_prime,
-        bound=bound,
-        collateral_value=report.collateral_value,
-        total_debt=report.total_debt,
-        ratio=ratio,
-        passed=passed,
-        backing_ok=report.ok,
-    )
+    crashed = {**system.prices, **dict.fromkeys(affected_tokens, Fraction(0))}
+    return _verdict("token_crash", system.params, affected_tokens, core.full_backing(system, crashed))
 
 
 def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> AttackReport:
@@ -165,21 +163,17 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
     and once the fork reverts the attacker's collateral nothing backs the
     mint, so the report reads ratio 0 with `passed=False`.
     """
-    chain = system.chain(chain_id)
+    system.chain(chain_id)  # raises for an unknown chain
     if h_prime < 0:
         raise ProtocolError("h_prime must be >= 0")
     if len(system.chains) < 2:
         raise ProtocolError("need a second chain as the mint target")
     _check_start_conditions(system)
-    params: SystemParams = system.params
+    params: SystemParams = system.params  # the attack's relay steps apply staged governance
 
     affected = sorted(t.id for t in system.tokens.values() if t.chain == chain_id)
     if not affected:
         raise ProtocolError(f"chain {chain_id} hosts no tokens")
-    zeta_prime = sum((params.ceiling(m) for m in affected), Fraction(0))
-    bound = params.gamma * (1 - zeta_prime)
-
-    h_frac = Fraction(h_prime, SCALE)
 
     # the first priced token the protocol would let the attacker mint h' against
     totals = core.debt_totals(system)
@@ -189,12 +183,9 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
         None,
     )
     if h_prime > 0 and attack_token is None:
-        now = core.full_backing(system)
-        return AttackReport(
-            "compromised_chain", tuple(affected), zeta_prime, bound, now.collateral_value,
-            now.total_debt, now.ratio, passed=False, precondition_failed=True,
-            details={"reason": "h_prime exceeds the ceiling-consistent maximum"},
-        )
+        return _verdict("compromised_chain", params, affected, core.full_backing(system),
+                        passed=False, precondition_failed=True, backing_ok=False,
+                        details={"reason": "h_prime exceeds the ceiling-consistent maximum"})
 
     details: dict[str, Any] = {"h_prime": h_prime}
     if h_prime > 0:
@@ -225,22 +216,9 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
         details["unbacked_minted"] = monitor.unbacked_minted
         details["transfer"] = tid
 
-    after = core.full_backing(system)
-    total_debt = after.total_debt + h_frac  # unbacked coins count as liabilities
-    ratio = None if total_debt == 0 else after.collateral_value / total_debt
-    passed = True if ratio is None else ratio > bound
-    return AttackReport(
-        kind="compromised_chain",
-        affected_tokens=tuple(affected),
-        zeta_prime=zeta_prime,
-        bound=bound,
-        collateral_value=after.collateral_value,
-        total_debt=total_debt,
-        ratio=ratio,
-        passed=passed,
-        backing_ok=(total_debt == 0 or after.collateral_value / total_debt > params.theta),
-        details=details,
-    )
+    # the unbacked coins count as liabilities
+    return _verdict("compromised_chain", params, affected, core.full_backing(system),
+                    Fraction(h_prime, SCALE), details=details)
 
 
 def _fresh_account(system: System) -> int:

@@ -8,7 +8,10 @@ is its 60-digit product with the factor, rounded to 10**-18 units. Each rule
 is written once, and the attack checkers ask the functions the operations
 obey: `above_ratio` (p*c > gamma*D, strict) and `mint_headroom` (the
 bootstrap cap while total debt is 0, else D_m + h < zeta (D + h), strict).
-An unpriced token backs nothing.
+An unpriced token backs nothing. Every CDP operation but a bid or a
+settlement passes one guard, `_guard_cdp` (the CDP exists, the amount is not
+negative, the CDP is open), so a CDP under auction cannot be funded, repaid,
+minted against, emptied or closed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     ProtocolError,
     RatioViolationError,
 )
-from .ledger import FEE_SCALE, OPEN, SCALE, Cdp, CoinChain, System
+from .ledger import FEE_SCALE, OPEN, SCALE, Auction, Cdp, CoinChain, System
 
 # the context of the two growth factors (1 + rate) ** slots and of the
 # fee-accrued debt products; 60 digits hold 18 fractional digits exactly up
@@ -143,8 +146,9 @@ def _coerce_param(name: str, value):
         raise InvalidParameterError(f"parameter {name}: {exc}", name) from None
     except (ArithmeticError, TypeError, ValueError):
         raise InvalidParameterError(f"parameter {name}: not a number: {value!r}", name) from None
-    # an int field: int() alone would take true as 1 and truncate 4.9 to 4
-    if not isinstance(value, bool):
+    # an int field: int() alone would take true as 1, truncate 4.9 to 4 and
+    # read 1e30, a float past 2**53, as the nearest double's integer
+    if not isinstance(value, bool) and not (isinstance(value, float) and abs(value) > 2**53):
         with suppress(ArithmeticError, TypeError, ValueError):
             number = int(value)
             if isinstance(value, str) or number == value:
@@ -161,6 +165,18 @@ def _find_cdp(system: System, cdp_id: int) -> tuple[CoinChain, Cdp]:
         if cdp_id in chain.cdps:
             return chain, chain.cdps[cdp_id]
     raise ProtocolError(f"unknown CDP id {cdp_id}")
+
+
+def _guard_cdp(system: System, cdp_id: int, amount: int = 0, what: str = "amount",
+               error: type[ProtocolError] = ProtocolError) -> tuple[CoinChain, Cdp]:
+    """The preamble of every CDP operation: the CDP exists, `amount` is not
+    negative and the CDP is open; the last two are refused as `error`."""
+    chain, cdp = _find_cdp(system, cdp_id)
+    if amount < 0:
+        raise error(f"{what} must be >= 0")
+    if cdp.state != OPEN:
+        raise error(f"CDP {cdp_id} is not open")
+    return chain, cdp
 
 
 def _approx(x: Fraction) -> str:
@@ -230,20 +246,14 @@ def open_cdp(system: System, chain_id: int, owner: int, token_id: int) -> int:
 
 
 def deposit_collateral(system: System, cdp_id: int, amount: int) -> None:
-    chain, cdp = _find_cdp(system, cdp_id)
-    if amount < 0:
-        raise ProtocolError("deposit amount must be >= 0")
-    if cdp.state != OPEN:
-        raise ProtocolError(f"CDP {cdp_id} is not open")
+    chain, _ = _guard_cdp(system, cdp_id, amount, "deposit amount")
     if amount == 0:
         return
     system.apply(chain.id, "cdp_deposit", {"cdp": cdp_id, "amount": amount})
 
 
 def repay_debt(system: System, cdp_id: int, amount: int) -> None:
-    chain, cdp = _find_cdp(system, cdp_id)
-    if amount < 0:
-        raise ProtocolError("repay amount must be >= 0")
+    chain, cdp = _guard_cdp(system, cdp_id, amount, "repay amount")
     if chain.balance(cdp.owner) < amount:
         raise InsufficientBalanceError(f"owner {cdp.owner} cannot cover repayment of {amount}")
     if Fraction(amount, SCALE) > cdp.debt:
@@ -259,12 +269,8 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
     Accepted only if, after the action, the CDP stays strictly above the
     liquidation ratio and the mint-ceiling rule allows the mint.
     """
-    chain, cdp = _find_cdp(system, cdp_id)
+    chain, cdp = _guard_cdp(system, cdp_id, amount, "mint amount")
     params: SystemParams = system.params
-    if amount < 0:
-        raise ProtocolError("mint amount must be >= 0")
-    if cdp.state != OPEN:
-        raise ProtocolError(f"CDP {cdp_id} is not open")
     if amount == 0:
         return 0
 
@@ -285,14 +291,11 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
 
 
 def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
-    chain, cdp = _find_cdp(system, cdp_id)
-    params: SystemParams = system.params
-    if amount < 0 or amount > cdp.collateral:
-        raise ProtocolError("withdrawal amount out of range")
-    if cdp.state != OPEN:
-        raise ProtocolError(f"CDP {cdp_id} is not open")
+    chain, cdp = _guard_cdp(system, cdp_id, amount, "withdrawal amount")
+    if amount > cdp.collateral:
+        raise ProtocolError(f"withdrawal {amount} exceeds collateral {cdp.collateral}")
     if cdp.debt and not above_ratio(
-        price_of(system, cdp.token), cdp.collateral - amount, cdp.debt, params.gamma
+        price_of(system, cdp.token), cdp.collateral - amount, cdp.debt, system.params.gamma
     ):
         raise RatioViolationError("withdrawal would breach the liquidation ratio")
     if amount == 0:
@@ -305,17 +308,10 @@ def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
 
 
 def close_cdp(system: System, cdp_id: int) -> None:
-    chain, cdp = _find_cdp(system, cdp_id)
-    if cdp.state != OPEN:
-        raise ProtocolError(f"CDP {cdp_id} is not open")
+    chain, cdp = _guard_cdp(system, cdp_id)
     if cdp.debt != 0:
         raise ProtocolError(f"CDP {cdp_id} still has debt {_approx(cdp.debt)}")
-    if cdp.collateral:
-        system.apply(
-            chain.id,
-            "cdp_withdraw_collateral",
-            {"cdp": cdp_id, "amount": cdp.collateral, "to": cdp.owner},
-        )
+    withdraw_collateral(system, cdp_id, cdp.collateral)
     system.apply(chain.id, "cdp_close", {"cdp": cdp_id})
 
 
@@ -370,17 +366,21 @@ def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
 # collateral auctions (single-phase ascending)
 
 
-def _auction_deadline(auction, params: SystemParams) -> int:
-    deadline = auction.start_slot + params.auction_duration
+def _open_auction(system: System, cdp_id: int) -> tuple[CoinChain, Cdp, Auction, int]:
+    """The CDP's running auction and its deadline: the auction duration after
+    its start, or the bid duration after the last bid if that comes first."""
+    chain, cdp = _find_cdp(system, cdp_id)
+    auction = chain.auctions.get(cdp_id)
+    if auction is None or not auction.open:
+        raise AuctionError(f"no open auction for CDP {cdp_id}")
+    deadline = auction.start_slot + system.params.auction_duration
     if auction.last_bid_slot is not None:
-        deadline = min(deadline, auction.last_bid_slot + params.bid_duration)
-    return deadline
+        deadline = min(deadline, auction.last_bid_slot + system.params.bid_duration)
+    return chain, cdp, auction, deadline
 
 
 def start_auction(system: System, cdp_id: int) -> int:
-    chain, cdp = _find_cdp(system, cdp_id)
-    if cdp.state != OPEN:
-        raise AuctionError(f"CDP {cdp_id} is not open")
+    chain, cdp = _guard_cdp(system, cdp_id, error=AuctionError)
     if not check_liquidatable(cdp, price_of(system, cdp.token), system.params.gamma):
         raise AuctionError(f"CDP {cdp_id} is not liquidatable at the current price")
     system.apply(chain.id, "auction_start", {"cdp": cdp_id, "slot": system.slot})
@@ -388,11 +388,8 @@ def start_auction(system: System, cdp_id: int) -> int:
 
 
 def place_bid(system: System, cdp_id: int, bidder: int, amount: int) -> None:
-    chain, cdp = _find_cdp(system, cdp_id)
-    auction = chain.auctions.get(cdp_id)
-    if auction is None or not auction.open:
-        raise AuctionError(f"no open auction for CDP {cdp_id}")
-    if system.slot >= _auction_deadline(auction, system.params):
+    chain, _, auction, deadline = _open_auction(system, cdp_id)
+    if system.slot >= deadline:
         raise AuctionError("auction expired")
     if amount <= 0:
         raise AuctionError("bid must be positive")
@@ -418,47 +415,25 @@ def settle_auction(system: System, cdp_id: int) -> dict:
     B < D (or no bids) leaves the CDP insolvent; the follow-up debt auction
     is out of scope and only logged.
     """
-    chain, cdp = _find_cdp(system, cdp_id)
-    auction = chain.auctions.get(cdp_id)
-    if auction is None or not auction.open:
-        raise AuctionError(f"no open auction for CDP {cdp_id}")
-    if system.slot < _auction_deadline(auction, system.params):
+    chain, cdp, auction, deadline = _open_auction(system, cdp_id)
+    if system.slot < deadline:
         raise AuctionError("auction deadline not reached")
 
-    params: SystemParams = system.params
-    if auction.best_bidder is None:
-        payload = {
-            "cdp": cdp_id,
-            "winner": None,
-            "bid": 0,
-            "burned": 0,
-            "to_surplus": 0,
-            "refund": 0,
-            "collateral": 0,
-            "insolvent": True,
-        }
-        system.apply(chain.id, "auction_settle", payload)
-        return payload
-
-    bid = auction.best_bid
+    winner, bid = auction.best_bidder, auction.best_bid  # no bid: None, 0
+    burned, to_surplus, refund, insolvent = bid, 0, 0, True
     debt_ceil = math.ceil(cdp.debt * SCALE)
-    if bid >= debt_ceil:
+    if winner is not None and bid >= debt_ceil:
         burned = debt_ceil
-        excess = bid - burned
-        penalty_cap = int(cdp.debt * params.liquidation_penalty * SCALE)
-        to_surplus = min(excess, penalty_cap)
-        refund = excess - to_surplus
-        insolvent = False
-    else:
-        burned, to_surplus, refund, insolvent = bid, 0, 0, True
+        to_surplus = min(bid - burned, int(cdp.debt * system.params.liquidation_penalty * SCALE))
+        refund, insolvent = bid - burned - to_surplus, False
     payload = {
         "cdp": cdp_id,
-        "winner": auction.best_bidder,
+        "winner": winner,
         "bid": bid,
         "burned": burned,
         "to_surplus": to_surplus,
         "refund": refund,
-        "collateral": cdp.collateral,
+        "collateral": 0 if winner is None else cdp.collateral,
         "insolvent": insolvent,
     }
     system.apply(chain.id, "auction_settle", payload)

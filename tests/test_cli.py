@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -64,6 +65,24 @@ class TestIngest:
         assert main([*command, "--prices", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: row 6: malformed price 'abc'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["header", "quoted", "unquoted"])
+    def test_cell_past_the_csv_field_limit_is_usage_error(self, prices, tmp_path, capsys, cell):
+        # the csv module's "field larger than field limit" used to escape as a traceback
+        limit = csv.field_size_limit()
+        big = "1" * (limit + 1)  # unquoted, a price that float reads as inf
+        lines = prices.read_text().splitlines()
+        if cell == "header":
+            lines[0] += "," + big
+        else:
+            cells = lines[5].split(",")
+            cells[1] = f'"{big}"' if cell == "quoted" else big
+            lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--prices", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        where = f"{bad}: header" if cell == "header" else "row 6"
+        assert capsys.readouterr().err == f"error: {where}: field larger than field limit ({limit})\n"
 
 
 class TestFitSimulateReplay:

@@ -108,6 +108,20 @@ class TestVaultPriceUpdates:
             oracle.update_vault_price(system, system.eth, reports)
         assert system.prices[system.eth] == 1
 
+    def test_vault_price_needs_a_registered_token(self, system):
+        # the price used to be written straight into system.prices
+        with pytest.raises(ProtocolError, match="unknown token id 99"):
+            oracle.update_vault_price(system, 99, [1.0, 2.0, 3.0])
+        assert 99 not in system.prices
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf, "nan", "-inf"],
+                             ids=["nan", "inf", "-inf", "str-nan", "str-minus-inf"])
+    def test_set_price_refuses_non_finite(self, system, price):
+        # NaN used to escape as ValueError and +-inf as OverflowError
+        with pytest.raises(ProtocolError, match="not finite"):
+            system.set_price(system.eth, price)
+        assert system.prices[system.eth] == 1
+
 
 class TestTailExperiment:
     def test_corrupt_majority_refused(self):

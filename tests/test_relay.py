@@ -190,6 +190,32 @@ class TestGovernance:
         relay.step(two_chains)
         assert "auction-v1" in two_chains.deprecated_contracts
 
+    @pytest.mark.parametrize("first, second, error", [
+        (("add_chain", {"config": {"name": "gamma-net"}}), ("add_chain", {"config": {"name": "gamma-net"}}),
+         "chain name already registered: 'gamma-net'"),
+        (("add_chain", {"config": {"name": "chain-3"}}), ("add_chain", {"config": {}}),
+         "chain name already registered: 'chain-3'"),
+        (("set_param", {"name": "theta", "value": "1.4"}), ("set_param", {"name": "gamma", "value": "1.3"}),
+         "need gamma > theta > 1, got gamma=13/10, theta=7/5"),
+    ], ids=["same-name", "default-name", "gamma-below-theta"])
+    def test_action_made_invalid_by_an_earlier_one_is_reported(self, two_chains, first, second, error):
+        # each action is valid when staged; the second used to raise out of
+        # step, so the slot's relay round never ran
+        sys_ = two_chains
+        tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
+        for nonce, (kind, payload) in enumerate((first, second), start=1):
+            assert relay.submit_governance(sys_, GovernanceAction(kind, payload, nonce), {0, 1, 2})
+        events = relay.step(sys_)
+        assert events[:2] == [
+            {"type": "governance_applied", "kind": first[0], "nonce": 1},
+            {"type": "governance_failed", "kind": second[0], "nonce": 2, "error": error},
+        ]
+        assert events[2]["type"] == "commit" and sys_.transfers[tid].state == COMMITTED
+        if first[0] == "add_chain":
+            assert len(sys_.chains) == 3
+        else:
+            assert (sys_.params.gamma, sys_.params.theta) == (Fraction(3, 2), Fraction(7, 5))
+
 
 class TestCostModel:
     def test_threshold_design_constant_in_n(self):

@@ -13,7 +13,7 @@ from crocodai.errors import (
     ProtocolError,
     RatioViolationError,
 )
-from crocodai.ledger import CLOSED, INSOLVENT, SCALE, System
+from crocodai.ledger import CLOSED, IN_AUCTION, INSOLVENT, SCALE, System
 from crocodai.scenarios import _conservation
 from crocodai.stablecoin import SystemParams
 
@@ -49,9 +49,10 @@ class TestParams:
         with pytest.raises(InvalidParameterError, match="unknown parameter"):
             SystemParams().with_param("validate", 1)
 
-    @pytest.mark.parametrize("value", [True, 4.9, Fraction(9, 2), "4.0"])
+    @pytest.mark.parametrize("value", [True, 4.9, Fraction(9, 2), "4.0", 1e30])
     def test_int_fields_are_not_truncated(self, value):
-        # int() used to take true as 1 and truncate 4.9 to 4
+        # int() used to take true as 1, truncate 4.9 to 4 and read 1e30 as
+        # 1000000000000000019884624838656
         with pytest.raises(InvalidParameterError, match="relay_n: not an integer"):
             SystemParams(relay_n=value)
         assert SystemParams(relay_n=4.0).relay_n == 4
@@ -493,6 +494,59 @@ class TestAuction:
         core.withdraw_stablecoins(sys_, cdp, units(100))
         with pytest.raises(AuctionError):
             core.start_auction(sys_, cdp)
+
+
+def cdp_in_state(state):
+    """A CDP under auction, closed by its owner, or left insolvent by an
+    auction that drew no bid."""
+    sys_, cdp = liquidatable_setup()
+    if state == CLOSED:
+        cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+        core.close_cdp(sys_, cdp)
+    else:
+        core.start_auction(sys_, cdp)
+    if state == INSOLVENT:
+        for _ in range(13):
+            sys_.tick()
+        core.settle_auction(sys_, cdp)
+    assert sys_.chains[sys_.main].cdps[cdp].state == state
+    return sys_, cdp
+
+
+GUARDED = {
+    "deposit_collateral": lambda sys_, cdp: core.deposit_collateral(sys_, cdp, units(1)),
+    "repay_debt": lambda sys_, cdp: core.repay_debt(sys_, cdp, units(1)),
+    "withdraw_stablecoins": lambda sys_, cdp: core.withdraw_stablecoins(sys_, cdp, units(1)),
+    "withdraw_collateral": lambda sys_, cdp: core.withdraw_collateral(sys_, cdp, units(1)),
+    "close_cdp": core.close_cdp,
+    "start_auction": core.start_auction,
+}
+
+
+class TestOpenGuard:
+    @pytest.mark.parametrize("state", [IN_AUCTION, CLOSED, INSOLVENT])
+    @pytest.mark.parametrize("operation", sorted(GUARDED))
+    def test_operation_needs_an_open_cdp(self, operation, state):
+        # repay_debt used to skip the open check
+        sys_, cdp = cdp_in_state(state)
+        before = sys_.state_digest()
+        with pytest.raises(ProtocolError, match=rf"^CDP {cdp} is not open$"):
+            GUARDED[operation](sys_, cdp)
+        assert sys_.state_digest() == before
+
+    def test_debt_under_auction_cannot_be_repaid(self):
+        # a repaid CDP whose auction then drew no bid was marked insolvent
+        # with no debt, and its collateral could never be withdrawn
+        sys_ = vault_system()
+        sys_.set_price(sys_.eth, 2)
+        cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+        core.deposit_collateral(sys_, cdp, units(100))
+        core.withdraw_stablecoins(sys_, cdp, units(100))
+        sys_.set_price(sys_.eth, 1)
+        core.start_auction(sys_, cdp)
+        with pytest.raises(ProtocolError, match="is not open"):
+            core.repay_debt(sys_, cdp, units(100))
+        assert sys_.chains[sys_.main].cdps[cdp].debt == 100
 
 
 class TestAuctionConservation:
