@@ -2,8 +2,14 @@
 simulation, historical replay, portfolio optimization, protocol scenarios,
 and the corrupted-oracle tail experiment.
 
-Every output embeds the tool version and a digest of the effective
-configuration; identical flags and seed produce byte-identical files.
+Each subcommand reads its flags, normalising them in place on `args` as it
+goes (comma lists parsed, `--prices` the file actually read, `--cap` its
+effective value, the scenario file without its optional leading `run`), and
+returns its payload and exit code. `main` then writes the one output: the
+payload, the tool version, the configuration (the subcommand's name and every
+flag except `--out`, `--csv` and `--jobs`, which change where a result goes or
+how its work is split, not what it is) and the digest of that configuration;
+identical flags and seed produce byte-identical files.
 Exit codes: 0 success, 1 assertion/scenario failure, 2 usage error.
 """
 
@@ -26,6 +32,7 @@ from .oracle import tail_probability_experiment
 from .riskmodel import (
     NORMAL,
     STUDENT_T,
+    PriceSeries,
     ReturnModel,
     fit_model_from_series,
     ingest_prices,
@@ -33,42 +40,30 @@ from .riskmodel import (
 from .scenarios import PEGGED_SYMBOLS, UNIVERSES, builtin_portfolio, run_scenario_file
 
 DATA_ENV = "CROCODAI_DATA"
+# the parsed flags left out of the recorded configuration
+NOT_CONFIG = ("func", "out", "csv", "jobs")
 
 
 class CliError(Exception):
     """Usage-level problem: bad paths, bad flag combinations (exit code 2)."""
 
 
-def _config_digest(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _write_json(path: str | None, payload: dict, config: dict) -> None:
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    payload["config"] = config
-    payload["config_digest"] = _config_digest(config)
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _prices_path(args) -> Path:
-    if getattr(args, "prices", None):
+def _read_prices(args) -> dict[str, PriceSeries]:
+    """Ingest the price file, and record it as `args.prices`: `--prices`, or
+    `$CROCODAI_DATA/prices.csv` when the flag is not given."""
+    if args.prices:
         path = Path(args.prices)
         if not path.exists():
             raise CliError(f"price file not found: {path}")
-        return path
-    root = os.environ.get(DATA_ENV)
-    if root:
-        candidate = Path(root) / "prices.csv"
-        if candidate.exists():
-            return candidate
-        raise CliError(f"{DATA_ENV} is set but {candidate} does not exist")
-    raise CliError(f"no --prices given and {DATA_ENV} is not set")
+    else:
+        root = os.environ.get(DATA_ENV)
+        if not root:
+            raise CliError(f"no --prices given and {DATA_ENV} is not set")
+        path = Path(root) / "prices.csv"
+        if not path.exists():
+            raise CliError(f"{DATA_ENV} is set but {path} does not exist")
+    args.prices = str(path)
+    return ingest_prices(path)
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -80,11 +75,10 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _load_model(args) -> ReturnModel:
-    if getattr(args, "model", None):
+    args.symbols = args.symbols.split(",") if args.symbols else None
+    if args.model:
         return ReturnModel.load(args.model)
-    series = ingest_prices(_prices_path(args))
-    symbols = args.symbols.split(",") if getattr(args, "symbols", None) else None
-    return fit_model_from_series(series, symbols, min_obs=args.min_obs)
+    return fit_model_from_series(_read_prices(args), args.symbols, min_obs=args.min_obs)
 
 
 def _portfolio(args) -> Portfolio:
@@ -113,12 +107,11 @@ def _portfolio(args) -> Portfolio:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, exit code)
 
 
-def cmd_ingest(args) -> int:
-    prices = _prices_path(args)
-    series = ingest_prices(prices)
+def cmd_ingest(args) -> tuple[dict, int]:
+    series = _read_prices(args)
     summary = {
         sym: {
             "observations": len(s),
@@ -128,28 +121,19 @@ def cmd_ingest(args) -> int:
         }
         for sym, s in sorted(series.items())
     }
-    _write_json(args.out, {"symbols": summary}, {"command": "ingest", "prices": str(prices)})
-    return 0
+    return {"symbols": summary}, 0
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict, int]:
+    return {"model": _load_model(args).to_json()}, 0
+
+
+def cmd_simulate(args) -> tuple[dict, int]:
+    args.gamma_prime = _floats(args.gamma_prime, "--gamma-prime")
     model = _load_model(args)
-    config = {
-        "command": "fit",
-        "symbols": model.assets,
-        "min_obs": args.min_obs,
-    }
-    _write_json(args.out, {"model": model.to_json()}, config)
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    gammas = _floats(args.gamma_prime, "--gamma-prime")
-    model = _load_model(args)
-    portfolio = _portfolio(args)
     result = table_sweep(
-        [portfolio],
-        gammas,
+        [_portfolio(args)],
+        args.gamma_prime,
         model,
         theta=args.theta,
         horizon=args.horizon,
@@ -159,41 +143,21 @@ def cmd_simulate(args) -> int:
         zero_drift=args.zero_drift,
         jobs=args.jobs,
     )
-    config = {
-        "command": "simulate",
-        "portfolio": portfolio.name,
-        "gamma_prime": gammas,
-        "theta": args.theta,
-        "horizon": args.horizon,
-        "n": args.n,
-        "method": args.method,
-        "seed": args.seed,
-        "zero_drift": args.zero_drift,
-    }
     if args.csv:
         Path(args.csv).write_text(result.to_csv())
-    _write_json(args.out, {"results": result.as_json()}, config)
-    return 0
+    return {"results": result.as_json()}, 0
 
 
-def cmd_replay(args) -> int:
-    gammas = _floats(args.gamma_prime, "--gamma-prime")
-    series = ingest_prices(_prices_path(args))
+def cmd_replay(args) -> tuple[dict, int]:
+    args.gamma_prime = gammas = _floats(args.gamma_prime, "--gamma-prime")
+    series = _read_prices(args)
     portfolio = _portfolio(args)
     result = historical_replay(portfolio, series, gammas, args.theta, args.horizon)
     rows = {str(g): result.estimates[(g, portfolio.name)].as_json() for g in gammas}
-    config = {
-        "command": "replay",
-        "portfolio": portfolio.name,
-        "gamma_prime": gammas,
-        "theta": args.theta,
-        "horizon": args.horizon,
-    }
-    _write_json(args.out, {"results": rows}, config)
-    return 0
+    return {"results": rows}, 0
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[dict, int]:
     model = _load_model(args)
     # default caps mirror the reference choices: 0.1 for the open universe,
     # 0.2 for the curated ones
@@ -216,13 +180,6 @@ def cmd_optimize(args) -> int:
     problem = QpProblem(cov=cov, caps=caps, assets=tuple(symbols))
     solution = min_variance(problem)
     ceilings = debt_ceilings_from(solution.weights, args.beta)
-    config = {
-        "command": "optimize",
-        "universe": args.universe or "all",
-        "cap": args.cap,
-        "beta": args.beta,
-        "symbols": symbols,
-    }
     payload = {
         "weights": {s: float(w) for s, w in zip(symbols, solution.weights)},
         "objective": solution.objective,
@@ -230,29 +187,29 @@ def cmd_optimize(args) -> int:
         "iterations": solution.iterations,
         "debt_ceilings": {s: float(z) for s, z in zip(symbols, ceilings)},
     }
-    _write_json(args.out, payload, config)
-    return 0
+    return payload, 0
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args) -> tuple[dict, int]:
     tokens = list(args.file)
     if tokens and tokens[0] == "run":  # `scenario run file.json` form
         tokens = tokens[1:]
     if len(tokens) != 1:
         raise CliError("usage: crocodai scenario [run] <file.json>")
     path = Path(tokens[0])
+    args.file = str(path)
     if not path.exists():
         raise CliError(f"scenario file not found: {path}")
     report = run_scenario_file(path)
-    _write_json(args.out, {"report": report}, {"command": "scenario", "file": str(path)})
-    return 0 if report["passed"] else 1
+    return {"report": report}, 0 if report["passed"] else 1
 
 
-def cmd_oracle_tail(args) -> int:
+def cmd_oracle_tail(args) -> tuple[dict, int]:
+    args.c = _floats(args.c, "--c")
     rng = np.random.default_rng(args.seed)
     rows = []
     ok = True
-    for c in _floats(args.c, "--c"):
+    for c in args.c:
         est = tail_probability_experiment(
             args.feeds, args.corrupt, args.sigma, c, args.trials, rng
         )
@@ -265,17 +222,7 @@ def cmd_oracle_tail(args) -> int:
             }
         )
         ok &= est.within_bound
-    config = {
-        "command": "oracle-tail",
-        "feeds": args.feeds,
-        "corrupt": args.corrupt,
-        "sigma": args.sigma,
-        "c": args.c,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _write_json(args.out, {"results": rows, "within_bound": ok}, config)
-    return 0 if ok else 1
+    return {"results": rows, "within_bound": ok}, 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -360,13 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except (CliError, CrocodaiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    payload.update(tool_version=__version__, config=config,
+                   config_digest=hashlib.sha256(blob.encode()).hexdigest()[:16])
+    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -134,10 +134,11 @@ class System:
     """Container for all chains, tokens, prices and the shared slot clock.
 
     Single-threaded deterministic state machine; snapshots (digests) are
-    plain values safe to compare across runs.
+    plain values safe to compare across runs. `params` is the protocol's
+    `stablecoin.SystemParams`.
     """
 
-    def __init__(self, params=None):
+    def __init__(self, params):
         self.params = params
         self.chains: dict[int, CoinChain] = {}
         self._chain_names: dict[str, int] = {}

@@ -11,8 +11,10 @@ row of 5-minute slot data per line:
   number in the file, blank lines included.
 - Cells are separated by commas and read as the csv module reads them: a
   cell may be wrapped in double quotes, but a quoted cell cannot hold a line
-  break. Whitespace around a cell is dropped. A cell the csv module refuses
-  as past its field limit is an error naming its row.
+  break. Whitespace around a cell is dropped. A cell of more than
+  `MAX_CELL_CHARS` (131,072) characters, quoted or not and header included,
+  is an error naming its row, whatever the csv module's process-wide
+  `field_size_limit`, which ingestion leaves as it found it.
 - A timestamp is ISO 8601 as ``datetime.fromisoformat`` reads it; ``Z`` and
   a stamp without an offset mean UTC. Timestamps strictly increase.
 - A price is a number as ``float`` reads it, and must be positive and
@@ -32,6 +34,12 @@ or ``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
 ``fromisoformat`` one at a time. Every rule is checked on the whole block
 at once, and the error names the first bad cell in reading order; only that
 cell's line is split again, to quote the cell in the message.
+
+A model file (`ReturnModel.save`, or the CLI's `fit` output, which wraps
+it as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``, ``nu`` and
+``n_obs``. ``cov`` must be symmetric positive semi-definite: its Cholesky
+factor, which the sampler colours with, is derived from it on load, and a
+stored ``chol`` is ignored.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
 with an analytic gradient (`fit_nu`), about ten passes over the data per
@@ -60,6 +68,7 @@ from .ledger import SLOT_SECONDS
 NU_MIN = 2.1
 NU_MAX = 200.0
 MAX_GAP_SLOTS = 2
+MAX_CELL_CHARS = 131_072  # the longest price-CSV cell, quoted or not, header included
 CHOLESKY_JITTERS = (1e-12, 1e-10, 1e-8)
 
 
@@ -118,11 +127,15 @@ def _gap_boundaries(times: np.ndarray) -> frozenset[int]:
 
 def _split_line(line: str, where: str) -> list[str]:
     """The cells of one line, quotes read as the csv module reads them; a
-    cell past csv.field_size_limit() is a DataError that names `where`."""
+    cell longer than MAX_CELL_CHARS is a DataError that names `where`. The
+    csv module's process-wide field limit is set for the read and put back."""
+    ambient = csv.field_size_limit(MAX_CELL_CHARS)
     try:
         return next(csv.reader([line]), [])
     except csv.Error as exc:
         raise DataError(f"{where}: {exc}") from None
+    finally:
+        csv.field_size_limit(ambient)
 
 
 # the file is parsed a block of about this many characters at a time, so that
@@ -206,11 +219,13 @@ def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time:
     n = len(lines)
     rows = np.arange(first_row, first_row + n)
     joined = ",".join(lines)
-    # a plain line has k commas and no quote or whitespace, so its cells are
-    # the pieces between commas; any other line is split on its own and its
-    # cells stripped, and a blank one, or one with the wrong number of cells,
-    # becomes k + 1 empty cells
+    # a plain line has k commas, no quote or whitespace, and no more
+    # characters than a cell may hold, so its cells are the pieces between
+    # commas; any other line is split on its own and its cells stripped, and
+    # a blank one, or one with the wrong number of cells, becomes k + 1 empty
+    # cells
     odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != k
+    odd |= np.fromiter(map(len, lines), np.int64, n) > MAX_CELL_CHARS
     for char in _NOT_PLAIN:
         if char in joined:
             odd |= np.fromiter(map(operator.contains, lines, repeat(char)), bool, n)
@@ -219,8 +234,12 @@ def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time:
     if odd.any():
         plain = list(lines)
         for i in np.flatnonzero(odd):
-            cells = [cell.strip() for cell in _split_line(lines[i], f"row {rows[i]}")]
             plain[i] = "," * k
+            try:
+                cells = [cell.strip() for cell in _split_line(lines[i], f"row {rows[i]}")]
+            except DataError:  # a cell too long, named if no earlier cell is bad
+                misshapen[i] = True
+                continue
             if len(cells) == k + 1:
                 patches.append((i, cells))
             else:
@@ -350,15 +369,20 @@ def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence
 
 @dataclass
 class ReturnModel:
-    """Per-slot drift, covariance of log returns, its Cholesky factor, and
-    per-asset Student-t degrees of freedom."""
+    """Per-slot drift, covariance of log returns, per-asset Student-t degrees
+    of freedom, and the Cholesky factor of the covariance, which is derived
+    from `cov` at construction and never given, so the sampler and the
+    optimizer read one covariance."""
 
     assets: list[str]
     mu: np.ndarray  # per-slot drift
     cov: np.ndarray
-    chol: np.ndarray
     nu: np.ndarray
     n_obs: int
+    chol: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.chol = cholesky(self.cov)
 
     def index_of(self, symbols: Iterable[str]) -> np.ndarray:
         pos = {a: i for i, a in enumerate(self.assets)}
@@ -372,24 +396,26 @@ class ReturnModel:
             "assets": self.assets,
             "mu": self.mu.tolist(),
             "cov": self.cov.tolist(),
-            "chol": self.chol.tolist(),
             "nu": self.nu.tolist(),
             "n_obs": self.n_obs,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ReturnModel":
-        """Read a `to_json` document. `assets` must name each asset once,
-        `mu` and `nu` must have one entry per asset, `cov` and `chol` one
-        row and column per asset, every entry must be finite, and `chol`
-        must be lower-triangular, as the sampler's colouring reads only its
-        lower triangle; else ModelError names the field."""
-        assets = list(doc["assets"])
+        """Read a `to_json` document. `assets` must be a list of strings
+        that names each asset once, `mu` and `nu` must have one entry per
+        asset, `cov` one row and column per asset, every entry must be
+        finite, and `cov` must be symmetric positive semi-definite
+        (`cholesky`); a stored `chol` is ignored. Else ModelError names the
+        field."""
+        assets = doc["assets"]
+        if not isinstance(assets, list) or not all(isinstance(a, str) for a in assets):
+            raise ModelError("field 'assets' must be a list of asset names")
         m = len(assets)
         if len(set(assets)) != m:
             raise ModelError("field 'assets' must name each asset once")
         fields = {}
-        for name, shape in (("mu", (m,)), ("cov", (m, m)), ("chol", (m, m)), ("nu", (m,))):
+        for name, shape in (("mu", (m,)), ("cov", (m, m)), ("nu", (m,))):
             value = np.asarray(doc[name], dtype=float)
             if value.shape != shape:
                 want = (f"have {m} entries, one per asset" if len(shape) == 1
@@ -398,9 +424,6 @@ class ReturnModel:
             if not np.all(np.isfinite(value)):
                 raise ModelError(f"field {name!r} must be finite")
             fields[name] = value
-        if np.any(np.triu(fields["chol"], 1)):
-            raise ModelError("field 'chol' must be lower-triangular, "
-                             "got a nonzero entry above the diagonal")
         return cls(assets=assets, n_obs=int(doc["n_obs"]), **fields)
 
     def save(self, path: str | Path) -> None:
@@ -419,7 +442,7 @@ class ReturnModel:
             raise ModelError(f"model file {path}: not valid JSON: {exc}") from None
         except KeyError as exc:
             raise ModelError(f"model file {path}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"model file {path}: malformed: {exc}") from None
         except ModelError as exc:
             raise ModelError(f"model file {path}: {exc}") from None
@@ -516,9 +539,8 @@ def estimate_model(returns_by_asset: Mapping[str, np.ndarray], min_obs: int = 10
             raise ModelError(f"zero-variance asset {a}")
     cov = np.cov(matrix, ddof=1)
     cov = np.atleast_2d(cov)
-    chol = cholesky(cov)
     nu = np.array([fit_nu((row - m) / s) for row, m, s in zip(matrix, mu, stds)])
-    return ReturnModel(assets=assets, mu=mu, cov=cov, chol=chol, nu=nu, n_obs=n)
+    return ReturnModel(assets=assets, mu=mu, cov=cov, nu=nu, n_obs=n)
 
 
 def fit_model_from_series(series_map: Mapping[str, PriceSeries],

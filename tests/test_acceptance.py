@@ -288,7 +288,6 @@ def _five_asset_model(nu):
         assets=list("ABCDE"),
         mu=np.zeros(5),
         cov=cov,
-        chol=cholesky(cov),
         nu=np.asarray(nu, dtype=float),
         n_obs=1000,
     )
@@ -366,7 +365,7 @@ def test_criterion_5_optimizer():
 
 def test_criterion_6_monte_carlo():
     zero = ReturnModel(
-        assets=["X"], mu=np.zeros(1), cov=np.zeros((1, 1)), chol=np.zeros((1, 1)),
+        assets=["X"], mu=np.zeros(1), cov=np.zeros((1, 1)),
         nu=np.array([5.0]), n_obs=100,
     )
     solo = Portfolio("solo", ("X",), np.array([1.0]))
@@ -376,7 +375,7 @@ def test_criterion_6_monte_carlo():
     sigma, nu = 0.08, 5.0
     toy = ReturnModel(
         assets=["X"], mu=np.zeros(1), cov=np.array([[sigma**2]]),
-        chol=np.array([[sigma]]), nu=np.array([nu]), n_obs=100,
+        nu=np.array([nu]), n_obs=100,
     )
     q = np.log(1.1 / 1.2)
     within = {}
@@ -390,7 +389,7 @@ def test_criterion_6_monte_carlo():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) * 0.02
     model = ReturnModel(
-        assets=["A", "B", "C"], mu=np.zeros(3), cov=a @ a.T, chol=cholesky(a @ a.T),
+        assets=["A", "B", "C"], mu=np.zeros(3), cov=a @ a.T,
         nu=np.array([4.0, 5.0, 6.0]), n_obs=100,
     )
     eq = Portfolio("eq", ("A", "B", "C"), np.ones(3) / 3)

@@ -1,14 +1,20 @@
+import copy
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_price_csv
 from crocodai import cli
 from crocodai.cli import main
 from crocodai.ledger import SCALE
+from crocodai.riskmodel import MAX_CELL_CHARS
 
 
 @pytest.fixture
@@ -69,7 +75,7 @@ class TestIngest:
     @pytest.mark.parametrize("cell", ["header", "quoted", "unquoted"])
     def test_cell_past_the_csv_field_limit_is_usage_error(self, prices, tmp_path, capsys, cell):
         # the csv module's "field larger than field limit" used to escape as a traceback
-        limit = csv.field_size_limit()
+        limit = MAX_CELL_CHARS
         big = "1" * (limit + 1)  # unquoted, a price that float reads as inf
         lines = prices.read_text().splitlines()
         if cell == "header":
@@ -83,6 +89,44 @@ class TestIngest:
         assert main(["ingest", "--prices", str(bad), "--out", str(tmp_path / "out.json")]) == 2
         where = f"{bad}: header" if cell == "header" else "row 6"
         assert capsys.readouterr().err == f"error: {where}: field larger than field limit ({limit})\n"
+
+    @pytest.mark.parametrize("ambient", [None, 10**9], ids=["default-limit", "raised-limit"])
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "unquoted"])
+    def test_one_cell_length_rule(self, prices, tmp_path, capsys, quoted, ambient):
+        # an unquoted long cell used to read as its number, and a quoted one
+        # to read or not as the process-wide csv.field_size_limit allowed
+        cell = "0" * 140_000 + "2.5"
+        lines = prices.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = f'"{cell}"' if quoted else cell
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        before = csv.field_size_limit()
+        try:
+            if ambient is not None:
+                csv.field_size_limit(ambient)
+            expected = csv.field_size_limit()
+            assert main(["ingest", "--prices", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+            assert csv.field_size_limit() == expected
+        finally:
+            csv.field_size_limit(before)
+        assert capsys.readouterr().err == "error: row 6: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "unquoted"])
+    def test_long_cell_after_a_bad_cell(self, prices, tmp_path, capsys, quoted):
+        # a quoted long cell used to be refused before the bad cells above it were read
+        lines = prices.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "abc"
+        lines[2] = ",".join(cells)
+        cells = lines[5].split(",")
+        cells[1] = '"' + "1" * 140_000 + '"' if quoted else "1" * 140_000
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--prices", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == "error: row 3: malformed price 'abc'\n"
 
 
 class TestFitSimulateReplay:
@@ -193,8 +237,6 @@ class TestFitSimulateReplay:
         assert str(model) in err and "missing field 'mu'" in err
 
     @pytest.mark.parametrize("field, edit, needle", [
-        ("chol", lambda v: [row[:2] for row in v], "'chol' must be 3x3"),
-        ("chol", lambda v: v[:2], "'chol' must be 3x3"),
         ("cov", lambda v: [row + [0.0] for row in v], "'cov' must be 3x3"),
         ("mu", lambda v: v + [0.0], "'mu' must have 3 entries"),
         ("nu", lambda v: v[:2], "'nu' must have 3 entries"),
@@ -202,14 +244,17 @@ class TestFitSimulateReplay:
         ("mu", lambda v: [float("inf")] + v[1:], "'mu' must be finite"),
         ("cov", lambda v: [[float("nan")] + v[0][1:]] + v[1:], "'cov' must be finite"),
         ("nu", lambda v: [float("nan")] + v[1:], "'nu' must be finite"),
-        ("chol", lambda v: [v[0][:2] + [1e-3]] + v[1:], "'chol' must be lower-triangular"),
         ("assets", lambda v: [v[0], v[0], v[2]], "'assets' must name each asset once"),
-    ], ids=["chol-3x2", "chol-2x3", "cov-3x4", "mu-long", "nu-short", "nu-scalar", "mu-inf",
-            "cov-nan", "nu-nan", "chol-upper", "assets-repeated"])
+        ("cov", lambda v: [v[0][:2] + [1e-3]] + v[1:], "covariance must be symmetric"),
+        ("cov", lambda v: [[-x for x in row] for row in v], "not positive semi-definite"),
+        ("assets", lambda v: [v[0], 1.5, v[2]], "'assets' must be a list of asset names"),
+        ("n_obs", lambda v: float("inf"), "malformed"),
+    ], ids=["cov-3x4", "mu-long", "nu-short", "nu-scalar", "mu-inf", "cov-nan", "nu-nan",
+            "assets-repeated", "cov-asymmetric", "cov-not-psd", "assets-not-names", "n_obs-inf"])
     def test_exit_two_on_bad_model_field(self, prices, tmp_path, capsys, field, edit, needle):
-        # a chol of the wrong shape or a short nu used to end in a traceback,
-        # exit 1; an entry above chol's diagonal was silently used, and a
-        # repeated asset name silently mapped to its last row
+        # a short nu, a number among the asset names (in optimize) or an
+        # infinite n_obs used to end in a traceback, exit 1, and a repeated
+        # asset name silently mapped to its last row
         model = tmp_path / "model.json"
         assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
         doc = read(model)
@@ -221,6 +266,27 @@ class TestFitSimulateReplay:
                      "--n", "100", "--horizon", "4"]) == 2
         err = capsys.readouterr().err
         assert str(model) in err and needle in err
+
+    def test_stored_chol_is_ignored(self, prices, tmp_path):
+        # simulate used to colour its draws with a stored chol while optimize
+        # read cov, so a chol that was not cov's factor gave two covariances
+        model = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
+        doc = read(model)
+        doubled = tmp_path / "doubled.json"
+        doc["model"]["chol"] = (2 * np.linalg.cholesky(np.array(doc["model"]["cov"]))).tolist()
+        doubled.write_text(json.dumps(doc))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        results = []
+        for path in (model, doubled):
+            out = tmp_path / "sim.json"
+            assert main(["simulate", "--model", str(path), "--portfolio", str(weights),
+                         "--gamma-prime", "1.2", "--n", "2000", "--horizon", "24",
+                         "--method", "normal", "--out", str(out)]) == 0
+            results.append(read(out)["results"])
+        assert [cell["failures"] > 0 for cell in results[0]["cells"].values()] == [True]
+        assert results[0] == results[1]
 
     def test_builtin_portfolio_requires_model_assets(self, prices, tmp_path):
         # C-Mix2 references assets the tiny fixture does not carry
@@ -236,6 +302,149 @@ class TestFitSimulateReplay:
                 "--gamma-prime", "1.2", "--n", "100", "--horizon", "4"]
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
+
+
+class TestConfig:
+    """An output records its subcommand and every flag but --out, --csv and
+    --jobs, so two outputs share a digest only when their flags agree."""
+
+    def test_fit_flags_are_recorded_by_simulate(self, prices, tmp_path):
+        # --symbols and --min-obs change the fitted model, and simulate used
+        # to record neither: three different results had one digest
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        digests = set()
+        for flags in ([], ["--symbols", "BTC,ETH"], ["--min-obs", "50"]):
+            out = tmp_path / "sim.json"
+            assert main(["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                         "--gamma-prime", "1.2", "--n", "100", "--horizon", "4", *flags,
+                         "--out", str(out)]) == 0
+            digests.add(read(out)["config_digest"])
+        assert len(digests) == 3
+
+    def test_price_file_is_recorded_by_replay(self, prices, tmp_path):
+        other = write_price_csv(tmp_path / "other.csv", ["BTC", "ETH", "TRX"], slots=300, seed=2)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        digests = set()
+        for path in (prices, other):
+            out = tmp_path / "replay.json"
+            assert main(["replay", "--prices", str(path), "--portfolio", str(weights),
+                         "--gamma-prime", "1.2", "--horizon", "4", "--out", str(out)]) == 0
+            digests.add(read(out)["config_digest"])
+        assert len(digests) == 2
+
+    def test_default_price_file_is_recorded(self, prices, tmp_path, monkeypatch):
+        monkeypatch.setenv("CROCODAI_DATA", str(prices.parent))
+        out = tmp_path / "s.json"
+        assert main(["ingest", "--out", str(out)]) == 0
+        assert read(out)["config"] == {"command": "ingest", "prices": str(prices)}
+
+    def test_parsed_flags_are_recorded(self, tmp_path):
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--c", "2,3", "--trials", "10000", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert read(out)["config"] == {"command": "oracle-tail", "feeds": 5, "corrupt": 2,
+                                       "sigma": 1.0, "c": [2.0, 3.0], "trials": 10000,
+                                       "seed": 1}
+
+    def test_where_and_how_leave_the_output_alone(self, prices, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 0.5, "ETH": 0.5}}))
+        argv = ["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                "--gamma-prime", "1.2,1.3", "--n", "2100", "--horizon", "8"]
+        assert main(argv) == 0
+        texts = [capsys.readouterr().out]
+        out = tmp_path / "sim.json"
+        assert main([*argv, "--jobs", "2", "--csv", str(tmp_path / "sim.csv"),
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+    def test_run_token_leaves_the_output_alone(self, tmp_path):
+        f = tmp_path / "ok.json"
+        f.write_text("{}")
+        texts = []
+        for argv in (["scenario", str(f)], ["scenario", "run", str(f)]):
+            out = tmp_path / "report.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["config"] == {"command": "scenario", "file": str(f)}
+
+
+# values that no model field holds: scalars, non-finite and huge numbers,
+# short lists and objects
+_ODD = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 10**400, "1.5", "nan"]),
+    st.lists(st.floats(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# numbers no float holds: non-finite, or an integer past float range
+_NOT_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+_MODEL_FIELDS = ["assets", "mu", "cov", "nu", "n_obs", "chol"]
+
+
+def _mutate_model(doc, draw):
+    """The enveloped fit output `doc` with one to three fields dropped,
+    retyped, resized or given a non-finite entry, then possibly unwrapped to
+    the bare model or replaced by a document that is not an object."""
+    doc = copy.deepcopy(doc)
+    model = doc["model"]
+    model["chol"] = np.linalg.cholesky(np.array(model["cov"])).tolist()  # as older fit outputs hold
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(_MODEL_FIELDS))
+        if name not in model:
+            continue
+        edit = draw(st.sampled_from(["drop", "retype", "resize", "non-finite"]))
+        value = model[name]
+        if edit == "drop":
+            del model[name]
+        elif edit == "non-finite" and not isinstance(value, list):
+            model[name] = draw(_NOT_FLOAT)
+        elif edit == "retype" or not isinstance(value, list) or not value:
+            model[name] = draw(_ODD)
+        else:
+            # a whole field, or one row of a matrix
+            if isinstance(value[0], list) and draw(st.booleans()):
+                value = value[draw(st.integers(0, len(value) - 1))]
+            i = draw(st.integers(0, len(value) - 1))
+            if edit == "non-finite":
+                value[i] = draw(_NOT_FLOAT)
+            elif draw(st.booleans()):
+                del value[i]
+            else:
+                value.append(copy.deepcopy(value[i]))
+    if draw(st.booleans()):
+        doc = model
+    return draw(st.just(doc) | _ODD)
+
+
+class TestModelFileFuzz:
+    """Every model file makes simulate and optimize exit 0 or 2, never raise."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("model-fuzz")
+        prices = write_price_csv(folder / "prices.csv", ["BTC", "ETH", "TRX"], slots=300, seed=1)
+        fit = folder / "fit.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(fit)]) == 0
+        weights = folder / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 0.5, "ETH": 0.5}}))
+
+        def run(mutate) -> list[int]:
+            model = folder / "model.json"
+            model.write_text(json.dumps(mutate(read(fit))))
+            out = str(folder / "out.json")
+            return [main(["simulate", "--model", str(model), "--portfolio", str(weights),
+                          "--gamma-prime", "1.2", "--n", "64", "--horizon", "4", "--out", out]),
+                    main(["optimize", "--model", str(model), "--cap", "0.6", "--out", out])]
+        return run
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_fit_output(self, run, data):
+        assert set(run(lambda doc: _mutate_model(doc, data.draw))) <= {0, 2}
 
 
 class TestCommaListFlags:

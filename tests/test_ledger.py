@@ -20,6 +20,13 @@ def fresh():
     return System(SystemParams())
 
 
+def test_system_requires_params():
+    # System() used to default params to None, and withdraw_stablecoins then
+    # raised AttributeError
+    with pytest.raises(TypeError):
+        System()
+
+
 class TestCreateChain:
     def test_empty_config(self):
         sys_ = fresh()

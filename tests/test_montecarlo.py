@@ -17,7 +17,6 @@ from crocodai.riskmodel import (
     STUDENT_T,
     PriceSeries,
     ReturnModel,
-    cholesky,
     sample_returns,
 )
 
@@ -29,7 +28,6 @@ def toy_model(cov, nu=5.0, mu=None, names=None):
         assets=names or [f"A{i}" for i in range(m)],
         mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=float),
         cov=cov,
-        chol=cholesky(cov),
         nu=np.full(m, float(nu)),
         n_obs=1000,
     )

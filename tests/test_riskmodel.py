@@ -485,7 +485,6 @@ def toy_model(cov, nu=5.0, mu=None):
         assets=[f"A{i}" for i in range(m)],
         mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=float),
         cov=cov,
-        chol=cholesky(cov),
         nu=np.full(m, float(nu)),
         n_obs=1000,
     )
