@@ -8,9 +8,12 @@ effective value, the scenario file without its optional leading `run`), and
 returns its payload and exit code. `main` then writes the one output: the
 payload, the tool version, the configuration (the subcommand's name and every
 flag except `--out`, `--csv` and `--jobs`, which change where a result goes or
-how its work is split, not what it is) and the digest of that configuration;
-identical flags and seed produce byte-identical files.
-Exit codes: 0 success, 1 assertion/scenario failure, 2 usage error.
+how its work is split, not what it is), the SHA-256 of every input file read
+(`input_sha256`) and the digest of that configuration and those hashes;
+identical flags, input files and seed produce byte-identical files.
+Exit codes: 0 success, 1 assertion/scenario failure, 2 usage error, which
+includes an input file that is missing or not a file, and an output that
+cannot be written (its directory is checked before the work starts).
 """
 
 from __future__ import annotations
@@ -40,28 +43,61 @@ from .riskmodel import (
 from .scenarios import PEGGED_SYMBOLS, UNIVERSES, builtin_portfolio, run_scenario_file
 
 DATA_ENV = "CROCODAI_DATA"
-# the parsed flags left out of the recorded configuration
-NOT_CONFIG = ("func", "out", "csv", "jobs")
+# the attributes of the parsed flags left out of the recorded configuration
+NOT_CONFIG = ("func", "out", "csv", "jobs", "input_sha256")
 
 
 class CliError(Exception):
     """Usage-level problem: bad paths, bad flag combinations (exit code 2)."""
 
 
+def _input_file(args, dest: str, path, label: str) -> Path:
+    """`path`, given as `label`, once it is known to be a regular file. Its
+    SHA-256 is recorded as `args.input_sha256[dest]`, read in chunks, so a
+    large file is never held whole."""
+    path = Path(path)
+    if not path.exists():
+        raise CliError(f"{label} {path}: not found")
+    if path.is_dir():
+        raise CliError(f"{label} {path}: Is a directory")
+    if not path.is_file():
+        raise CliError(f"{label} {path}: not a regular file")
+    try:
+        with path.open("rb") as f:
+            args.input_sha256[dest] = hashlib.file_digest(f, "sha256").hexdigest()
+    except OSError as exc:
+        raise CliError(f"{label} {path}: {exc.strerror}") from None
+    return path
+
+
+def _write(path: str, text: str, flag: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"{flag} {path}: cannot write: {exc.strerror}") from None
+
+
+def _check_outputs(args) -> None:
+    """Refuse an --out or --csv that cannot name a file before any work."""
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        if Path(path).is_dir():
+            raise CliError(f"--{flag} {path}: Is a directory")
+        if not Path(path).parent.is_dir():
+            raise CliError(f"--{flag} {path}: directory {Path(path).parent} not found")
+
+
 def _read_prices(args) -> dict[str, PriceSeries]:
     """Ingest the price file, and record it as `args.prices`: `--prices`, or
     `$CROCODAI_DATA/prices.csv` when the flag is not given."""
-    if args.prices:
-        path = Path(args.prices)
-        if not path.exists():
-            raise CliError(f"price file not found: {path}")
-    else:
+    if not args.prices:
         root = os.environ.get(DATA_ENV)
         if not root:
             raise CliError(f"no --prices given and {DATA_ENV} is not set")
-        path = Path(root) / "prices.csv"
-        if not path.exists():
-            raise CliError(f"{DATA_ENV} is set but {path} does not exist")
+        args.prices = Path(root) / "prices.csv"
+    path = _input_file(args, "prices", args.prices, "--prices")
     args.prices = str(path)
     return ingest_prices(path)
 
@@ -77,16 +113,14 @@ def _floats(text: str, flag: str) -> list[float]:
 def _load_model(args) -> ReturnModel:
     args.symbols = args.symbols.split(",") if args.symbols else None
     if args.model:
-        return ReturnModel.load(args.model)
+        return ReturnModel.load(_input_file(args, "model", args.model, "--model"))
     return fit_model_from_series(_read_prices(args), args.symbols, min_obs=args.min_obs)
 
 
 def _portfolio(args) -> Portfolio:
     spec = args.portfolio
     if spec.endswith(".json"):
-        path = Path(spec)
-        if not path.exists():
-            raise CliError(f"portfolio file not found: {path}")
+        path = _input_file(args, "portfolio", spec, "--portfolio")
         try:
             doc = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -144,7 +178,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         jobs=args.jobs,
     )
     if args.csv:
-        Path(args.csv).write_text(result.to_csv())
+        _write(args.csv, result.to_csv(), "--csv")
     return {"results": result.as_json()}, 0
 
 
@@ -196,10 +230,8 @@ def cmd_scenario(args) -> tuple[dict, int]:
         tokens = tokens[1:]
     if len(tokens) != 1:
         raise CliError("usage: crocodai scenario [run] <file.json>")
-    path = Path(tokens[0])
+    path = _input_file(args, "file", tokens[0], "scenario file")
     args.file = str(path)
-    if not path.exists():
-        raise CliError(f"scenario file not found: {path}")
     report = run_scenario_file(path)
     return {"report": report}, 0 if report["passed"] else 1
 
@@ -308,20 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.input_sha256 = {}
     try:
+        _check_outputs(args)
         payload, code = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+        identity = {"config": config, "input_sha256": args.input_sha256}
+        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+        payload.update(tool_version=__version__, **identity,
+                       config_digest=hashlib.sha256(blob.encode()).hexdigest()[:16])
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        if args.out:
+            _write(args.out, text, "--out")
+        else:
+            sys.stdout.write(text)
     except (CliError, CrocodaiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    payload.update(tool_version=__version__, config=config,
-                   config_digest=hashlib.sha256(blob.encode()).hexdigest()[:16])
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import re
@@ -371,6 +372,122 @@ class TestConfig:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["config"] == {"command": "scenario", "file": str(f)}
+
+    def test_two_price_files_at_one_path_have_two_digests(self, tmp_path):
+        # the config records the path, so two different files copied to one
+        # path used to share a config_digest
+        sources = [write_price_csv(tmp_path / f"src{seed}.csv", ["BTC", "ETH", "TRX"],
+                                   slots=300, seed=seed) for seed in (1, 2)]
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        path, docs = tmp_path / "p.csv", []
+        for source in sources:
+            path.write_bytes(source.read_bytes())
+            out = tmp_path / "replay.json"
+            assert main(["replay", "--prices", str(path), "--portfolio", str(weights),
+                         "--gamma-prime", "1.2", "--horizon", "4", "--out", str(out)]) == 0
+            docs.append(read(out))
+        assert docs[0]["config"] == docs[1]["config"]
+        assert docs[0]["config_digest"] != docs[1]["config_digest"]
+        assert [d["input_sha256"]["prices"] for d in docs] == [
+            hashlib.sha256(s.read_bytes()).hexdigest() for s in sources]
+        assert docs[0]["input_sha256"]["portfolio"] == hashlib.sha256(
+            weights.read_bytes()).hexdigest()
+
+    def test_every_input_file_is_identified(self, prices, tmp_path):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
+        scenario = tmp_path / "ok.json"
+        scenario.write_text("{}")
+        runs = {
+            "prices": (prices, ["ingest", "--prices", str(prices)]),
+            "model": (model, ["optimize", "--model", str(model), "--cap", "0.6"]),
+            "file": (scenario, ["scenario", str(scenario)]),
+        }
+        for key, (path, argv) in runs.items():
+            first = read_run(argv, tmp_path)
+            assert first["input_sha256"] == {key: hashlib.sha256(path.read_bytes()).hexdigest()}
+            # the same file, changed by one byte, gives another digest
+            path.write_bytes(path.read_bytes() + b"\n")
+            assert read_run(argv, tmp_path)["config_digest"] != first["config_digest"]
+        assert read_run(["oracle-tail", "--trials", "10000"], tmp_path)["input_sha256"] == {}
+
+
+def read_run(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return read(out)
+
+
+class TestPaths:
+    """A path that cannot be read or written is a usage error, exit 2, found
+    before the work starts where it can be."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_missing_output_directory_exits_two_before_the_work(self, prices, tmp_path,
+                                                                capsys, monkeypatch, flag):
+        # an --out into a missing directory used to end in a FileNotFoundError
+        # traceback after the whole computation
+        monkeypatch.setattr(cli, "table_sweep", lambda *a, **k: pytest.fail("work started"))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        target = tmp_path / "missing" / "x.out"
+        assert main(["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                     "--n", "100", "--horizon", "4", flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {target}:") and "not found" in err
+
+    def test_oracle_tail_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["oracle-tail", "--trials", "10000", "--out", str(target)]) == 2
+        assert f"--out {target}" in capsys.readouterr().err
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["oracle-tail", "--trials", "10000", "--out", str(tmp_path)]) == 2
+        assert f"--out {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_write_that_fails_after_the_work_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the directory goes away while the experiment runs
+        folder = tmp_path / "d"
+        folder.mkdir()
+        original = cli.tail_probability_experiment
+
+        def remove_folder(*args):
+            if folder.exists():
+                folder.rmdir()
+            return original(*args)
+
+        monkeypatch.setattr(cli, "tail_probability_experiment", remove_folder)
+        target = folder / "x.json"
+        assert main(["oracle-tail", "--trials", "10000", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {target}: cannot write:")
+
+    @pytest.mark.parametrize("command, flag", [
+        (["ingest", "--prices", "{dir}"], "--prices"),
+        (["replay", "--prices", "{prices}", "--portfolio", "{dir}"], "--portfolio"),
+        (["simulate", "--model", "{dir}", "--portfolio", "C-Mix2"], "--model"),
+        (["scenario", "{dir}"], "scenario file"),
+    ], ids=["prices", "portfolio", "model", "scenario"])
+    def test_directory_input_exits_two(self, prices, tmp_path, capsys, command, flag):
+        # --prices <dir> and --portfolio <dir>.json used to end in an
+        # IsADirectoryError traceback
+        folder = tmp_path / "in.json"
+        folder.mkdir()
+        argv = [a.format(dir=folder, prices=prices) for a in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} {folder}: Is a directory\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        (["ingest", "--prices", "{missing}"], "--prices"),
+        (["replay", "--prices", "{prices}", "--portfolio", "{missing}"], "--portfolio"),
+        (["simulate", "--model", "{missing}", "--portfolio", "C-Mix2"], "--model"),
+        (["scenario", "{missing}"], "scenario file"),
+    ], ids=["prices", "portfolio", "model", "scenario"])
+    def test_missing_input_names_its_flag(self, prices, tmp_path, capsys, command, flag):
+        missing = tmp_path / "nope.json"
+        assert main([a.format(missing=missing, prices=prices) for a in command]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {missing}: not found\n"
 
 
 # values that no model field holds: scalars, non-finite and huge numbers,

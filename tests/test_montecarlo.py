@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +11,7 @@ from crocodai.montecarlo import (
     CHUNK_RUNS,
     Portfolio,
     _chunk_min_relvalue,
+    _window_minima,
     confidence_interval,
     historical_replay,
     simulate_failure,
@@ -17,8 +22,10 @@ from crocodai.riskmodel import (
     STUDENT_T,
     PriceSeries,
     ReturnModel,
+    ingest_prices,
     sample_returns,
 )
+from crocodai.scenarios import builtin_portfolio
 
 
 def toy_model(cov, nu=5.0, mu=None, names=None):
@@ -277,6 +284,95 @@ class TestBlockedReplay:
         assert (est.failures, est.runs) == reference_replay(p, series, 1.2, 1.1, 12)
         both = Portfolio("both", ("X", "Y"), np.array([0.5, 0.5]))  # 10% drop: 0.9 <= 11/12
         assert replay_cell(both, series, 1.2, 1.1, 12).failures == 1
+
+
+def random_panel(seed, assets, periods):
+    """Seeded random walks for `assets` on 5-minute slots, in `periods`
+    periods of the given lengths, each after a 50-minute gap."""
+    rng = np.random.default_rng(seed)
+    slots = np.concatenate([10 * k + np.arange(n) for k, n in enumerate(periods)])
+    times = (slots + np.repeat(np.cumsum([0, *periods[:-1]]), periods)) * 300
+    return {name: PriceSeries(name, times, 30.0 * np.exp(np.cumsum(rng.normal(0, 0.02, len(times)))))
+            for name in assets}
+
+
+class TestPrunedReplay:
+    """Replay weighs only the windows whose sliding-minimum bound can reach a
+    threshold; its counts must be the per-window loop's everywhere."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 16, 40])
+    def test_window_minima_equal_a_direct_scan(self, width):
+        row = np.random.default_rng(width).normal(size=41)
+        direct = [row[s : s + width].min() for s in range(len(row) - width + 1)]
+        assert np.array_equal(_window_minima(row, width), direct)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("horizon", [1, 5, 37, 120])
+    def test_random_panels_equal_the_per_window_loop(self, seed, horizon):
+        rng = np.random.default_rng(100 + seed)
+        assets = ("A", "B", "C", "D")[: 1 + seed]
+        series = random_panel(seed, assets, periods=[90, 300, 30, 170][: 2 + seed % 3])
+        # three assets take the weights whose float sum is 1 + 2**-52, so at
+        # gamma' = theta a window's start slot alone decides its failure
+        weights = (0.33, 0.56, 0.11) if len(assets) == 3 else rng.dirichlet(np.ones(len(assets)))
+        p = Portfolio("p", assets, np.array(weights))
+        gammas = (1.1, 1.12, 1.2, 1.3, 1.5)
+        result = historical_replay(p, series, gammas, 1.1, horizon)
+        for g in gammas:
+            est = result.estimates[(g, "p")]
+            assert (est.failures, est.runs) == reference_replay(p, series, g, 1.1, horizon)
+
+    @pytest.mark.parametrize("horizon", [1, 6, 50])
+    def test_single_asset_threshold_at_a_window_minimum(self, horizon):
+        # one asset: the bound is the window's exact minimum, so a threshold
+        # equal to it is the tie that must still be weighed and counted
+        series = random_panel(7, ("X",), periods=[200, 140])
+        p = Portfolio("solo", ("X",), np.array([1.0]))
+        prices = series["X"].prices
+        minima = sorted({min(prices[s : s + horizon + 1]) / prices[s]
+                         for a, b in ((0, 200), (200, 340)) for s in range(a, b - horizon)})
+        gammas = []
+        for target in minima[:: max(1, len(minima) // 6)]:
+            g = 1.1 / target
+            for _ in range(8):  # a gamma' whose threshold is exactly this minimum
+                if g >= 1.1 and 1.1 / g == target:
+                    gammas.append(g)
+                    break
+                g = np.nextafter(g, np.inf if 1.1 / g > target else 0.0)
+        assert len(gammas) >= 3
+        result = historical_replay(p, series, gammas, 1.1, horizon)
+        for g in gammas:
+            est = result.estimates[(g, "solo")]
+            assert est.failures >= 1
+            assert (est.failures, est.runs) == reference_replay(p, series, g, 1.1, horizon)
+
+    def test_empty_gamma_prime_list(self):
+        series = random_panel(3, ("A", "B"), periods=[100, 50])
+        p = Portfolio("p", ("A", "B"), np.array([0.5, 0.5]))
+        result = historical_replay(p, series, [], 1.1, 20)
+        assert (result.gamma_primes, result.estimates, result.runs) == ((), {}, 80 + 30)
+
+    def test_period_shorter_than_a_window(self):
+        series = random_panel(5, ("A", "B"), periods=[30, 12, 25])
+        p = Portfolio("p", ("A", "B"), np.array([0.5, 0.5]))
+        with pytest.raises(DataError, match="no window"):
+            historical_replay(p, series, [1.2], 1.1, 30)
+        # a short period among longer ones is skipped
+        est = replay_cell(p, series, 1.2, 1.1, 20)
+        assert (est.failures, est.runs) == reference_replay(p, series, 1.2, 1.1, 20)
+        assert est.runs == (30 - 20) + (25 - 20)
+
+    def test_seed_zero_benchmark_csv_counts(self, tmp_path):
+        # pinned from the full evaluation: C-Mix2 over the seed-0 5,000-slot CSV
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_prices.py"
+        path = tmp_path / "prices.csv"
+        subprocess.run([sys.executable, str(script), "--slots", "5000", "--seed", "0",
+                        "--out", str(path)], check=True, stdout=subprocess.DEVNULL)
+        gammas = (1.2, 1.3, 1.4, 1.5)
+        result = historical_replay(builtin_portfolio("C-Mix2"), ingest_prices(path), gammas,
+                                   1.1, 288)
+        assert result.runs == 4424
+        assert [result.estimates[(g, "C-Mix2")].failures for g in gammas] == [783, 94, 0, 0]
 
 
 class TestTableSweep:
