@@ -24,8 +24,7 @@ from crocodai.scenarios import BUILTIN_PORTFOLIOS, builtin_portfolio
 def tables(args, prices: Path) -> None:
     model = fit_model_from_series(ingest_prices(prices))
     # built before the sweep, so an infeasible --cap is refused before any work
-    qp = QpProblem(cov=model.cov, caps=np.full(len(model.assets), args.cap),
-                   assets=tuple(model.assets))
+    qp = QpProblem(cov=model.cov, caps=np.full(len(model.assets), args.cap))
     print(f"fitted {len(model.assets)} assets over {model.n_obs} joint return slots")
 
     portfolios = []

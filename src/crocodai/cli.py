@@ -211,7 +211,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
     idx = model.index_of(symbols)
     cov = model.cov[np.ix_(idx, idx)]
     caps = np.full(len(symbols), args.cap)
-    problem = QpProblem(cov=cov, caps=caps, assets=tuple(symbols))
+    problem = QpProblem(cov=cov, caps=caps)
     solution = min_variance(problem)
     ceilings = debt_ceilings_from(solution.weights, args.beta)
     payload = {

@@ -3,10 +3,16 @@
 minimize    v' Cov v
 subject to  sum(v) = 1,  0 <= v_i <= cap_i
 
-Solved by projected gradient descent (projection onto the capped simplex
-via exact breakpoint search) with periodic active-set polish: once the
-active set settles, the equality-constrained reduced system is solved
-exactly, which drives the KKT residual to machine precision.
+Solved exactly by one primal active-set loop (Nocedal & Wright, Numerical
+Optimization, 2nd ed., Algorithm 16.3) from the projection of the uniform
+portfolio onto the capped simplex (exact breakpoint search). Each pass solves
+the equality-constrained QP on the free weights, then either stops at the
+first bound on the way and adds it to the working set, or moves to the
+subproblem's minimiser and releases the bound with the most negative
+multiplier. It stops when none is below -1e-12 * max|Cov|, a test relative to
+Cov's scale, so the weights do not depend on the units of the returns.
+`iterations` counts working-set changes. A Cov with eigenvalues slightly
+below zero, which QpProblem admits, is first shifted by the identity to PSD.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ import numpy as np
 
 from .errors import InfeasibleProblemError, ModelError
 
-KKT_TOL = 1e-6
-MAX_ITER = 100_000
 _BOUND_EPS = 1e-12
 
 
@@ -26,7 +30,6 @@ _BOUND_EPS = 1e-12
 class QpProblem:
     cov: np.ndarray
     caps: np.ndarray  # per-asset upper bounds, each in (0, 1]
-    assets: tuple[str, ...] | None = None
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
@@ -37,14 +40,16 @@ class QpProblem:
             raise ModelError("cov must be square")
         if len(caps) != cov.shape[0]:
             raise ModelError("need one cap per asset")
-        if np.any(caps <= 0) or np.any(caps > 1):
+        if not np.all((caps > 0) & (caps <= 1)):
             raise InfeasibleProblemError("caps must lie in (0, 1]")
         if caps.sum() < 1.0 - 1e-12:
             raise InfeasibleProblemError(f"sum of caps {caps.sum()} < 1: no feasible portfolio")
+        if not np.all(np.isfinite(cov)):
+            raise ModelError("cov must be finite")
         if np.linalg.norm(cov - cov.T) > 1e-8 * max(np.linalg.norm(cov), 1e-300):
             raise ModelError("cov must be symmetric")
         eigmin = float(np.linalg.eigvalsh(cov)[0])
-        if eigmin < -1e-8 * max(float(np.abs(cov).max()), 1.0):
+        if eigmin < -1e-8 * float(np.abs(cov).max()):
             raise ModelError(f"cov is not positive semi-definite (min eigenvalue {eigmin})")
 
 
@@ -96,13 +101,6 @@ def project_capped_simplex(y: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return v
 
 
-def _active_sets(v: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lower = v <= _BOUND_EPS
-    upper = v >= caps - _BOUND_EPS
-    free = ~(lower | upper)
-    return free, lower, upper
-
-
 def kkt_check(weights: np.ndarray, problem: QpProblem) -> float:
     """Maximum stationarity violation of the KKT system at a feasible point.
 
@@ -113,7 +111,9 @@ def kkt_check(weights: np.ndarray, problem: QpProblem) -> float:
     if abs(v.sum() - 1.0) > 1e-8 or np.any(v < -1e-8) or np.any(v > caps + 1e-8):
         raise InfeasibleProblemError("weights are not feasible")
     g = 2.0 * problem.cov @ v
-    free, lower, upper = _active_sets(v, caps)
+    lower = v <= _BOUND_EPS
+    upper = v >= caps - _BOUND_EPS
+    free = ~(lower | upper)
     if np.any(free):
         kappa = -float(g[free].mean())
     else:
@@ -133,64 +133,60 @@ def kkt_check(weights: np.ndarray, problem: QpProblem) -> float:
     return resid
 
 
-def _polish(v: np.ndarray, problem: QpProblem) -> np.ndarray | None:
-    """Solve the equality-constrained QP exactly on the current active set."""
-    caps = problem.caps
-    free, lower, upper = _active_sets(v, caps)
-    nf = int(free.sum())
-    if nf == 0:
-        return None
-    fixed = np.where(lower, 0.0, np.where(upper, caps, 0.0))
-    cov = problem.cov
-    kkt = np.zeros((nf + 1, nf + 1))
-    kkt[:nf, :nf] = 2.0 * cov[np.ix_(free, free)]
-    kkt[:nf, nf] = 1.0
-    kkt[nf, :nf] = 1.0
-    rhs = np.zeros(nf + 1)
-    rhs[:nf] = -2.0 * cov[np.ix_(free, ~free)] @ fixed[~free]
-    rhs[nf] = 1.0 - fixed[~free].sum()
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    vf = sol[:nf]
-    if np.any(vf < -1e-10) or np.any(vf > caps[free] + 1e-10):
-        return None
-    out = fixed.copy()
-    out[free] = np.clip(vf, 0.0, caps[free])
-    return out
-
-
 def min_variance(problem: QpProblem) -> QpSolution:
-    """Projected-gradient / active-set solve of the capped-simplex QP."""
-    cov = problem.cov
+    """Exact minimum-variance weights by the active-set loop described above."""
     caps = problem.caps
     m = len(caps)
-    lipschitz = 2.0 * max(float(np.linalg.eigvalsh(cov)[-1]), 1e-300)
-    eta = 1.0 / lipschitz
-
+    # in units of max|cov|, so every step, the stopping test included, is
+    # independent of the units the returns were measured in
+    cov = problem.cov / (float(np.abs(problem.cov).max()) or 1.0)
+    # QpProblem admits eigenvalues down to -1e-8 * max|cov|; on a face with
+    # negative curvature the KKT point is a saddle and the loop can cycle, so
+    # shift the spectrum to make every face convex
+    cov -= min(float(np.linalg.eigvalsh(cov)[0]), 0.0) * np.eye(m)
     v = project_capped_simplex(np.full(m, 1.0 / m), caps)
-    obj = float(v @ cov @ v)
-    best_resid = kkt_check(v, problem)
+    lower, upper = v == 0.0, v == caps  # the working set: bounds held as equalities
+    if np.all(lower | upper):  # a vertex: one free variable carries the budget
+        k = int(np.argmax(v))
+        lower[k] = upper[k] = False
     iterations = 0
-    while best_resid > KKT_TOL and iterations < MAX_ITER:
+    while True:
+        free = ~(lower | upper)
+        nf = int(free.sum())
+        target = np.where(upper, caps, 0.0)
+        kkt = np.ones((nf + 1, nf + 1))
+        kkt[:nf, :nf] = 2.0 * cov[np.ix_(free, free)]
+        kkt[nf, nf] = 0.0
+        rhs = np.append(-2.0 * (cov @ target)[free], 1.0 - target.sum())
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:  # singular cov on the free set
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        target[free] = sol[:nf]
+        step = target - v
+        # the first bound a free variable reaches on the way to target; the
+        # last free variable carries the budget and is never blocked
+        moving = free & (step != 0.0)
+        room = np.full(m, np.inf)
+        room[moving] = np.where(step[moving] < 0.0, v[moving], caps[moving] - v[moving]) / np.abs(step[moving])
+        j = int(np.argmin(room))
+        if nf > 1 and room[j] <= 1.0:
+            v = np.clip(v + room[j] * step, 0.0, caps)
+            lower[j], upper[j] = step[j] < 0.0, step[j] > 0.0
+            v[j] = caps[j] if upper[j] else 0.0
+        else:
+            v = np.clip(target, 0.0, caps)
+            # bound multipliers, signed so that a negative one means the
+            # objective falls off that bound; release the most negative
+            lam = 2.0 * cov @ v + sol[nf]
+            mult = np.where(lower, lam, np.where(upper, -lam, np.inf))
+            j = int(np.argmin(mult))
+            if mult[j] >= -1e-12:
+                break
+            lower[j] = upper[j] = False
         iterations += 1
-        v_next = project_capped_simplex(v - eta * (2.0 * cov @ v), caps)
-        obj_next = float(v_next @ cov @ v_next)
-        if obj_next <= obj:  # monotone descent by the 1/L step, kept explicit
-            v, obj = v_next, obj_next
-        best_resid = kkt_check(v, problem)
-        if best_resid <= KKT_TOL:
-            break
-        if iterations % 20 == 0 or iterations == 1:
-            polished = _polish(v, problem)
-            if polished is not None:
-                p_obj = float(polished @ cov @ polished)
-                if p_obj <= obj + 1e-15:
-                    p_resid = kkt_check(polished, problem)
-                    if p_resid < best_resid:
-                        v, obj, best_resid = polished, p_obj, p_resid
-    return QpSolution(weights=v, objective=obj, kkt_residual=best_resid, iterations=iterations)
+    return QpSolution(weights=v, objective=float(v @ problem.cov @ v),
+                      kkt_residual=kkt_check(v, problem), iterations=iterations)
 
 
 def debt_ceilings_from(weights: np.ndarray, beta: float) -> np.ndarray:

@@ -64,7 +64,6 @@ class SystemParams:
     auction_duration: int = 12  # slots
     bid_duration: int = 6  # slots
     min_bid_step: Fraction = Fraction(3, 100)
-    beta: Fraction = Fraction(1, 10)  # flexibility margin for ceiling derivation
     relay_n: int = 4
     relay_f: int = 1
     transfer_timeout: int = 20  # slots
@@ -81,7 +80,7 @@ class SystemParams:
             raise InvalidParameterError(
                 f"need gamma > theta > 1, got gamma={self.gamma}, theta={self.theta}"
             )
-        for name in ("stability_fee", "savings_rate", "liquidation_penalty", "min_bid_step", "beta"):
+        for name in ("stability_fee", "savings_rate", "liquidation_penalty", "min_bid_step"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
         for token, zeta in self.debt_ceilings.items():
@@ -138,7 +137,7 @@ def _coerce_param(name: str, value):
             if not rate.is_finite():  # a NaN would raise from every comparison
                 raise ValueError(name)
             return rate
-        if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step", "beta"):
+        if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step"):
             return exact_fraction(value)
         if name == "debt_ceilings":
             return {int(k): exact_fraction(v) for k, v in dict(value).items()}

@@ -100,13 +100,68 @@ class TestMinVariance:
             assert tight.objective >= loose.objective - 1e-12
 
     def test_argmin_invariant_to_cov_scaling(self):
+        # per-slot return covariances are about 1e-5: the weights must not
+        # depend on the units the returns are measured in
         rng = np.random.default_rng(3)
         cov = random_psd(rng, 4)
         caps = np.full(4, 0.6)
         a = min_variance(QpProblem(cov=cov, caps=caps))
-        b = min_variance(QpProblem(cov=cov * 37.0, caps=caps))
-        assert a.weights == pytest.approx(b.weights, abs=1e-7)
-        assert b.objective == pytest.approx(37.0 * a.objective, rel=1e-9)
+        for scale in (37.0, 1e-5, 1e-8):
+            b = min_variance(QpProblem(cov=cov * scale, caps=caps))
+            assert a.weights == pytest.approx(b.weights, abs=1e-7)
+            assert b.objective == pytest.approx(scale * a.objective, rel=1e-9)
+
+    def test_exact_on_badly_scaled_covariances(self):
+        # per-asset scales exp(N(0, 2)) spread the variances over ~8 decades
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            m = int(rng.integers(3, 10))
+            s = np.exp(rng.normal(0.0, 2.0, m))
+            cov = random_psd(rng, m) * np.outer(s, s)
+            caps = np.full(m, rng.uniform(1.0, 3.0) / m).clip(None, 1.0)
+            sol = min_variance(QpProblem(cov=cov, caps=caps))
+            scale = np.abs(cov).max()
+            assert sol.kkt_residual <= 1e-11 * scale
+            z = np.array([project_capped_simplex(rng.normal(size=m), caps) for _ in range(1000)])
+            assert sol.objective <= np.einsum("ij,jk,ik->i", z, cov, z).min() + 1e-12 * scale
+
+    @staticmethod
+    def _zero_variance_cov(rng, m):
+        # rank m-2, with the feasible portfolio w in its null space
+        w = np.full(m, 1.0 / m)
+        a = rng.normal(size=(m, m - 2))
+        proj = np.eye(m) - np.outer(w, w) / (w @ w)
+        cov = proj @ a @ a.T @ proj
+        return (cov + cov.T) / 2
+
+    @pytest.mark.parametrize("case", ["caps-1/m", "caps-sum-1", "zero-cov", "identical", "zero-variance"])
+    @pytest.mark.parametrize("m", [2, 3, 7, 12])
+    def test_degenerate_problems_terminate_certified(self, case, m):
+        rng = np.random.default_rng(m)
+        caps = np.ones(m)
+        cov = random_psd(rng, m)
+        if case == "caps-1/m":  # the only feasible point
+            caps = np.full(m, 1.0 / m)
+        elif case == "caps-sum-1":  # unequal binary fractions that sum to exactly 1
+            caps = np.array([2.0 ** -min(k + 1, m - 1) for k in range(m)])
+        elif case == "zero-cov":
+            cov = np.zeros((m, m))
+        elif case == "identical":
+            cov = np.full((m, m), 3e-5)
+        else:
+            cov = self._zero_variance_cov(rng, m)
+        assert case != "caps-sum-1" or caps.sum() == 1.0
+        sol = min_variance(QpProblem(cov=cov, caps=caps))
+        scale = np.abs(cov).max()
+        assert abs(sol.weights.sum() - 1.0) < 1e-12
+        assert np.all(sol.weights >= 0.0) and np.all(sol.weights <= caps)
+        assert sol.kkt_residual <= 1e-11 * scale
+        if case in ("caps-1/m", "caps-sum-1"):
+            assert sol.weights == pytest.approx(caps, abs=1e-12)
+        if case == "identical":
+            assert sol.objective == pytest.approx(3e-5, rel=1e-12)
+        if case == "zero-variance":
+            assert sol.objective <= 1e-13 * scale
 
     def test_caps_bind(self):
         # one riskless asset, capped: the cap must be active at the optimum
@@ -121,6 +176,36 @@ class TestMinVariance:
     def test_indefinite_rejected(self):
         with pytest.raises(ModelError):
             QpProblem(cov=np.array([[1.0, 2.0], [2.0, 1.0]]), caps=np.ones(2))
+        # min eigenvalue -1e-9 is -1e-4 of max|cov|: the test is unit-free
+        with pytest.raises(ModelError, match="positive semi-definite"):
+            QpProblem(cov=np.array([[1e-5, 1.0001e-5], [1.0001e-5, 1e-5]]), caps=np.ones(2))
+
+    @pytest.mark.parametrize("cov, caps", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+    ], ids=["nan-cov", "inf-cov", "nan-cap"])
+    def test_non_finite_input_rejected(self, cov, caps):
+        # each used to be solved and certified with a KKT residual of 0
+        with pytest.raises((ModelError, InfeasibleProblemError)):
+            QpProblem(cov=np.array(cov), caps=np.array(caps))
+
+    def test_slightly_indefinite_cov_terminates(self):
+        # eigenvalues down to -1e-8 of max|cov| are admitted, as the model's
+        # jittered Cholesky admits them; on a face with negative curvature
+        # the KKT point is a saddle, where an unshifted loop cycled
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            m = 18
+            a = rng.normal(size=(m, 6))
+            w, u = np.linalg.eigh(a @ a.T)
+            w = np.where(w < 1e-9 * w.max(), -rng.uniform(0.0, 9e-9) * np.abs(a @ a.T).max(), w)
+            cov = (u * w) @ u.T
+            caps = rng.uniform(1.0 / m, 1.0, m)
+            sol = min_variance(QpProblem(cov=(cov + cov.T) / 2, caps=caps))
+            assert abs(sol.weights.sum() - 1.0) < 1e-12
+            assert np.all(sol.weights >= 0.0) and np.all(sol.weights <= caps)
+            assert sol.kkt_residual <= 1e-7 * np.abs(cov).max()
 
 
 class TestKktCheck:

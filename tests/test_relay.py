@@ -159,6 +159,12 @@ class TestGovernance:
         with pytest.raises(InvalidParameterError):
             relay.submit_governance(two_chains, action, {0, 1, 2})
 
+    def test_ceiling_margin_is_not_a_param(self, two_chains):
+        # beta is optimize's --beta, read by debt_ceilings_from alone
+        action = GovernanceAction("set_param", {"name": "beta", "value": "0.1"}, nonce=4)
+        with pytest.raises(InvalidParameterError, match="unknown parameter 'beta'"):
+            relay.submit_governance(two_chains, action, {0, 1, 2})
+
     def test_ward_applied_on_all_chains(self, two_chains):
         action = GovernanceAction("add_ward", {"account": 77}, nonce=5)
         relay.submit_governance(two_chains, action, {0, 1, 2})

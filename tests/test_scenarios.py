@@ -464,6 +464,8 @@ class TestScenarioFiles:
         ({"gamma": "x"}, r"^\$\.params\.gamma: parameter gamma: not a number: 'x'$"),
         ({"gama": 1.5}, r"^\$\.params\.gama: unknown parameter 'gama'$"),
         ({"gamma": 1.05, "theta": 1.1}, r"^\$\.params: need gamma > theta > 1"),
+        # the ceiling margin is optimize's --beta, not a protocol parameter
+        ({"beta": 0.1}, r"^\$\.params\.beta: unknown parameter 'beta'$"),
     ])
     def test_bad_params_name_their_path(self, tmp_path, params, message):
         f = tmp_path / "bad.json"
