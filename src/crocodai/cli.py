@@ -103,11 +103,14 @@ def _read_prices(args) -> dict[str, PriceSeries]:
 
 
 def _floats(text: str, flag: str) -> list[float]:
-    """Parse a comma-separated list of numbers given to `flag`."""
+    """Parse a comma-separated list of finite numbers given to `flag`."""
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError:
         raise CliError(f"{flag}: not a comma-separated list of numbers: {text!r}") from None
+    if not np.isfinite(values).all():  # json.dumps would write them as Infinity or NaN
+        raise CliError(f"{flag}: every number must be finite, got {text!r}")
+    return values
 
 
 def _load_model(args) -> ReturnModel:

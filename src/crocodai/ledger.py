@@ -9,7 +9,7 @@ Conventions:
     (scale 10**9 per whole unit),
   * CDP debt and the savings pot's surplus and interest paid are exact
     `Fraction`s of a stablecoin unit, and so are protocol-side prices and
-    ratios; no applier, rebuild or digest reads a Decimal context,
+    ratios; fees and savings grow them by integer fixed-point factors,
   * one clock slot corresponds to 5 minutes of data time.
 """
 

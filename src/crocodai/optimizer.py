@@ -192,8 +192,8 @@ def min_variance(problem: QpProblem) -> QpSolution:
 def debt_ceilings_from(weights: np.ndarray, beta: float) -> np.ndarray:
     """Per-token fractional debt ceilings from optimal weights:
     zeta = min(1, (1 + beta) * v)."""
-    if beta <= 0:
-        raise ModelError("flexibility margin beta must be > 0")
+    if not 0 < beta < np.inf:  # a NaN or infinite beta makes NaN ceilings
+        raise ModelError(f"flexibility margin beta must be finite and > 0, got {beta}")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise ModelError("weights must be >= 0")

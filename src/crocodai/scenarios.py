@@ -586,7 +586,7 @@ def _kinds(chain, token) -> tuple[dict, dict]:
         "deposit_collateral": (cdp_amount, core.deposit_collateral),
         "withdraw_stablecoins": (cdp_amount, core.withdraw_stablecoins),
         "repay_debt": (cdp_amount, core.repay_debt),
-        "accrue_fees": ({"slots": (_int, 1)}, core.accrue_stability_fee),
+        "accrue_fees": ({"slots": (_count, 1)}, core.accrue_stability_fee),
         "set_price": ({"token": token, "price": _fraction}, System.set_price),
         "oracle_update": ({"token": token, "base_price": _float, "seed": (_count, 0),
                            "feeds": _list(lambda v, p: _read(v, p, _FEED))}, _oracle_update),

@@ -2,16 +2,16 @@
 system-level full-backing check.
 
 All accept/reject decisions are made with exact arithmetic: debt, the
-savings pot, prices and ratios are Fractions. Decimal serves only the two
-growth factors (1 + rate) ** slots, taken in DEBT_CONTEXT; a fee-accrued debt
-is its 60-digit product with the factor, rounded to 10**-18 units. Each rule
-is written once, and the attack checkers ask the functions the operations
-obey: `above_ratio` (p*c > gamma*D, strict) and `mint_headroom` (the
-bootstrap cap while total debt is 0, else D_m + h < zeta (D + h), strict).
-An unpriced token backs nothing. Every CDP operation but a bid or a
-settlement passes one guard, `_guard_cdp` (the CDP exists, the amount is not
-negative, the CDP is open), so a CDP under auction cannot be funded, repaid,
-minted against, emptied or closed.
+savings pot, prices, rates and ratios are Fractions, and the growth factors
+(1 + rate) ** slots are integers in 10**-100 units (`_growth`, Dai's rpow).
+A fee-accrued debt is its product with the factor, rounded half up to 10**-18
+units. Each rule is written once, and the attack checkers ask the functions
+the operations obey: `above_ratio` (p*c > gamma*D, strict) and
+`mint_headroom` (the bootstrap cap while total debt is 0, else
+D_m + h < zeta (D + h), strict). An unpriced token backs nothing. Every CDP
+operation but a bid or a settlement passes one guard, `_guard_cdp` (the CDP
+exists, the amount is not negative, the CDP is open), so a CDP under auction
+cannot be funded, repaid, minted against, emptied or closed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from decimal import ROUND_HALF_UP, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
-from decimal import localcontext
 from fractions import Fraction
 from typing import Any
 
@@ -35,11 +33,11 @@ from .errors import (
 )
 from .ledger import FEE_SCALE, OPEN, SCALE, Auction, Cdp, CoinChain, System
 
-# the context of the two growth factors (1 + rate) ** slots and of the
-# fee-accrued debt products; 60 digits hold 18 fractional digits exactly up
-# to 10**42 units
-DEBT_CONTEXT = Context(prec=60, rounding=ROUND_HALF_UP, Emin=-999999, Emax=999999, capitals=1,
-                       clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
+# a debt stays below DEBT_BOUND in 1 / FEE_SCALE units (10**42 units), so no
+# debt takes a growth factor past DEBT_BOUND; factors are whole multiples of
+# 1 / GROWTH_SCALE, and the 2 * slots - 1 roundings of `_growth` keep a
+# fee-accrued debt within 1/2 + slots * 10**-40 of a 10**-18 unit of exact
+DEBT_BOUND, GROWTH_SCALE = 10**60, 10**100
 
 MAX_RELAYS = 64  # the largest relay_n: the relay module builds one node per relay
 
@@ -57,8 +55,8 @@ class SystemParams:
 
     gamma: Fraction = Fraction(3, 2)  # liquidation ratio
     theta: Fraction = Fraction(11, 10)  # full-backing safety threshold
-    stability_fee: Decimal = Decimal("0")  # per-slot debt growth rate
-    savings_rate: Decimal = Decimal("0")  # per-slot DSR rate
+    stability_fee: Fraction = Fraction(0)  # per-slot debt growth rate
+    savings_rate: Fraction = Fraction(0)  # per-slot DSR rate
     liquidation_penalty: Fraction = Fraction(13, 100)
     debt_ceilings: dict[int, Fraction] = field(default_factory=dict)  # token id -> zeta
     auction_duration: int = 12  # slots
@@ -132,12 +130,8 @@ def exact_fraction(value) -> Fraction:
 
 def _coerce_param(name: str, value):
     try:
-        if name in ("stability_fee", "savings_rate"):
-            rate = value if isinstance(value, Decimal) else Decimal(str(value))
-            if not rate.is_finite():  # a NaN would raise from every comparison
-                raise ValueError(name)
-            return rate
-        if name in ("gamma", "theta", "liquidation_penalty", "min_bid_step"):
+        if name in ("gamma", "theta", "stability_fee", "savings_rate", "liquidation_penalty",
+                    "min_bid_step"):
             return exact_fraction(value)
         if name == "debt_ceilings":
             return {int(k): exact_fraction(v) for k, v in dict(value).items()}
@@ -326,34 +320,48 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     delta = system.params.stability_fee
     if slots == 0 or delta == 0:
         return
+    factor = _growth(delta, slots)
     accruals = []  # every new debt is computed before any is applied
-    with localcontext(DEBT_CONTEXT):
-        try:
-            factor = (1 + delta) ** slots
-        except ArithmeticError:  # decimal.Overflow
-            raise _growth_error(delta, slots) from None
-        for chain in system.chains.values():
-            debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
-            surplus_delta = 0
-            for cdp in chain.cdps.values():
-                if cdp.state != OPEN or not cdp.debt:
-                    continue
-                old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
-                try:
-                    new = int((Decimal(old) * factor).quantize(Decimal(1)))
-                except ArithmeticError:  # decimal.InvalidOperation: more whole units than digits
-                    raise ProtocolError(f"CDP {cdp.id}: debt {_approx(cdp.debt)} is past what DEBT_CONTEXT "
-                                        f"holds in 10**-18 units ({DEBT_CONTEXT.prec} digits)") from None
-                surplus_delta += new - old
-                debts[str(cdp.id)] = new
-            if debts:
-                accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
+    for chain in system.chains.values():
+        debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
+        surplus_delta = 0
+        for cdp in chain.cdps.values():
+            if cdp.state != OPEN or not cdp.debt:
+                continue
+            old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
+            new = _times(old, factor)
+            if new >= DEBT_BOUND:
+                raise ProtocolError(f"CDP {cdp.id}: debt {_approx(cdp.debt)} would not stay "
+                                    f"below 10**42 units")
+            surplus_delta += new - old
+            debts[str(cdp.id)] = new
+        if debts:
+            accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
     for chain_id, payload in accruals:
         system.apply(chain_id, "fee_accrue", payload)
 
 
-def _growth_error(rate: Decimal, slots: int) -> ProtocolError:
-    return ProtocolError(f"growth factor (1 + {rate}) ** {slots} overflows the debt context")
+def _times(a: int, b: int) -> int:
+    """a * b / GROWTH_SCALE, rounded half up."""
+    return (a * b + GROWTH_SCALE // 2) // GROWTH_SCALE
+
+
+def _growth(rate: Fraction, slots: int) -> int:
+    """(1 + rate) ** slots in 1 / GROWTH_SCALE units, by repeated squaring
+    with every product rounded half up (Dai's rpow). A factor past DEBT_BOUND
+    is refused as soon as a partial product passes it: none exceeds the
+    result."""
+    factor, n = GROWTH_SCALE, slots
+    power = math.floor((1 + rate) * GROWTH_SCALE + Fraction(1, 2))
+    while n:
+        if n & 1:
+            factor = _times(factor, power)
+        n >>= 1
+        if n:
+            power = _times(power, power)
+        if max(factor, power) > DEBT_BOUND * GROWTH_SCALE:
+            raise ProtocolError(f"growth factor (1 + {rate}) ** {slots} is past 10**60")
+    return factor
 
 
 def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
@@ -457,41 +465,28 @@ def savings_deposit(system: System, chain_id: int, user: int, amount: int) -> No
 def savings_accrue(system: System, chain_id: int, slots: int) -> dict[int, int]:
     """Pay depositors at the savings rate, capped by the available surplus.
 
-    Interest is minted against surplus and never exceeds it; when surplus is
-    short the payout is pro-rata, rounded down per user.
+    Each depositor is owed their deposit's growth, rounded down to minor
+    units. Interest is minted against surplus and never exceeds it; when
+    surplus is short the payout is pro-rata, rounded down per user.
     """
     chain = system.chain(chain_id)
     if slots < 0:
         raise ProtocolError("slots must be >= 0")
     rate = system.params.savings_rate
-    if slots == 0 or rate == 0 or not chain.pot.deposits:
+    if slots == 0 or rate == 0:
         return {}
-    with localcontext(DEBT_CONTEXT):
-        try:
-            growth = (1 + rate) ** slots - 1
-            owed = {
-                user: int(Decimal(dep) * growth)  # floor, minor units
-                for user, dep in sorted(chain.pot.deposits.items())
-                if dep > 0
-            }
-        except ArithmeticError:  # decimal.Overflow
-            raise _growth_error(rate, slots) from None
-    owed = {u: w for u, w in owed.items() if w > 0}
-    if not owed:
-        return {}
+    growth = _growth(rate, slots) - GROWTH_SCALE
+    owed = {user: dep * growth // GROWTH_SCALE  # floor, minor units
+            for user, dep in sorted(chain.pot.deposits.items())}
     total_owed = sum(owed.values())
     available = int(chain.pot.surplus * SCALE)  # floor
-    if available <= 0:
+    if total_owed <= 0 or available <= 0:
         return {}
-    if total_owed <= available:
-        payouts = owed
-    else:
-        payouts = {
-            u: w * available // total_owed for u, w in owed.items()
-        }
-        payouts = {u: w for u, w in payouts.items() if w > 0}
-        if not payouts:
-            return {}
+    paid = min(available, total_owed)  # each payout is its whole claim when all are covered
+    payouts = {u: w * paid // total_owed for u, w in owed.items()}
+    payouts = {u: w for u, w in payouts.items() if w > 0}
+    if not payouts:
+        return {}
     total = sum(payouts.values())
     system.apply(
         chain_id,

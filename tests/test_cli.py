@@ -583,6 +583,17 @@ class TestCommaListFlags:
         assert main(["oracle-tail", "--c", "2,x", "--trials", "10000"]) == 2
         assert "--c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_non_finite_gamma_prime(self, prices, tmp_path, capsys, command):
+        # 1.2,inf used to exit 0 and write Infinity, which is not JSON
+        weights, out = tmp_path / "w.json", tmp_path / "out.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        argv = [command, "--prices", str(prices), "--portfolio", str(weights),
+                "--gamma-prime", "1.2,inf", "--horizon", "4", "--out", str(out)]
+        assert main(argv + (["--n", "100"] if command == "simulate" else [])) == 2
+        assert "--gamma-prime" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPortfolioFile:
     """A bad --portfolio file is a usage error (exit 2) that names the
@@ -635,6 +646,15 @@ class TestOptimize:
         code = main(["optimize", "--prices", str(prices), "--lambda", "0.6", "--out", str(out)])
         assert code == 0
         assert read(out)["config"]["cap"] == 0.6
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta(self, prices, tmp_path, capsys, beta):
+        # nan used to write NaN for every ceiling, and inf NaN for a zero weight
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--prices", str(prices), "--cap", "0.6", "--beta", beta,
+                     "--out", str(out)]) == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScenarioCommand:

@@ -240,3 +240,9 @@ class TestDebtCeilings:
     def test_beta_must_be_positive(self):
         with pytest.raises(ModelError):
             debt_ceilings_from(np.array([0.5]), 0.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_beta_must_be_finite(self, beta):
+        # nan made every ceiling NaN, and inf made a zero weight's ceiling NaN
+        with pytest.raises(ModelError, match="beta"):
+            debt_ceilings_from(np.array([0.0, 1.0]), beta)

@@ -554,6 +554,15 @@ class TestParseThenRun:
         with pytest.raises(ScenarioFormatError, match=r"^\$\.workload\[3\]: unknown workload"):
             parse_scenario(doc)
 
+    def test_negative_accrual_is_refused_by_the_parse(self, monkeypatch):
+        # slots -1 used to pass the parse and be refused only at run time
+        def refuse(*args, **kwargs):
+            raise AssertionError("a System was built")
+        monkeypatch.setattr(System, "__init__", refuse)
+        doc = {"workload": [{"op": "accrue_fees", "slots": -1}]}
+        with pytest.raises(ScenarioFormatError, match=r"^\$\.workload\[0\]\.slots: must be >= 0"):
+            parse_scenario(doc)
+
     def test_parse_then_run_matches_the_file_runner(self, tmp_path):
         f = tmp_path / "demo.json"
         f.write_text(json.dumps(README_EXAMPLE))

@@ -68,6 +68,12 @@ class TestParams:
             SystemParams(gamma="1e-999999999")
         assert SystemParams(gamma="1e4300").gamma == 10**4300
 
+    def test_rates_are_read_as_fractions(self):
+        # rates used to be Decimals: "1/3" was refused and "1e-999999999" accepted
+        assert SystemParams(stability_fee="1/3").stability_fee == Fraction(1, 3)
+        with pytest.raises(InvalidParameterError, match="savings_rate: decimal exponent"):
+            SystemParams(savings_rate="1e-999999999")
+
     def test_from_json_is_order_independent(self):
         # fields used to be set one at a time, so theta 1.6 met the default gamma 1.5
         p = SystemParams.from_json({"theta": 1.6, "gamma": 2})
@@ -288,7 +294,7 @@ class TestStabilityFee:
         assert previous  # fees eventually push the tightest CDP under
 
     def test_overflowing_growth_is_refused(self):
-        # 1.001 ** 10**12 overflows DEBT_CONTEXT: decimal.Overflow used to escape
+        # 1.001 ** 10**12 is past 10**60: decimal.Overflow used to escape
         sys_ = vault_system(fee="0.001")
         cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
         core.deposit_collateral(sys_, cdp, units(10))
@@ -370,8 +376,8 @@ class TestDebtContext:
         assert _conservation(sys_)["passed"]
 
     def test_debt_past_the_context_is_named_and_nothing_accrues(self):
-        # the 10**52-unit debt's product needs more than 60 digits in 10**-18
-        # units; the refusal used to blame the growth factor (1 + 0.000001) ** 1
+        # a fee-accrued debt stays below 10**42 units (60 digits in 10**-18
+        # units); the refusal used to blame the growth factor (1 + 0.000001) ** 1
         sys_ = System(SystemParams(bootstrap_ceiling=10**70, stability_fee=Decimal("1e-6")))
         main = sys_.create_chain({"name": "main"})
         eth = sys_.register_token("ETH", main)
@@ -382,11 +388,80 @@ class TestDebtContext:
         core.deposit_collateral(sys_, big, 2 * units(10**52))
         core.withdraw_stablecoins(sys_, big, units(10**52))
         events = len(sys_.chains[main].events)
-        with pytest.raises(ProtocolError, match=rf"^CDP {big}: debt 1e\+52 is past what DEBT_CONTEXT holds"):
+        with pytest.raises(ProtocolError, match=rf"^CDP {big}: debt 1e\+52 would not stay below 10\*\*42 units"):
             core.accrue_stability_fee(sys_, 1)
         cdps = sys_.chains[main].cdps
         assert (cdps[small].debt, cdps[big].debt) == (1, 10**52)
         assert len(sys_.chains[main].events) == events
+
+
+GROWTH_RATES = ["0.000000000000000001", "0.0000005", "0.01", "0.123456789012345678",
+                "0.999999999999999999", "1/3"]
+# 435 and 436 take 10**20 units at the 0.1234... rate either side of 10**42
+# units; 480 and 481 take (4/3) ** slots either side of 10**60
+GROWTH_SLOTS = [1, 2, 3, 12, 97, 435, 436, 480, 481, 1000, 4999, 5000]
+GROWTH_AMOUNTS = [1, SCALE, 123456789123456789, 10**20 * SCALE]  # minor units
+
+
+def growth_system(users=1, **params):
+    """One chain whose users 1.. hold 10**20 units each, ETH at price 1."""
+    sys_ = System(SystemParams(bootstrap_ceiling=10**40, **params))
+    main = sys_.create_chain({"name": "main", "accounts": {str(u): 10**20 * SCALE
+                                                           for u in range(1, users + 1)}})
+    sys_.main, sys_.eth = main, sys_.register_token("ETH", main)
+    sys_.set_price(sys_.eth, 1)
+    return sys_
+
+
+class TestGrowthAgainstExactRationals:
+    """The integer growth against the exact (1 + r) ** slots = P / Q: a
+    fee-accrued debt lies within 1/2 + slots * 10**-40 of a 10**-18 unit of
+    the exact product, a savings payout within one minor unit of the exact
+    floor, and a factor past 10**60 is refused with no event appended."""
+
+    @pytest.mark.parametrize("rate", GROWTH_RATES)
+    def test_fee_accrual(self, rate):
+        for slots in GROWTH_SLOTS:
+            big_p, big_q = ((1 + Fraction(rate)) ** slots).as_integer_ratio()
+            for debt in GROWTH_AMOUNTS:
+                sys_ = growth_system(stability_fee=rate)
+                cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
+                core.deposit_collateral(sys_, cdp, 2 * debt)
+                core.withdraw_stablecoins(sys_, cdp, debt)
+                chain = sys_.chains[sys_.main]
+                events = len(chain.events)
+                exact = debt * 10**9 * big_p  # the exact new debt in 10**-18 units, times Q
+                if big_p > 10**60 * big_q or exact >= 10**60 * big_q:
+                    refusal = "growth factor" if big_p > 10**60 * big_q else "would not stay below"
+                    with pytest.raises(ProtocolError, match=refusal):
+                        core.accrue_stability_fee(sys_, slots)
+                    assert len(chain.events) == events and chain.cdps[cdp].debt == Fraction(debt, SCALE)
+                    continue
+                core.accrue_stability_fee(sys_, slots)
+                new = chain.cdps[cdp].debt * 10**18
+                assert new.denominator == 1
+                # |new - exact / Q| <= 1/2 + slots / 10**40, in integers
+                assert 2 * 10**40 * abs(int(new) * big_q - exact) <= (10**40 + 2 * slots) * big_q
+                assert chain.pot.surplus * 10**18 == new - debt * 10**9
+
+    @pytest.mark.parametrize("rate", GROWTH_RATES)
+    def test_savings_payout(self, rate):
+        for slots in GROWTH_SLOTS:
+            big_p, big_q = ((1 + Fraction(rate)) ** slots).as_integer_ratio()
+            sys_ = growth_system(users=len(GROWTH_AMOUNTS), savings_rate=rate)
+            chain = sys_.chains[sys_.main]
+            chain.pot.surplus = Fraction(10**81)  # covers every payout: none is cut pro rata
+            for user, amount in enumerate(GROWTH_AMOUNTS, 1):
+                core.savings_deposit(sys_, sys_.main, user, amount)
+            events = len(chain.events)
+            if big_p > 10**60 * big_q:
+                with pytest.raises(ProtocolError, match="growth factor"):
+                    core.savings_accrue(sys_, sys_.main, slots)
+                assert len(chain.events) == events
+                continue
+            payouts = core.savings_accrue(sys_, sys_.main, slots)
+            for user, amount in enumerate(GROWTH_AMOUNTS, 1):
+                assert abs(payouts.get(user, 0) - amount * (big_p - big_q) // big_q) <= 1
 
 
 class TestCheckLiquidatable:
@@ -574,6 +649,8 @@ class TestSavings:
 
     def test_overflowing_growth_is_refused(self):
         sys_ = self.savings_setup(rate="0.001")
+        with pytest.raises(ProtocolError, match="growth factor"):  # an empty pot too, as fees
+            core.savings_accrue(sys_, sys_.main, 10**12)
         core.savings_deposit(sys_, sys_.main, 1, units(100))
         with pytest.raises(ProtocolError, match="growth factor"):
             core.savings_accrue(sys_, sys_.main, 10**12)
