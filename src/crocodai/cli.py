@@ -131,10 +131,13 @@ def _portfolio(args) -> Portfolio:
         weights = doc.get("weights") if isinstance(doc, dict) else None
         if not isinstance(weights, dict):
             raise CliError(f"portfolio file {path}: $.weights must be an object of asset weights")
+        name = doc.get("name", path.stem)
+        if not isinstance(name, str):
+            raise CliError(f"portfolio file {path}: $.name must be a string, got {name!r}")
         for asset, w in weights.items():
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise CliError(f"portfolio file {path}: $.weights.{asset} is not a number: {w!r}")
-        return Portfolio.from_weights(doc.get("name", path.stem), weights)
+        return Portfolio.from_weights(name, weights)
     try:
         return builtin_portfolio(spec)
     except CrocodaiError:

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import (
     DuplicateChainError,
@@ -89,13 +89,6 @@ class Event:
     seq: int
     kind: str
     payload: dict[str, Any]
-
-    def as_json_line(self) -> str:
-        return json.dumps(
-            {"slot": self.slot, "seq": self.seq, "kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 class CoinChain:
@@ -288,10 +281,6 @@ class System:
 
     # ------------------------------------------------------------------
     # introspection
-
-    def export_event_log(self, chain_id: int) -> Iterator[str]:
-        for ev in self.chain(chain_id).events:
-            yield ev.as_json_line()
 
     def state_digest(self) -> str:
         """Canonical hash of all chain state; equal digests mean equal states."""

@@ -173,27 +173,6 @@ def _min_relative_values(
     return mins
 
 
-def simulate_failure(
-    portfolio: Portfolio,
-    model: ReturnModel,
-    gamma_prime: float,
-    theta: float,
-    horizon: int,
-    runs: int,
-    distribution: str = STUDENT_T,
-    seed: int = 0,
-    zero_drift: bool = False,
-    jobs: int = 1,
-) -> FailureEstimate:
-    """Monte Carlo first-passage failure probability with a Wald 95% CI: the
-    one cell of a one-portfolio, one-gamma' `table_sweep`."""
-    sweep = table_sweep(
-        [portfolio], [gamma_prime], model, theta, horizon, runs, distribution, seed,
-        zero_drift=zero_drift, jobs=jobs,
-    )
-    return sweep.estimates[(gamma_prime, portfolio.name)]
-
-
 # ----------------------------------------------------------------------
 # historical replay
 

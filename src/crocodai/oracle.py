@@ -177,16 +177,12 @@ def tail_probability_experiment(
     c: float,
     trials: int,
     rng: np.random.Generator,
-    corrupt_target: float | None = None,
 ) -> TailEstimate:
     """Estimate P(|median - p| > c) with a corrupted minority of feeds.
 
-    By default the corrupted feeds report the displaced price p + c itself,
-    the largest fixed distortion the quorum argument still tolerates: the
-    median then moves strictly beyond c only when every honest feed does.
-    Pass an explicit `corrupt_target` to study farther targets (for which
-    a single stray honest feed suffices and the decay is correspondingly
-    slower).
+    The corrupted feeds report the displaced price p + c itself, the largest
+    fixed distortion the quorum argument still tolerates: the median then
+    moves strictly beyond c only when every honest feed does.
     """
     if n_corrupt < 0 or n_feeds <= 0:
         raise QuorumError("feed counts must be positive")
@@ -196,9 +192,8 @@ def tail_probability_experiment(
         )
     if trials < 10**4:
         raise ProtocolError("need at least 10^4 trials")
-    for name, value in (("sigma_star", sigma_star), ("c", c), ("corrupt_target", corrupt_target)):
-        if value is not None:
-            _finite(name, value)
+    _finite("sigma_star", sigma_star)
+    _finite("c", c)
     if sigma_star <= 0:
         raise ProtocolError("sigma_star must be > 0")
 
@@ -210,7 +205,6 @@ def tail_probability_experiment(
     bound = tail_bound(n_feeds, n_corrupt, sigma_star, c)
     if not math.isfinite(bound) and c > 0:  # at c <= 0 the bound is inf by definition
         raise ProtocolError(f"tail bound not finite for sigma_star {sigma_star} and c {c}")
-    target = base + c if corrupt_target is None else corrupt_target
     honest = n_feeds - n_corrupt
 
     exceed = 0
@@ -219,7 +213,7 @@ def tail_probability_experiment(
     while done < trials:
         n = min(chunk, trials - done)
         reports = rng.normal(base, sigma_star, size=(n, honest))
-        med = _median_with_target(reports.T, n_corrupt, target)
+        med = _median_with_target(reports.T, n_corrupt, base + c)
         exceed += int(np.count_nonzero(np.abs(med - base) > c))
         done += n
     return TailEstimate(

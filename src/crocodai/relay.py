@@ -28,7 +28,6 @@ BYZ_REFUSE = "byzantine:refuse"
 BYZ_FORGE = "byzantine:forge"
 
 BEHAVIORS = (HONEST, CRASHED, BYZ_EQUIVOCATE, BYZ_REFUSE, BYZ_FORGE)
-BYZANTINE_STRATEGIES = (BYZ_EQUIVOCATE, BYZ_REFUSE, BYZ_FORGE)
 
 REQUESTED = "requested"
 ESCROWED = "escrowed"
@@ -280,11 +279,13 @@ def _apply_staged_governance(system: System) -> list[dict[str, Any]]:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """What `audit` finds wrong with the transfers; the supply itself is
+    `System.total_circulating`."""
+
     unbacked_minted: int  # committed transfers whose source burn was reverted
     unmatched_burns: list[int]  # committed transfers burned but never minted
     stuck_escrows: list[int]  # aborted transfers whose escrow was never refunded
-    circulating: int
-    ok: bool
+    ok: bool  # none of the three
 
 
 def audit(system: System) -> AuditReport:
@@ -316,7 +317,6 @@ def audit(system: System) -> AuditReport:
         unbacked_minted=unbacked,
         unmatched_burns=unmatched,
         stuck_escrows=stuck,
-        circulating=system.total_circulating(),
         ok=(unbacked == 0 and not unmatched and not stuck),
     )
 

@@ -16,7 +16,6 @@ affected token types:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -28,7 +27,7 @@ import numpy as np
 from . import relay as relay_mod
 from . import stablecoin as core
 from .errors import InvalidParameterError, PreconditionError, ProtocolError, ScenarioFormatError
-from .ledger import SCALE, System, Token
+from .ledger import SCALE, System
 from .montecarlo import Portfolio
 from .oracle import (
     PriceFeed,
@@ -229,72 +228,6 @@ def _fresh_account(system: System) -> int:
         for cdp in chain.cdps.values():
             top = max(top, cdp.owner)
     return top + 1
-
-
-# ----------------------------------------------------------------------
-# random ceiling-respecting instances (reproducible test fixtures)
-
-
-def random_backed_instance(
-    rng: random.Random,
-    n_chains: int = 2,
-    max_tokens_per_chain: int = 3,
-    max_cdps_per_token: int = 3,
-) -> System:
-    """A small system whose CDPs all start strictly above the liquidation
-    ratio and whose per-token debts leave strict headroom under their
-    ceilings. All quantities are exact rationals / integers by construction:
-    per-CDP ratios are drawn from (gamma, ~3*gamma], debts are integer minor
-    units, and ceilings are set to the realized debt fraction plus a random
-    strict margin.
-    """
-    gamma = Fraction(rng.randint(12, 25), 10)
-    params = SystemParams(gamma=gamma, theta=Fraction(11, 10), relay_n=4, relay_f=1)
-    system = System(params)
-
-    token_ids: list[int] = []
-    for c in range(n_chains):
-        cid = system.create_chain({"name": f"chain-{c}"})
-        for t in range(rng.randint(1, max_tokens_per_chain)):
-            token_ids.append(system.register_token(f"TOK{cid}_{t}", cid))
-    for m in token_ids:
-        system.set_price(m, Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)))
-
-    debts: dict[int, int] = {m: rng.randint(1, 10**12) for m in token_ids}
-    owner = 1
-    for m in token_ids:
-        token = system.tokens[m]
-        parts = _split_int(rng, debts[m], rng.randint(1, max_cdps_per_token))
-        for part in parts:
-            cdp_id = core.open_cdp(system, token.chain, owner, m)
-            ratio = gamma * (1 + Fraction(rng.randint(1, 2000), 1000))
-            price = system.prices[m]
-            collateral = int(ratio * part / price) + 1
-            core.deposit_collateral(system, cdp_id, collateral)
-            core.withdraw_stablecoins(system, cdp_id, part)
-            owner += 1
-
-    total = Fraction(sum(debts.values()), SCALE)
-    ceilings: dict[int, Fraction] = {}
-    for m in token_ids:
-        share = Fraction(debts[m], SCALE) / total
-        margin = Fraction(rng.randint(1, 200), 1000)
-        ceilings[m] = min(Fraction(1), share + margin)
-        if ceilings[m] <= share:  # share + margin capped at 1 while share == 1
-            ceilings[m] = Fraction(1)
-    system.params = SystemParams(
-        gamma=gamma, theta=Fraction(11, 10), relay_n=4, relay_f=1, debt_ceilings=ceilings
-    )
-    return system
-
-
-def _split_int(rng: random.Random, total: int, parts: int) -> list[int]:
-    parts = min(parts, total)
-    if parts <= 1:
-        return [total]
-    cuts = sorted(rng.sample(range(1, total), parts - 1))
-    edges = [0] + cuts + [total]
-    return [b - a for a, b in zip(edges[:-1], edges[1:])]
 
 
 def ceiling_headroom(system: System, token_id: int) -> Fraction:

@@ -1,7 +1,13 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from crocodai import stablecoin as core
 from crocodai.ledger import SCALE, System
+from crocodai.montecarlo import table_sweep
+from crocodai.riskmodel import ReturnModel
 from crocodai.stablecoin import SystemParams
 
 
@@ -56,3 +62,83 @@ def write_price_csv(path, symbols, slots=400, seed=0, gap_at=None, start="2022-0
             t += timedelta(hours=4)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def toy_model(cov, nu=5.0, mu=None, names=None):
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    m = len(cov)
+    return ReturnModel(
+        assets=names or [f"A{i}" for i in range(m)],
+        mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=float),
+        cov=cov,
+        nu=np.full(m, float(nu)),
+        n_obs=1000,
+    )
+
+
+def sweep_cell(portfolio, model, gamma_prime, *args, **kwargs):
+    """The one cell of a one-portfolio, one-gamma' `table_sweep`."""
+    sweep = table_sweep([portfolio], [gamma_prime], model, *args, **kwargs)
+    return sweep.estimates[(gamma_prime, portfolio.name)]
+
+
+def random_backed_instance(
+    rng: random.Random,
+    n_chains: int = 2,
+    max_tokens_per_chain: int = 3,
+    max_cdps_per_token: int = 3,
+) -> System:
+    """A small system whose CDPs all start strictly above the liquidation
+    ratio and whose per-token debts leave strict headroom under their
+    ceilings. All quantities are exact rationals / integers by construction:
+    per-CDP ratios are drawn from (gamma, ~3*gamma], debts are integer minor
+    units, and ceilings are set to the realized debt fraction plus a random
+    strict margin.
+    """
+    gamma = Fraction(rng.randint(12, 25), 10)
+    params = SystemParams(gamma=gamma, theta=Fraction(11, 10), relay_n=4, relay_f=1)
+    system = System(params)
+
+    token_ids: list[int] = []
+    for c in range(n_chains):
+        cid = system.create_chain({"name": f"chain-{c}"})
+        for t in range(rng.randint(1, max_tokens_per_chain)):
+            token_ids.append(system.register_token(f"TOK{cid}_{t}", cid))
+    for m in token_ids:
+        system.set_price(m, Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)))
+
+    debts: dict[int, int] = {m: rng.randint(1, 10**12) for m in token_ids}
+    owner = 1
+    for m in token_ids:
+        token = system.tokens[m]
+        parts = _split_int(rng, debts[m], rng.randint(1, max_cdps_per_token))
+        for part in parts:
+            cdp_id = core.open_cdp(system, token.chain, owner, m)
+            ratio = gamma * (1 + Fraction(rng.randint(1, 2000), 1000))
+            price = system.prices[m]
+            collateral = int(ratio * part / price) + 1
+            core.deposit_collateral(system, cdp_id, collateral)
+            core.withdraw_stablecoins(system, cdp_id, part)
+            owner += 1
+
+    total = Fraction(sum(debts.values()), SCALE)
+    ceilings: dict[int, Fraction] = {}
+    for m in token_ids:
+        share = Fraction(debts[m], SCALE) / total
+        margin = Fraction(rng.randint(1, 200), 1000)
+        ceilings[m] = min(Fraction(1), share + margin)
+        if ceilings[m] <= share:  # share + margin capped at 1 while share == 1
+            ceilings[m] = Fraction(1)
+    system.params = SystemParams(
+        gamma=gamma, theta=Fraction(11, 10), relay_n=4, relay_f=1, debt_ceilings=ceilings
+    )
+    return system
+
+
+def _split_int(rng: random.Random, total: int, parts: int) -> list[int]:
+    parts = min(parts, total)
+    if parts <= 1:
+        return [total]
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    edges = [0] + cuts + [total]
+    return [b - a for a, b in zip(edges[:-1], edges[1:])]

@@ -19,16 +19,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import units
+from conftest import random_backed_instance, sweep_cell, units
 from crocodai import relay as relay_mod
 from crocodai import stablecoin as core
 from crocodai.errors import ProtocolError
 from crocodai.ledger import SCALE, System
-from crocodai.montecarlo import Portfolio, historical_replay, simulate_failure, table_sweep
+from crocodai.montecarlo import Portfolio, historical_replay, table_sweep
 from crocodai.optimizer import QpProblem, min_variance, project_capped_simplex
 from crocodai.oracle import tail_probability_experiment
 from crocodai.relay import (
-    BYZANTINE_STRATEGIES,
+    BYZ_EQUIVOCATE,
+    BYZ_FORGE,
+    BYZ_REFUSE,
     COMMITTED,
     CRASHED,
     N_OF_1,
@@ -49,7 +51,6 @@ from crocodai.scenarios import (
     builtin_portfolio,
     ceiling_headroom,
     compromised_chain_scenario,
-    random_backed_instance,
     token_crash_scenario,
 )
 from crocodai.stablecoin import SystemParams
@@ -102,7 +103,7 @@ def _fault_schedules():
     yield "all-honest", {}
     for node in range(4):
         yield f"node{node}-crashed", {node: CRASHED}
-    for node, strategy in itertools.product(range(4), BYZANTINE_STRATEGIES):
+    for node, strategy in itertools.product(range(4), (BYZ_EQUIVOCATE, BYZ_REFUSE, BYZ_FORGE)):
         yield f"node{node}-{strategy.split(':')[1]}", {node: strategy}
 
 
@@ -369,7 +370,7 @@ def test_criterion_6_monte_carlo():
         nu=np.array([5.0]), n_obs=100,
     )
     solo = Portfolio("solo", ("X",), np.array([1.0]))
-    est0 = simulate_failure(solo, zero, 1.2, 1.1, horizon=288, runs=10_000, seed=0)
+    est0 = sweep_cell(solo, zero, 1.2, 1.1, horizon=288, runs=10_000, seed=0)
     exact_zero = est0.probability == 0.0
 
     sigma, nu = 0.08, 5.0
@@ -383,7 +384,7 @@ def test_criterion_6_monte_carlo():
         (NORMAL, stats.norm.cdf(q / sigma)),
         (STUDENT_T, stats.t.cdf(q * np.sqrt(nu / (nu - 2.0)) / sigma, nu)),
     ):
-        est = simulate_failure(solo, toy, 1.2, 1.1, 1, 10**5, distribution=dist, seed=17)
+        est = sweep_cell(solo, toy, 1.2, 1.1, 1, 10**5, distribution=dist, seed=17)
         within[dist] = abs(est.probability - expected) <= 3 * est.ci_half_width
 
     rng = np.random.default_rng(5)
@@ -441,7 +442,7 @@ def test_criterion_7_published_tables():
         )
         model = fit_model_from_series(series, portfolio.assets)
         for gamma_prime, expected in rows.items():
-            est = simulate_failure(
+            est = sweep_cell(
                 portfolio, model, gamma_prime, 1.1, horizon=288, runs=10**5,
                 distribution=STUDENT_T, seed=1,
             )

@@ -609,6 +609,10 @@ class TestPortfolioFile:
         ('{"weights": {"BTC": 0.0, "ETH": 0.0}}', "positive, finite total"),
         ('{"weights": {"BTC": NaN, "ETH": 0.5}}', "finite total"),
         ('{"weights": {"BTC": Infinity, "ETH": 0.5}}', "finite total"),
+        ('{"name": [1], "weights": {"BTC": 1.0}}', "$.name"),
+        ('{"name": 5, "weights": {"BTC": 1.0}}', "$.name"),
+        ('{"name": null, "weights": {"BTC": 1.0}}', "$.name"),
+        ('{"name": {}, "weights": {"BTC": 1.0}}', "$.name"),
     ])
     def test_replay_rejects(self, prices, tmp_path, capsys, text, needle):
         weights = tmp_path / "w.json"

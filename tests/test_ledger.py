@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,14 +152,6 @@ class TestDeterminism:
             for ev in events:
                 _apply_to_state(chain, ev.kind, ev.payload)
         assert sys_.state_digest() == digest
-
-    def test_event_log_exports_json_lines(self, system):
-        system.transfer_local(system.main, 1, 2, 3)
-        lines = list(system.export_event_log(system.main))
-        assert len(lines) == 1
-        doc = json.loads(lines[0])
-        assert doc["kind"] == "transfer"
-        assert doc["payload"]["amount"] == 3
 
     def test_unknown_event_kind_rejected(self, system):
         with pytest.raises(ProtocolError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import sweep_cell, toy_model
 from crocodai.errors import DataError, ModelError
 from crocodai.montecarlo import (
     CHUNK_RUNS,
@@ -14,30 +15,16 @@ from crocodai.montecarlo import (
     _window_minima,
     confidence_interval,
     historical_replay,
-    simulate_failure,
     table_sweep,
 )
 from crocodai.riskmodel import (
     NORMAL,
     STUDENT_T,
     PriceSeries,
-    ReturnModel,
     ingest_prices,
     sample_returns,
 )
 from crocodai.scenarios import builtin_portfolio
-
-
-def toy_model(cov, nu=5.0, mu=None, names=None):
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    m = len(cov)
-    return ReturnModel(
-        assets=names or [f"A{i}" for i in range(m)],
-        mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=float),
-        cov=cov,
-        nu=np.full(m, float(nu)),
-        n_obs=1000,
-    )
 
 
 class TestPortfolio:
@@ -80,7 +67,7 @@ class TestSimulateFailure:
     def test_zero_volatility_never_fails(self):
         model = toy_model(np.zeros((1, 1)))
         p = Portfolio("solo", ("A0",), np.array([1.0]))
-        est = simulate_failure(p, model, 1.2, 1.1, horizon=50, runs=3000, seed=0)
+        est = sweep_cell(p, model, 1.2, 1.1, horizon=50, runs=3000, seed=0)
         assert est.probability == 0.0 and est.failures == 0
 
     @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
@@ -93,7 +80,7 @@ class TestSimulateFailure:
             expected = stats.norm.cdf(q / sigma)
         else:
             expected = stats.t.cdf(q * np.sqrt(nu / (nu - 2.0)) / sigma, nu)
-        est = simulate_failure(
+        est = sweep_cell(
             p, model, 1.2, 1.1, horizon=1, runs=10**5, distribution=distribution, seed=3
         )
         assert abs(est.probability - expected) <= 3 * est.ci_half_width
@@ -103,44 +90,37 @@ class TestSimulateFailure:
         model = toy_model([[s2, s2], [s2, s2]])
         pair = Portfolio("pair", ("A0", "A1"), np.array([0.5, 0.5]))
         solo = Portfolio("solo", ("A0",), np.array([1.0]))
-        a = simulate_failure(pair, model, 1.2, 1.1, 1, 20_000, NORMAL, seed=4)
-        b = simulate_failure(solo, model, 1.2, 1.1, 1, 20_000, NORMAL, seed=4)
+        a = sweep_cell(pair, model, 1.2, 1.1, 1, 20_000, NORMAL, seed=4)
+        b = sweep_cell(solo, model, 1.2, 1.1, 1, 20_000, NORMAL, seed=4)
         assert a.failures == b.failures
 
     def test_unknown_asset_rejected(self):
         model = toy_model(np.eye(1) * 0.01)
         p = Portfolio("ghost", ("NOPE",), np.array([1.0]))
         with pytest.raises(ModelError):
-            simulate_failure(p, model, 1.2, 1.1, 10, 100)
+            sweep_cell(p, model, 1.2, 1.1, 10, 100)
 
     def test_levels_validated(self):
         model = toy_model(np.eye(1) * 0.01)
         p = Portfolio("solo", ("A0",), np.array([1.0]))
         with pytest.raises(DataError):
-            simulate_failure(p, model, 1.1, 1.2, 10, 100)
+            sweep_cell(p, model, 1.1, 1.2, 10, 100)
 
     @pytest.mark.parametrize("horizon, runs", [(0, 100), (10, 0), (-1, 100)])
     def test_horizon_and_runs_validated(self, horizon, runs):
         model = toy_model(np.eye(1) * 0.01)
         p = Portfolio("solo", ("A0",), np.array([1.0]))
         with pytest.raises(DataError):
-            simulate_failure(p, model, 1.2, 1.1, horizon, runs)
-
-    def test_is_the_one_cell_of_a_table_sweep(self):
-        model = toy_model(np.eye(2) * 0.02**2, nu=4.0)
-        p = Portfolio("pair", ("A0", "A1"), np.array([0.3, 0.7]))
-        est = simulate_failure(p, model, 1.3, 1.1, 24, 3000, NORMAL, seed=2, zero_drift=True)
-        sweep = table_sweep([p], [1.3], model, 1.1, 24, 3000, NORMAL, seed=2, zero_drift=True)
-        assert est == sweep.estimates[(1.3, "pair")]
+            sweep_cell(p, model, 1.2, 1.1, horizon, runs)
 
     def test_seed_determinism_and_parallel_merge(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3)) * 0.02
         model = toy_model(a @ a.T, nu=4.0)
         p = Portfolio("eq", tuple(model.assets), np.ones(3) / 3)
-        one = simulate_failure(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
-        two = simulate_failure(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
-        par = simulate_failure(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=3)
+        one = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
+        two = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
+        par = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=3)
         assert one.failures == two.failures == par.failures
 
     def test_t_with_high_dof_matches_normal(self):
@@ -149,8 +129,8 @@ class TestSimulateFailure:
         cov = a @ a.T + 1e-4 * np.eye(2)
         model = toy_model(cov, nu=200.0)
         p = Portfolio("eq", tuple(model.assets), np.array([0.5, 0.5]))
-        t_est = simulate_failure(p, model, 1.2, 1.1, 24, 20_000, STUDENT_T, seed=5)
-        n_est = simulate_failure(p, model, 1.2, 1.1, 24, 20_000, NORMAL, seed=6)
+        t_est = sweep_cell(p, model, 1.2, 1.1, 24, 20_000, STUDENT_T, seed=5)
+        n_est = sweep_cell(p, model, 1.2, 1.1, 24, 20_000, NORMAL, seed=6)
         assert abs(t_est.probability - n_est.probability) <= (
             t_est.ci_half_width + n_est.ci_half_width
         )

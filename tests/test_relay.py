@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import units
+from conftest import random_backed_instance, units
 from crocodai import relay, scenarios
 from crocodai.errors import (
     InsufficientBalanceError,
@@ -324,7 +324,7 @@ def _run_schedule(seed, monkeypatch, after_step, steps=180):
     forks: the first runs the indexed round, the second the full scan.
     `after_step(indexed, reference, indexed_result, reference_result)` sees
     both after every step."""
-    indexed, reference = (scenarios.random_backed_instance(random.Random(seed), n_chains=3)
+    indexed, reference = (random_backed_instance(random.Random(seed), n_chains=3)
                           for _ in range(2))
     rng = random.Random(seed + 1)
     chains = sorted(indexed.chains)

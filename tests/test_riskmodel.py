@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import write_price_csv
+from conftest import toy_model, write_price_csv
 from crocodai import riskmodel
 from crocodai.errors import DataError, ModelError
 from crocodai.riskmodel import (
@@ -476,18 +476,6 @@ class TestCholesky:
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         L = cholesky(cov)
         assert np.linalg.norm(L @ L.T - cov) / np.linalg.norm(cov) < 1e-10
-
-
-def toy_model(cov, nu=5.0, mu=None):
-    cov = np.asarray(cov, dtype=float)
-    m = len(cov)
-    return ReturnModel(
-        assets=[f"A{i}" for i in range(m)],
-        mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=float),
-        cov=cov,
-        nu=np.full(m, float(nu)),
-        n_obs=1000,
-    )
 
 
 class TestSampler:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import units
+from conftest import random_backed_instance, units
 from crocodai import relay as relay_mod
 from crocodai.cli import main
 from crocodai import scenarios
@@ -29,7 +29,6 @@ from crocodai.scenarios import (
     ceiling_headroom,
     compromised_chain_scenario,
     parse_scenario,
-    random_backed_instance,
     run_scenario,
     run_scenario_file,
     token_crash_scenario,

@@ -1,4 +1,4 @@
-from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -306,8 +306,7 @@ class TestStabilityFee:
 
 def fee_accrued_vault(slots):
     """10**11 units minted at a per-slot fee of 1e-8, then `slots` slots of
-    fees: a debt of 30 significant digits, two more than the default Decimal
-    context holds."""
+    fees: a debt of 30 significant digits."""
     sys_ = vault_system(fee="1e-8")
     sys_.params = sys_.params.with_param("bootstrap_ceiling", units(10**11))
     cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
@@ -317,46 +316,24 @@ def fee_accrued_vault(slots):
     return sys_, sys_.chains[sys_.main].cdps[cdp]
 
 
-class TestDebtContext:
+class TestDebtDigits:
     def test_fee_accrued_debt_keeps_every_digit(self):
         # the appliers ran in the caller's 28-digit context, so one minor
         # unit on this debt used to drop its last two digits
         sys_, cdp = fee_accrued_vault(1000)
         assert cdp.debt == Decimal("100001000004.995016616741417207")
+        assert sys_.chains[sys_.main].pot.surplus == Decimal("1000004.995016616741417207")
         core.withdraw_stablecoins(sys_, cdp.id, 1)
         assert cdp.debt == Decimal("100001000004.995016617741417207")
         core.repay_debt(sys_, cdp.id, 1)
         assert cdp.debt == Decimal("100001000004.995016616741417207")
 
-    def test_ambient_context_does_not_reach_debt(self):
-        with localcontext() as ctx:
-            ctx.prec, ctx.rounding = 6, ROUND_FLOOR
-            sys_, cdp = fee_accrued_vault(1000)
-            core.withdraw_stablecoins(sys_, cdp.id, 1)
-        assert cdp.debt == Decimal("100001000004.995016617741417207")
-        assert sys_.chains[sys_.main].pot.surplus == Decimal("1000004.995016616741417207")
-
-    def test_digest_ignores_the_ambient_context(self):
-        # str() of the debt Decimal('1E-9') used to follow the caller's capitals
-        sys_ = vault_system()
-        cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
-        core.deposit_collateral(sys_, cdp, units(1))
-        core.withdraw_stablecoins(sys_, cdp, 1)
-        live = sys_.state_digest()
-        with localcontext() as ctx:
-            ctx.capitals = 0
-            assert sys_.state_digest() == live
-
-    @pytest.mark.parametrize("prec, rounding", [(60, ROUND_HALF_EVEN), (28, ROUND_FLOOR)])
-    def test_fork_rebuild_matches_the_live_state(self, prec, rounding):
-        # a rebuild under another context used to round this debt differently
+    def test_fork_rebuild_matches_the_live_state(self):
         sys_, cdp = fee_accrued_vault(1001)
         core.withdraw_stablecoins(sys_, cdp.id, 1)
         sys_.mark_compromised(sys_.main)
         live = sys_.state_digest()
-        with localcontext() as ctx:
-            ctx.prec, ctx.rounding = prec, rounding
-            sys_.fork_revert(sys_.main, sys_.slot + 1)  # keeps every event: a pure rebuild
+        sys_.fork_revert(sys_.main, sys_.slot + 1)  # keeps every event: a pure rebuild
         assert sys_.state_digest() == live
 
     def test_debt_stays_exact_past_sixty_digits(self):
