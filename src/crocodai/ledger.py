@@ -141,7 +141,7 @@ class System:
         self.slot = 0
         # relay-module state (owned by crocodai.relay, stored here so the
         # whole world is one deterministic value)
-        self.relays: dict[int, Any] = {}
+        self.relays: dict[int, str] = {}  # relay id -> behavior
         self.transfers: dict[int, Any] = {}
         # the escrowed subset of `transfers`, in id order: a relay round
         # walks only these, so its cost does not grow with history

@@ -77,9 +77,13 @@ class Portfolio:
     def from_weights(cls, name: str, weights: Mapping[str, float]) -> "Portfolio":
         assets = tuple(weights)
         w = np.array([weights[a] for a in assets], dtype=float)
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if total == math.inf and np.all(np.isfinite(w)):  # finite weights, too large to add
+            w = w / w.max()
+            total = float(w.sum())
         if not 0.0 < total < math.inf:
-            raise DataError(f"portfolio weights must have a positive, finite total, got {total!r}")
+            raise DataError(f"portfolio weights must have a positive, finite total, got {total}")
         return cls(name, assets, w / total)
 
 

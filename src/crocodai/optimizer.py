@@ -4,10 +4,11 @@ minimize    v' Cov v
 subject to  sum(v) = 1,  0 <= v_i <= cap_i
 
 Solved exactly by one primal active-set loop (Nocedal & Wright, Numerical
-Optimization, 2nd ed., Algorithm 16.3) from the projection of the uniform
-portfolio onto the capped simplex (exact breakpoint search). Each pass solves
-the equality-constrained QP on the free weights, then either stops at the
-first bound on the way and adds it to the working set, or moves to the
+Optimization, 2nd ed., Algorithm 16.3). It starts from caps / sum(caps),
+feasible because QpProblem refuses sum(caps) < 1 - 1e-12; taking its minimum
+with caps keeps the start inside the caps when the sum is just below 1. Each
+pass solves the equality-constrained QP on the free weights, then either stops
+at the first bound on the way and adds it to the working set, or moves to the
 subproblem's minimiser and releases the bound with the most negative
 multiplier. It stops when none is below -1e-12 * max|Cov|, a test relative to
 Cov's scale, so the weights do not depend on the units of the returns.
@@ -61,46 +62,6 @@ class QpSolution:
     iterations: int
 
 
-def project_capped_simplex(y: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {v : sum(v) = 1, 0 <= v <= caps}.
-
-    The projection is clip(y - tau, 0, caps) for the unique tau where the
-    coordinate sum hits 1; tau is found by exact search over the sorted
-    breakpoints (ties resolved by the stable sort, i.e. by asset index).
-    """
-    y = np.asarray(y, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    if caps.sum() < 1.0 - 1e-12:
-        raise InfeasibleProblemError("sum of caps < 1: projection target is empty")
-
-    bps = np.sort(np.concatenate([y, y - caps]), kind="stable")
-
-    def total(tau: float) -> float:
-        return float(np.clip(y - tau, 0.0, caps).sum())
-
-    # total(tau) is continuous, non-increasing, piecewise linear with knees
-    # exactly at the breakpoints; total(bps[0]) = sum(caps) >= 1 and
-    # total(bps[-1]) = 0, so the crossing segment is bracketed
-    left, right = 0, len(bps) - 1
-    while right - left > 1:
-        mid = (left + right) // 2
-        if total(bps[mid]) >= 1.0:
-            left = mid
-        else:
-            right = mid
-    a, b = float(bps[left]), float(bps[right])
-    ta, tb = total(a), total(b)
-    tau = a if ta == tb else a + (ta - 1.0) * (b - a) / (ta - tb)
-    v = np.clip(y - tau, 0.0, caps)
-    # one exact correction step on the free set kills the last float error
-    free = (v > 0.0) & (v < caps)
-    gap = 1.0 - v.sum()
-    if np.any(free) and gap != 0.0:
-        v[free] += gap / free.sum()
-        v = np.clip(v, 0.0, caps)
-    return v
-
-
 def kkt_check(weights: np.ndarray, problem: QpProblem) -> float:
     """Maximum stationarity violation of the KKT system at a feasible point.
 
@@ -144,7 +105,7 @@ def min_variance(problem: QpProblem) -> QpSolution:
     # negative curvature the KKT point is a saddle and the loop can cycle, so
     # shift the spectrum to make every face convex
     cov -= min(float(np.linalg.eigvalsh(cov)[0]), 0.0) * np.eye(m)
-    v = project_capped_simplex(np.full(m, 1.0 / m), caps)
+    v = np.minimum(caps, caps / caps.sum())
     lower, upper = v == 0.0, v == caps  # the working set: bounds held as equalities
     if np.all(lower | upper):  # a vertex: one free variable carries the budget
         k = int(np.argmax(v))

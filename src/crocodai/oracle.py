@@ -121,8 +121,6 @@ class TailEstimate:
     bound: float
     trials: int
     exceedances: int
-    n_feeds: int
-    n_corrupt: int
     sigma_star: float
 
     @property
@@ -222,7 +220,5 @@ def tail_probability_experiment(
         bound=bound,
         trials=trials,
         exceedances=exceed,
-        n_feeds=n_feeds,
-        n_corrupt=n_corrupt,
         sigma_star=sigma_star,
     )

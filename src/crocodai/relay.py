@@ -29,20 +29,9 @@ BYZ_FORGE = "byzantine:forge"
 
 BEHAVIORS = (HONEST, CRASHED, BYZ_EQUIVOCATE, BYZ_REFUSE, BYZ_FORGE)
 
-REQUESTED = "requested"
 ESCROWED = "escrowed"
 COMMITTED = "committed"
 ABORTED = "aborted"
-
-
-@dataclass
-class RelayNode:
-    id: int
-    behavior: str = HONEST
-
-    def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
-            raise ProtocolError(f"unknown relay behavior {self.behavior!r}")
 
 
 @dataclass
@@ -53,7 +42,7 @@ class CrossChainTransfer:
     sender: int
     target_addr: int
     amount: int
-    state: str = REQUESTED
+    state: str = ESCROWED
     commit_votes: set[int] = field(default_factory=set)
     abort_votes: set[int] = field(default_factory=set)
     request_slot: int = 0
@@ -67,15 +56,17 @@ class GovernanceAction:
 
 
 def register_relays(system: System, behaviors: dict[int, str] | None = None) -> None:
-    """Create the n relay nodes from system params; behaviors default to honest."""
+    """Map each of the n relay ids of the system params to its behavior;
+    behaviors default to honest."""
     behaviors = behaviors or {}
     n = system.params.relay_n
     unknown = [node_id for node_id in behaviors if node_id not in range(n)]
     if unknown:
         raise ProtocolError(f"relay ids {unknown} outside the roster 0..{n - 1}")
-    system.relays = {}
-    for node_id in range(n):
-        system.relays[node_id] = RelayNode(node_id, behaviors.get(node_id, HONEST))
+    for behavior in behaviors.values():
+        if behavior not in BEHAVIORS:
+            raise ProtocolError(f"unknown relay behavior {behavior!r}")
+    system.relays = {node_id: behaviors.get(node_id, HONEST) for node_id in range(n)}
 
 
 def quorum(system: System) -> int:
@@ -107,7 +98,6 @@ def request_transfer(
         "escrow_create",
         {"transfer": tid, "sender": sender, "amount": amount, "slot": system.slot},
     )
-    transfer.state = ESCROWED
     system.transfers[tid] = transfer
     system.pending_transfers[tid] = transfer
     return tid
@@ -142,8 +132,8 @@ def relay_step(system: System) -> list[dict[str, Any]]:
         if slot - transfer.request_slot >= timeout:
             # expired: refund if the escrow still exists, then close the
             # transfer so late commit certificates can never race the abort
-            for node_id, node in roster:
-                if node.behavior == HONEST:
+            for node_id, behavior in roster:
+                if behavior == HONEST:
                     transfer.abort_votes.add(node_id)
             refunded = tid in system.chains[transfer.source].escrows
             if refunded:
@@ -156,23 +146,23 @@ def relay_step(system: System) -> list[dict[str, Any]]:
         # nothing is applied while the nodes vote, so every honest node
         # reads the same escrow
         valid = _node_validates(system, transfer)
-        for _, node in roster:
-            if node.behavior == HONEST:
+        for node_id, behavior in roster:
+            if behavior == HONEST:
                 if valid:
-                    transfer.commit_votes.add(node.id)
-            elif node.behavior == BYZ_EQUIVOCATE:
-                transfer.commit_votes.add(node.id)
-                transfer.abort_votes.add(node.id)
-            elif node.behavior == BYZ_FORGE:
+                    transfer.commit_votes.add(node_id)
+            elif behavior == BYZ_EQUIVOCATE:
+                transfer.commit_votes.add(node_id)
+                transfer.abort_votes.add(node_id)
+            elif behavior == BYZ_FORGE:
                 # votes under ids it does not own are rejected by
                 # authentication; log the attempts for the monitor
                 for forged, _ in roster:
-                    if forged != node.id:
+                    if forged != node_id:
                         out.append(
                             {
                                 "type": "forged_vote_rejected",
                                 "transfer": tid,
-                                "by": node.id,
+                                "by": node_id,
                                 "claimed": forged,
                                 "slot": slot,
                             }

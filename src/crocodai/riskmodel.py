@@ -35,11 +35,11 @@ or ``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
 at once, and the error names the first bad cell in reading order; only that
 cell's line is split again, to quote the cell in the message.
 
-A model file (`ReturnModel.save`, or the CLI's `fit` output, which wraps
-it as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``, ``nu`` and
-``n_obs``. ``cov`` must be symmetric positive semi-definite: its Cholesky
-factor, which the sampler colours with, is derived from it on load, and a
-stored ``chol`` is ignored.
+A model file (a `ReturnModel.to_json` document, or the CLI's `fit` output,
+which wraps one as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``,
+``nu`` and ``n_obs``. ``cov`` must be symmetric positive semi-definite: its
+Cholesky factor, which the sampler colours with, is derived from it on load,
+and a stored ``chol`` is ignored.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
 with an analytic gradient (`fit_nu`), about ten passes over the data per
@@ -425,9 +425,6 @@ class ReturnModel:
                 raise ModelError(f"field {name!r} must be finite")
             fields[name] = value
         return cls(assets=assets, n_obs=int(doc["n_obs"]), **fields)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "ReturnModel":

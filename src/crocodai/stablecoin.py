@@ -39,7 +39,7 @@ from .ledger import FEE_SCALE, OPEN, SCALE, Auction, Cdp, CoinChain, System
 # fee-accrued debt within 1/2 + slots * 10**-40 of a 10**-18 unit of exact
 DEBT_BOUND, GROWTH_SCALE = 10**60, 10**100
 
-MAX_RELAYS = 64  # the largest relay_n: the relay module builds one node per relay
+MAX_RELAYS = 64  # the largest relay_n: the relay roster holds one entry per relay
 
 
 @dataclass(frozen=True)

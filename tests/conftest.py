@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crocodai import stablecoin as core
+from crocodai.errors import InfeasibleProblemError
 from crocodai.ledger import SCALE, System
 from crocodai.montecarlo import table_sweep
 from crocodai.riskmodel import ReturnModel
@@ -142,3 +143,43 @@ def _split_int(rng: random.Random, total: int, parts: int) -> list[int]:
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     edges = [0] + cuts + [total]
     return [b - a for a, b in zip(edges[:-1], edges[1:])]
+
+
+def project_capped_simplex(y: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {v : sum(v) = 1, 0 <= v <= caps}.
+
+    The projection is clip(y - tau, 0, caps) for the unique tau where the
+    coordinate sum hits 1; tau is found by exact search over the sorted
+    breakpoints (ties resolved by the stable sort, i.e. by asset index).
+    """
+    y = np.asarray(y, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    if caps.sum() < 1.0 - 1e-12:
+        raise InfeasibleProblemError("sum of caps < 1: projection target is empty")
+
+    bps = np.sort(np.concatenate([y, y - caps]), kind="stable")
+
+    def total(tau: float) -> float:
+        return float(np.clip(y - tau, 0.0, caps).sum())
+
+    # total(tau) is continuous, non-increasing, piecewise linear with knees
+    # exactly at the breakpoints; total(bps[0]) = sum(caps) >= 1 and
+    # total(bps[-1]) = 0, so the crossing segment is bracketed
+    left, right = 0, len(bps) - 1
+    while right - left > 1:
+        mid = (left + right) // 2
+        if total(bps[mid]) >= 1.0:
+            left = mid
+        else:
+            right = mid
+    a, b = float(bps[left]), float(bps[right])
+    ta, tb = total(a), total(b)
+    tau = a if ta == tb else a + (ta - 1.0) * (b - a) / (ta - tb)
+    v = np.clip(y - tau, 0.0, caps)
+    # one exact correction step on the free set kills the last float error
+    free = (v > 0.0) & (v < caps)
+    gap = 1.0 - v.sum()
+    if np.any(free) and gap != 0.0:
+        v[free] += gap / free.sum()
+        v = np.clip(v, 0.0, caps)
+    return v

@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_backed_instance, sweep_cell, units
+from conftest import project_capped_simplex, random_backed_instance, sweep_cell, units
 from crocodai import relay as relay_mod
 from crocodai import stablecoin as core
 from crocodai.errors import ProtocolError
 from crocodai.ledger import SCALE, System
 from crocodai.montecarlo import Portfolio, historical_replay, table_sweep
-from crocodai.optimizer import QpProblem, min_variance, project_capped_simplex
+from crocodai.optimizer import QpProblem, min_variance
 from crocodai.oracle import tail_probability_experiment
 from crocodai.relay import (
     BYZ_EQUIVOCATE,

@@ -609,6 +609,7 @@ class TestPortfolioFile:
         ('{"weights": {"BTC": 0.0, "ETH": 0.0}}', "positive, finite total"),
         ('{"weights": {"BTC": NaN, "ETH": 0.5}}', "finite total"),
         ('{"weights": {"BTC": Infinity, "ETH": 0.5}}', "finite total"),
+        ('{"weights": {}}', "positive, finite total, got 0.0"),
         ('{"name": [1], "weights": {"BTC": 1.0}}', "$.name"),
         ('{"name": 5, "weights": {"BTC": 1.0}}', "$.name"),
         ('{"name": null, "weights": {"BTC": 1.0}}', "$.name"),
@@ -620,6 +621,17 @@ class TestPortfolioFile:
         assert main(["replay", "--prices", str(prices), "--portfolio", str(weights),
                      "--gamma-prime", "1.2", "--horizon", "4"]) == 2
         assert needle in capsys.readouterr().err
+
+    def test_weights_whose_sum_overflows_are_normalised(self, prices, tmp_path):
+        # 1e308 + 1e308 is inf in floats, yet the basket is plainly 50/50
+        results = []
+        for w in (1e308, 1):
+            weights, out = tmp_path / "w.json", tmp_path / "out.json"
+            weights.write_text(json.dumps({"weights": {"BTC": w, "ETH": w}}))
+            assert main(["replay", "--prices", str(prices), "--portfolio", str(weights),
+                         "--gamma-prime", "1.2", "--horizon", "4", "--out", str(out)]) == 0
+            results.append(read(out)["results"])
+        assert results[0] == results[1]
 
     def test_zero_weights_do_not_simulate(self, prices, tmp_path):
         # an all-zero basket used to report failure probability 0 with exit 0

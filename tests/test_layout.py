@@ -1,14 +1,17 @@
 """Layout guard: `src/crocodai` holds only what the program runs.
 
 Every public module-level function, class and UPPER_CASE constant of the
-package, and every public method, must be named as a whole word on some
-other line of `src/`, `scripts/` or `perfbench/`. A name only tests use
+package, and every public method, must be referenced by the program: some
+AST node of a Python file under `src/`, `scripts/` or `perfbench/` other
+than its own definition must name it. A reference is a name read (`foo`),
+an attribute (`x.foo`) or a string constant that is exactly the name
+(`perfbench/spans.py` wraps functions given by name). A word in a comment,
+a docstring or a longer string is not a reference. A name only tests use
 belongs in `tests/`. The check only reads those directories.
 """
 
 import ast
 import re
-from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,27 +43,32 @@ def _public_names(tree):
                     yield item.name, item.lineno
 
 
-def _lines_naming():
-    """word -> (path, line number) of each line of the program's Python
-    files that names it as a whole word."""
-    lines = defaultdict(set)
+def _references():
+    """Every name that some node of the program's Python files refers to: a
+    name read, an attribute or a string constant. A constant's own
+    assignment stores its name, so it does not count."""
+    refs = set()
     for top in PROGRAM_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for number, text in enumerate(path.read_text().splitlines(), start=1):
-                for word in re.findall(r"\w+", text):
-                    lines[word].add((path, number))
-    return lines
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    refs.add(node.value)
+    return refs
 
 
 def test_every_public_name_has_a_caller_in_the_program():
-    lines = _lines_naming()
+    refs = _references()
     defined, unused = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, lineno in _public_names(ast.parse(path.read_text())):
             defined.add(name)
             if name.startswith("_") or name in ALLOWED:
                 continue
-            if not lines[name] - {(path, lineno)}:
+            if name not in refs:
                 unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, f"public names only tests use: {unused}"
     assert set(ALLOWED) <= defined, "an allowed name is gone: drop it from ALLOWED"

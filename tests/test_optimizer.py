@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import project_capped_simplex
 from crocodai.errors import InfeasibleProblemError, ModelError
-from crocodai.optimizer import (
-    QpProblem,
-    debt_ceilings_from,
-    kkt_check,
-    min_variance,
-    project_capped_simplex,
-)
+from crocodai.optimizer import QpProblem, debt_ceilings_from, kkt_check, min_variance
 
 
 def random_psd(rng, m, scale=1.0):
@@ -58,18 +53,31 @@ class TestProjection:
             project_capped_simplex(np.array([0.5, 0.5]), np.array([0.3, 0.3]))
 
 
+# working-set changes per asset: m is the most that any seeded family below
+# takes (m = 2 with caps 1/m), so a start or a pivot rule that makes the loop
+# wander fails here before it shows in the weights
+WORK_PER_ASSET = 1
+
+
+def solve(cov, caps):
+    """`min_variance`, gated on its work: at most WORK_PER_ASSET * m working-set changes."""
+    sol = min_variance(QpProblem(cov=cov, caps=caps))
+    m = len(caps)
+    assert sol.iterations <= WORK_PER_ASSET * m, f"{sol.iterations} working-set changes, m = {m}"
+    return sol
+
+
 class TestMinVariance:
     def test_two_asset_closed_form(self):
         s1, s2 = 0.3, 0.7
-        problem = QpProblem(cov=np.diag([s1**2, s2**2]), caps=np.ones(2))
-        sol = min_variance(problem)
+        sol = solve(np.diag([s1**2, s2**2]), np.ones(2))
         expected = s2**2 / (s1**2 + s2**2)
         assert abs(sol.weights[0] - expected) < 1e-6
         assert abs(sol.weights[1] - (1 - expected)) < 1e-6
 
     def test_identical_assets_uniform(self):
         m = 7
-        sol = min_variance(QpProblem(cov=np.eye(m) * 0.04, caps=np.ones(m)))
+        sol = solve(np.eye(m) * 0.04, np.ones(m))
         assert sol.weights == pytest.approx(np.full(m, 1 / m), abs=1e-9)
 
     def test_kkt_residual_small_on_random_instances(self):
@@ -78,14 +86,14 @@ class TestMinVariance:
             m = rng.integers(2, 9)
             cov = random_psd(rng, m)
             caps = np.clip(rng.uniform(0.2, 1.0, m), 2.0 / m, 1.0)
-            sol = min_variance(QpProblem(cov=cov, caps=caps))
+            sol = solve(cov, caps)
             assert sol.kkt_residual < 1e-6
 
     def test_dominates_random_feasible_portfolios(self):
         rng = np.random.default_rng(1)
         cov = random_psd(rng, 5)
         caps = np.full(5, 0.4)
-        sol = min_variance(QpProblem(cov=cov, caps=caps))
+        sol = solve(cov, caps)
         for _ in range(1000):
             z = project_capped_simplex(rng.normal(size=5), caps)
             assert sol.objective <= z @ cov @ z + 1e-12
@@ -95,8 +103,8 @@ class TestMinVariance:
         for _ in range(20):
             m = 6
             cov = random_psd(rng, m)
-            loose = min_variance(QpProblem(cov=cov, caps=np.ones(m)))
-            tight = min_variance(QpProblem(cov=cov, caps=np.full(m, 0.3)))
+            loose = solve(cov, np.ones(m))
+            tight = solve(cov, np.full(m, 0.3))
             assert tight.objective >= loose.objective - 1e-12
 
     def test_argmin_invariant_to_cov_scaling(self):
@@ -105,9 +113,9 @@ class TestMinVariance:
         rng = np.random.default_rng(3)
         cov = random_psd(rng, 4)
         caps = np.full(4, 0.6)
-        a = min_variance(QpProblem(cov=cov, caps=caps))
+        a = solve(cov, caps)
         for scale in (37.0, 1e-5, 1e-8):
-            b = min_variance(QpProblem(cov=cov * scale, caps=caps))
+            b = solve(cov * scale, caps)
             assert a.weights == pytest.approx(b.weights, abs=1e-7)
             assert b.objective == pytest.approx(scale * a.objective, rel=1e-9)
 
@@ -119,7 +127,7 @@ class TestMinVariance:
             s = np.exp(rng.normal(0.0, 2.0, m))
             cov = random_psd(rng, m) * np.outer(s, s)
             caps = np.full(m, rng.uniform(1.0, 3.0) / m).clip(None, 1.0)
-            sol = min_variance(QpProblem(cov=cov, caps=caps))
+            sol = solve(cov, caps)
             scale = np.abs(cov).max()
             assert sol.kkt_residual <= 1e-11 * scale
             z = np.array([project_capped_simplex(rng.normal(size=m), caps) for _ in range(1000)])
@@ -134,7 +142,8 @@ class TestMinVariance:
         cov = proj @ a @ a.T @ proj
         return (cov + cov.T) / 2
 
-    @pytest.mark.parametrize("case", ["caps-1/m", "caps-sum-1", "zero-cov", "identical", "zero-variance"])
+    @pytest.mark.parametrize("case", ["caps-1/m", "caps-sum-1", "caps-sum-below-1", "zero-cov",
+                                      "identical", "zero-variance"])
     @pytest.mark.parametrize("m", [2, 3, 7, 12])
     def test_degenerate_problems_terminate_certified(self, case, m):
         rng = np.random.default_rng(m)
@@ -144,6 +153,8 @@ class TestMinVariance:
             caps = np.full(m, 1.0 / m)
         elif case == "caps-sum-1":  # unequal binary fractions that sum to exactly 1
             caps = np.array([2.0 ** -min(k + 1, m - 1) for k in range(m)])
+        elif case == "caps-sum-below-1":  # the only point QpProblem admits, 5e-13 short of 1
+            caps = np.full(m, (1.0 - 5e-13) / m)
         elif case == "zero-cov":
             cov = np.zeros((m, m))
         elif case == "identical":
@@ -151,12 +162,12 @@ class TestMinVariance:
         else:
             cov = self._zero_variance_cov(rng, m)
         assert case != "caps-sum-1" or caps.sum() == 1.0
-        sol = min_variance(QpProblem(cov=cov, caps=caps))
+        sol = solve(cov, caps)
         scale = np.abs(cov).max()
         assert abs(sol.weights.sum() - 1.0) < 1e-12
         assert np.all(sol.weights >= 0.0) and np.all(sol.weights <= caps)
         assert sol.kkt_residual <= 1e-11 * scale
-        if case in ("caps-1/m", "caps-sum-1"):
+        if case in ("caps-1/m", "caps-sum-1", "caps-sum-below-1"):
             assert sol.weights == pytest.approx(caps, abs=1e-12)
         if case == "identical":
             assert sol.objective == pytest.approx(3e-5, rel=1e-12)
@@ -166,7 +177,7 @@ class TestMinVariance:
     def test_caps_bind(self):
         # one riskless asset, capped: the cap must be active at the optimum
         cov = np.diag([1e-6, 1.0, 1.0])
-        sol = min_variance(QpProblem(cov=cov, caps=np.array([0.2, 1.0, 1.0])))
+        sol = solve(cov, np.array([0.2, 1.0, 1.0]))
         assert sol.weights[0] == pytest.approx(0.2, abs=1e-9)
 
     def test_infeasible_rejected(self):
@@ -202,7 +213,7 @@ class TestMinVariance:
             w = np.where(w < 1e-9 * w.max(), -rng.uniform(0.0, 9e-9) * np.abs(a @ a.T).max(), w)
             cov = (u * w) @ u.T
             caps = rng.uniform(1.0 / m, 1.0, m)
-            sol = min_variance(QpProblem(cov=(cov + cov.T) / 2, caps=caps))
+            sol = solve((cov + cov.T) / 2, caps)
             assert abs(sol.weights.sum() - 1.0) < 1e-12
             assert np.all(sol.weights >= 0.0) and np.all(sol.weights <= caps)
             assert sol.kkt_residual <= 1e-7 * np.abs(cov).max()

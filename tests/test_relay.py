@@ -64,7 +64,7 @@ class TestRequestTransfer:
 class TestRelayStep:
     def test_commit_conserves_supply(self, two_chains):
         sys_ = two_chains
-        sys_.relays[3].behavior = CRASHED  # 3 honest of 4 still reach 2f+1
+        sys_.relays[3] = CRASHED  # 3 honest of 4 still reach 2f+1
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         relay.step(sys_)
         t = sys_.transfers[tid]
@@ -78,8 +78,8 @@ class TestRelayStep:
         # liveness boundary: 2 honest votes never reach quorum, the escrow
         # expires at the timeout and the sender is refunded
         sys_ = two_chains
-        sys_.relays[2].behavior = CRASHED
-        sys_.relays[3].behavior = CRASHED
+        sys_.relays[2] = CRASHED
+        sys_.relays[3] = CRASHED
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         resolved_at = run_until_resolved(sys_, tid)
         t = sys_.transfers[tid]
@@ -92,7 +92,7 @@ class TestRelayStep:
     @pytest.mark.parametrize("behavior", [BYZ_REFUSE, BYZ_EQUIVOCATE, BYZ_FORGE])
     def test_single_byzantine_cannot_block_commit(self, two_chains, behavior):
         sys_ = two_chains
-        sys_.relays[0].behavior = behavior
+        sys_.relays[0] = behavior
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         run_until_resolved(sys_, tid)
         assert sys_.transfers[tid].state == COMMITTED
@@ -101,9 +101,9 @@ class TestRelayStep:
 
     def test_forged_votes_rejected(self, two_chains):
         sys_ = two_chains
-        sys_.relays[0].behavior = BYZ_FORGE
-        sys_.relays[2].behavior = CRASHED
-        sys_.relays[3].behavior = CRASHED
+        sys_.relays[0] = BYZ_FORGE
+        sys_.relays[2] = CRASHED
+        sys_.relays[3] = CRASHED
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         events = relay.step(sys_)
         forged = [e for e in events if e["type"] == "forged_vote_rejected"]
@@ -117,17 +117,21 @@ class TestRelayStep:
         with pytest.raises(ProtocolError):
             relay.register_relays(two_chains, {node_id: CRASHED})
 
+    def test_unknown_behavior_rejected(self, two_chains):
+        with pytest.raises(ProtocolError, match="unknown relay behavior 'sleepy'"):
+            relay.register_relays(two_chains, {1: "sleepy"})
+
     def test_commit_requires_live_escrow(self, two_chains):
         # if the escrow disappears (reverted fork) before quorum, honest
         # nodes stop voting and the transfer can only expire
         sys_ = two_chains
-        for node in sys_.relays.values():
-            node.behavior = CRASHED
+        for node_id in sys_.relays:
+            sys_.relays[node_id] = CRASHED
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         sys_.mark_compromised(sys_.alpha)
         sys_.fork_revert(sys_.alpha, since_slot=0)
-        for node in sys_.relays.values():
-            node.behavior = relay.HONEST
+        for node_id in sys_.relays:
+            sys_.relays[node_id] = relay.HONEST
         relay.step(sys_)
         assert sys_.transfers[tid].state == ESCROWED
         assert sys_.transfers[tid].commit_votes == set()
@@ -270,7 +274,7 @@ def _reference_round(system):
 
         if slot - transfer.request_slot >= timeout:
             for node_id in sorted(system.relays):
-                if system.relays[node_id].behavior == HONEST:
+                if system.relays[node_id] == HONEST:
                     transfer.abort_votes.add(node_id)
             refunded = False
             source = system.chains.get(transfer.source)
@@ -282,18 +286,18 @@ def _reference_round(system):
             continue
 
         for node_id in sorted(system.relays):
-            node = system.relays[node_id]
-            if node.behavior == HONEST:
+            behavior = system.relays[node_id]
+            if behavior == HONEST:
                 if relay._node_validates(system, transfer):
-                    transfer.commit_votes.add(node.id)
-            elif node.behavior == BYZ_EQUIVOCATE:
-                transfer.commit_votes.add(node.id)
-                transfer.abort_votes.add(node.id)
-            elif node.behavior == BYZ_FORGE:
+                    transfer.commit_votes.add(node_id)
+            elif behavior == BYZ_EQUIVOCATE:
+                transfer.commit_votes.add(node_id)
+                transfer.abort_votes.add(node_id)
+            elif behavior == BYZ_FORGE:
                 for forged in sorted(system.relays):
-                    if forged != node.id:
+                    if forged != node_id:
                         out.append({"type": "forged_vote_rejected", "transfer": tid,
-                                    "by": node.id, "claimed": forged, "slot": slot})
+                                    "by": node_id, "claimed": forged, "slot": slot})
 
         if len(transfer.commit_votes) >= needed and relay._node_validates(system, transfer):
             system.apply(transfer.source, "escrow_burn", {"transfer": tid})
