@@ -7,9 +7,9 @@ reversals are exact inverses and replay is bit-identical by construction.
 Conventions:
   * stablecoin and collateral amounts are integers in minor units
     (scale 10**9 per whole unit),
-  * CDP debt and the savings pot's surplus and interest paid are exact
-    `Fraction`s of a stablecoin unit, and so are protocol-side prices and
-    ratios; fees and savings grow them by integer fixed-point factors,
+  * CDP debt and the savings pot's surplus and interest paid are integers in
+    1 / FEE_SCALE (10**-18) units, Dai's wad, read as exact `Fraction`s by
+    `debt`, `surplus` and `interest_paid`, like protocol-side prices and ratios,
   * one clock slot corresponds to 5 minutes of data time.
 """
 
@@ -30,7 +30,8 @@ from .errors import (
 )
 
 SCALE = 10**9
-FEE_SCALE = 10**18  # fee-accrued debts are whole multiples of 1 / FEE_SCALE units
+FEE_SCALE = 10**18  # debts, surplus and interest paid are held in 1 / FEE_SCALE units
+MINOR = FEE_SCALE // SCALE  # one minor unit in 1 / FEE_SCALE units
 SLOT_SECONDS = 300
 
 # CDP lifecycle states
@@ -62,8 +63,12 @@ class Cdp:
     owner: int
     token: int
     collateral: int = 0  # minor units of the collateral token
-    debt: Fraction = Fraction(0)  # stablecoin units
+    debt_wad: int = 0  # 1 / FEE_SCALE stablecoin units
     state: str = OPEN
+
+    @property
+    def debt(self) -> Fraction:
+        return Fraction(self.debt_wad, FEE_SCALE)
 
 
 @dataclass
@@ -79,8 +84,16 @@ class Auction:
 @dataclass
 class SavingsPot:
     deposits: dict[int, int] = field(default_factory=dict)
-    surplus: Fraction = Fraction(0)  # stablecoin units
-    interest_paid: Fraction = Fraction(0)
+    surplus_wad: int = 0  # 1 / FEE_SCALE stablecoin units
+    paid_wad: int = 0  # interest paid, 1 / FEE_SCALE stablecoin units
+
+    @property
+    def surplus(self) -> Fraction:
+        return Fraction(self.surplus_wad, FEE_SCALE)
+
+    @property
+    def interest_paid(self) -> Fraction:
+        return Fraction(self.paid_wad, FEE_SCALE)
 
 
 @dataclass
@@ -348,18 +361,18 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         chain.cdps[p["cdp"]].collateral -= p["amount"]
     elif kind == "cdp_mint":
         cdp = chain.cdps[p["cdp"]]
-        cdp.debt += Fraction(p["amount"], SCALE)
+        cdp.debt_wad += p["amount"] * MINOR
         b[cdp.owner] = b.get(cdp.owner, 0) + p["amount"]
     elif kind == "cdp_repay":
         cdp = chain.cdps[p["cdp"]]
-        cdp.debt -= Fraction(p["amount"], SCALE)
+        cdp.debt_wad -= p["amount"] * MINOR
         b[cdp.owner] = b.get(cdp.owner, 0) - p["amount"]
     elif kind == "cdp_close":
         chain.cdps[p["cdp"]].state = CLOSED
     elif kind == "fee_accrue":
         for cdp_id, new_debt in p["debts"].items():
-            chain.cdps[int(cdp_id)].debt = Fraction(new_debt, FEE_SCALE)
-        chain.pot.surplus += Fraction(p["surplus_delta"], FEE_SCALE)
+            chain.cdps[int(cdp_id)].debt_wad = new_debt
+        chain.pot.surplus_wad += p["surplus_delta"]
     elif kind == "auction_start":
         chain.auctions[p["cdp"]] = Auction(p["cdp"], p["slot"])
         chain.cdps[p["cdp"]].state = IN_AUCTION
@@ -378,16 +391,16 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         if p["winner"] is not None:
             # bid escrow disposed: burned part vanishes, penalty to surplus,
             # remainder refunded to the CDP owner, collateral to the winner
-            chain.pot.surplus += Fraction(p["to_surplus"], SCALE)
+            chain.pot.surplus_wad += p["to_surplus"] * MINOR
             if p["refund"]:
                 b[cdp.owner] = b.get(cdp.owner, 0) + p["refund"]
             cdp.collateral = 0
         if p["insolvent"]:
             if p["winner"] is not None:
-                cdp.debt -= Fraction(p["burned"], SCALE)
+                cdp.debt_wad -= p["burned"] * MINOR
             cdp.state = INSOLVENT
         else:
-            cdp.debt = Fraction(0)
+            cdp.debt_wad = 0
             cdp.state = CLOSED
     elif kind == "savings_deposit":
         b[p["user"]] = b.get(p["user"], 0) - p["amount"]
@@ -395,9 +408,9 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
     elif kind == "savings_accrue":
         for user, payout in p["payouts"].items():
             chain.pot.deposits[int(user)] = chain.pot.deposits.get(int(user), 0) + payout
-        total = Fraction(p["total"], SCALE)
-        chain.pot.surplus -= total
-        chain.pot.interest_paid += total
+        total = p["total"] * MINOR
+        chain.pot.surplus_wad -= total
+        chain.pot.paid_wad += total
     elif kind == "savings_withdraw":
         chain.pot.deposits[p["user"]] -= p["amount"]
         b[p["user"]] = b.get(p["user"], 0) + p["amount"]

@@ -167,7 +167,7 @@ def _min_relative_values(
             spans.append((members, slice(start, start + n)))
             tasks.append((model, basket, horizon, n, distribution, seed, chunk_index, zero_drift))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             parts = list(pool.map(_chunk_min_relvalue, tasks))
     else:
         parts = [_chunk_min_relvalue(t) for t in tasks]

@@ -3,8 +3,8 @@ log returns, moment and tail estimation, Cholesky factorization, and the
 one correlated normal / Student-t sampler (`sample_returns`), which the
 Monte Carlo simulator draws through.
 
-Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...`` and one
-row of 5-minute slot data per line:
+Prices arrive as a CSV with header ``timestamp,<SYM1>,<SYM2>,...``, each
+symbol named once, and one row of 5-minute slot data per line:
 
 - Lines end in ``\n``, ``\r\n`` or ``\r``. A line that is empty, or whose
   cells are all empty, is skipped; error messages name rows by their line
@@ -52,6 +52,7 @@ import csv
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
@@ -302,6 +303,9 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
         symbols = [h.strip() for h in header[1:]]
         if not symbols or any(not s for s in symbols):
             raise DataError(f"{path}: header must list at least one symbol")
+        twice = [s for s, n in Counter(symbols).items() if n > 1]
+        if twice:
+            raise DataError(f"{path}: header names symbol {twice[0]!r} twice")
 
         k = len(symbols)
         blocks = [(np.empty(0, dtype=np.int64), np.empty((0, k)), np.empty((0, k), dtype=bool))]

@@ -1,13 +1,13 @@
 """CDP lifecycle, stability fees, liquidation auctions, savings pot and the
 system-level full-backing check.
 
-All accept/reject decisions are made with exact arithmetic: debt, the
-savings pot, prices, rates and ratios are Fractions, and the growth factors
-(1 + rate) ** slots are integers in 10**-100 units (`_growth`, Dai's rpow).
-A fee-accrued debt is its product with the factor, rounded half up to 10**-18
-units. Each rule is written once, and the attack checkers ask the functions
-the operations obey: `above_ratio` (p*c > gamma*D, strict) and
-`mint_headroom` (the bootstrap cap while total debt is 0, else
+All accept/reject decisions are made with exact arithmetic: debt and the
+savings pot are integers in 10**-18 units, prices, rates and ratios are
+Fractions, and the growth factors (1 + rate) ** slots are integers in
+10**-100 units (`_growth`, Dai's rpow). A fee-accrued debt is its product
+with the factor, rounded half up. Each rule is written once, and the attack
+checkers ask the functions the operations obey: `above_ratio` (p*c > gamma*D,
+strict) and `mint_headroom` (the bootstrap cap while total debt is 0, else
 D_m + h < zeta (D + h), strict). An unpriced token backs nothing. Every CDP
 operation but a bid or a settlement passes one guard, `_guard_cdp` (the CDP
 exists, the amount is not negative, the CDP is open), so a CDP under auction
@@ -31,7 +31,7 @@ from .errors import (
     ProtocolError,
     RatioViolationError,
 )
-from .ledger import FEE_SCALE, OPEN, SCALE, Auction, Cdp, CoinChain, System
+from .ledger import FEE_SCALE, MINOR, OPEN, SCALE, Auction, Cdp, CoinChain, System
 
 # a debt stays below DEBT_BOUND in 1 / FEE_SCALE units (10**42 units), so no
 # debt takes a growth factor past DEBT_BOUND; factors are whole multiples of
@@ -190,16 +190,21 @@ def above_ratio(price, collateral: int, debt, gamma) -> bool:
     return price * Fraction(collateral, SCALE) > gamma * debt
 
 
-def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
-    """Exact per-token and total debt across every chain."""
-    per_token: dict[int, Fraction] = {}
-    total = Fraction(0)
+def _book(system: System) -> tuple[dict[int, int], dict[int, int]]:
+    """Per token, the collateral (minor units) and the nonzero debt (1 / FEE_SCALE units)."""
+    collateral, debt = {}, {}
     for chain in system.chains.values():
         for cdp in chain.cdps.values():
-            if cdp.debt:
-                per_token[cdp.token] = per_token.get(cdp.token, Fraction(0)) + cdp.debt
-                total += cdp.debt
-    return per_token, total
+            collateral[cdp.token] = collateral.get(cdp.token, 0) + cdp.collateral
+            if cdp.debt_wad:
+                debt[cdp.token] = debt.get(cdp.token, 0) + cdp.debt_wad
+    return collateral, debt
+
+
+def debt_totals(system: System) -> tuple[dict[int, Fraction], Fraction]:
+    """Exact per-token and total debt across every chain."""
+    per_token = {t: Fraction(d, FEE_SCALE) for t, d in _book(system)[1].items()}
+    return per_token, sum(per_token.values(), Fraction(0))
 
 
 def mint_headroom(params: SystemParams, token_id: int, totals) -> Fraction | None:
@@ -249,7 +254,7 @@ def repay_debt(system: System, cdp_id: int, amount: int) -> None:
     chain, cdp = _guard_cdp(system, cdp_id, amount, "repay amount")
     if chain.balance(cdp.owner) < amount:
         raise InsufficientBalanceError(f"owner {cdp.owner} cannot cover repayment of {amount}")
-    if Fraction(amount, SCALE) > cdp.debt:
+    if amount * MINOR > cdp.debt_wad:
         raise ProtocolError(f"repay {amount} exceeds outstanding debt {_approx(cdp.debt)}")
     if amount == 0:
         return
@@ -268,7 +273,7 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
         return 0
 
     price = price_of(system, cdp.token)
-    new_debt = cdp.debt + Fraction(amount, SCALE)
+    new_debt = Fraction(cdp.debt_wad + amount * MINOR, FEE_SCALE)
     if not above_ratio(price, cdp.collateral, new_debt, params.gamma):
         raise RatioViolationError(
             f"collateral value {_approx(price * cdp.collateral / SCALE)} would not strictly "
@@ -287,7 +292,7 @@ def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
     chain, cdp = _guard_cdp(system, cdp_id, amount, "withdrawal amount")
     if amount > cdp.collateral:
         raise ProtocolError(f"withdrawal {amount} exceeds collateral {cdp.collateral}")
-    if cdp.debt and not above_ratio(
+    if cdp.debt_wad and not above_ratio(
         price_of(system, cdp.token), cdp.collateral - amount, cdp.debt, system.params.gamma
     ):
         raise RatioViolationError("withdrawal would breach the liquidation ratio")
@@ -302,7 +307,7 @@ def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
 
 def close_cdp(system: System, cdp_id: int) -> None:
     chain, cdp = _guard_cdp(system, cdp_id)
-    if cdp.debt != 0:
+    if cdp.debt_wad:
         raise ProtocolError(f"CDP {cdp_id} still has debt {_approx(cdp.debt)}")
     withdraw_collateral(system, cdp_id, cdp.collateral)
     system.apply(chain.id, "cdp_close", {"cdp": cdp_id})
@@ -326,14 +331,13 @@ def accrue_stability_fee(system: System, slots: int) -> None:
         debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
         surplus_delta = 0
         for cdp in chain.cdps.values():
-            if cdp.state != OPEN or not cdp.debt:
+            if cdp.state != OPEN or not cdp.debt_wad:
                 continue
-            old = int(cdp.debt * FEE_SCALE)  # exact: debts are whole 10**-18 units
-            new = _times(old, factor)
+            new = _times(cdp.debt_wad, factor)
             if new >= DEBT_BOUND:
                 raise ProtocolError(f"CDP {cdp.id}: debt {_approx(cdp.debt)} would not stay "
                                     f"below 10**42 units")
-            surplus_delta += new - old
+            surplus_delta += new - cdp.debt_wad
             debts[str(cdp.id)] = new
         if debts:
             accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
@@ -366,7 +370,7 @@ def _growth(rate: Fraction, slots: int) -> int:
 
 def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
     """True iff p*c/D <= gamma with D > 0 (a debt-free CDP is never liquidatable)."""
-    return bool(cdp.debt) and not above_ratio(price, cdp.collateral, cdp.debt, gamma)
+    return bool(cdp.debt_wad) and not above_ratio(price, cdp.collateral, cdp.debt, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -428,10 +432,10 @@ def settle_auction(system: System, cdp_id: int) -> dict:
 
     winner, bid = auction.best_bidder, auction.best_bid  # no bid: None, 0
     burned, to_surplus, refund, insolvent = bid, 0, 0, True
-    debt_ceil = math.ceil(cdp.debt * SCALE)
+    debt_ceil = -(-cdp.debt_wad // MINOR)  # the debt in minor units, rounded up
     if winner is not None and bid >= debt_ceil:
         burned = debt_ceil
-        to_surplus = min(bid - burned, int(cdp.debt * system.params.liquidation_penalty * SCALE))
+        to_surplus = min(bid - burned, cdp.debt_wad * system.params.liquidation_penalty // MINOR)
         refund, insolvent = bid - burned - to_surplus, False
     payload = {
         "cdp": cdp_id,
@@ -479,7 +483,7 @@ def savings_accrue(system: System, chain_id: int, slots: int) -> dict[int, int]:
     owed = {user: dep * growth // GROWTH_SCALE  # floor, minor units
             for user, dep in sorted(chain.pot.deposits.items())}
     total_owed = sum(owed.values())
-    available = int(chain.pot.surplus * SCALE)  # floor
+    available = chain.pot.surplus_wad // MINOR  # floor
     if total_owed <= 0 or available <= 0:
         return {}
     paid = min(available, total_owed)  # each payout is its whole claim when all are covered
@@ -524,14 +528,9 @@ class BackingReport:
 def full_backing(system: System, prices=None) -> BackingReport:
     """Aggregate collateral value over aggregate debt, compared against theta."""
     prices_map = prices if prices is not None else system.prices
-    c_star = Fraction(0)
-    d_star = Fraction(0)
-    for chain in system.chains.values():
-        for cdp in chain.cdps.values():
-            if cdp.collateral:
-                c_star += prices_map.get(cdp.token, 0) * Fraction(cdp.collateral, SCALE)
-            if cdp.debt:
-                d_star += cdp.debt
+    collateral, debt = _book(system)
+    c_star = sum((prices_map.get(t, 0) * c for t, c in collateral.items()), Fraction(0)) / SCALE
+    d_star = Fraction(sum(debt.values()), FEE_SCALE)
     if d_star == 0:
         return BackingReport(c_star, d_star, None, True)
     ratio = c_star / d_star

@@ -54,6 +54,14 @@ class TestIngest:
             "ETH": {"observations": 0, "periods": 0, "first": None, "last": None},
         }
 
+    def test_symbol_named_twice_is_usage_error(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        prices.write_text("timestamp,BTC,BTC\n2022-01-01T00:00:00Z,1,2\n")
+        out = tmp_path / "summary.json"
+        assert main(["ingest", "--prices", str(prices), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {prices}: header names symbol 'BTC' twice\n"
+        assert not out.exists()
+
     def test_no_prices_no_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CROCODAI_DATA", raising=False)
         assert main(["ingest"]) == 2

@@ -8,6 +8,9 @@ an attribute (`x.foo`) or a string constant that is exactly the name
 (`perfbench/spans.py` wraps functions given by name). A word in a comment,
 a docstring or a longer string is not a reference. A name only tests use
 belongs in `tests/`. The check only reads those directories.
+
+The event appliers (`ledger._apply_to_state`) name no `Fraction`: debts, the
+savings pot's surplus and interest paid are integers in 1 / FEE_SCALE units.
 """
 
 import ast
@@ -72,3 +75,12 @@ def test_every_public_name_has_a_caller_in_the_program():
                 unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, f"public names only tests use: {unused}"
     assert set(ALLOWED) <= defined, "an allowed name is gone: drop it from ALLOWED"
+
+
+def test_event_appliers_build_no_fraction():
+    tree = ast.parse((PACKAGE / "ledger.py").read_text())
+    applier = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_apply_to_state")
+    names = {node.id for node in ast.walk(applier) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(applier) if isinstance(node, ast.Attribute)}
+    assert "Fraction" not in names

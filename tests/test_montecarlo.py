@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import sweep_cell, toy_model
+from crocodai import montecarlo
 from crocodai.errors import DataError, ModelError
 from crocodai.montecarlo import (
     CHUNK_RUNS,
@@ -122,6 +123,32 @@ class TestSimulateFailure:
         two = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
         par = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=3)
         assert one.failures == two.failures == par.failures
+
+    def test_pool_is_no_larger_than_the_task_count(self, monkeypatch):
+        # a fork-started pool launches all max_workers processes at its first
+        # submit, so --jobs 8 on two chunk tasks used to fork 8 processes
+        sizes = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        model = toy_model(np.eye(1) * 0.01)
+        p = Portfolio("solo", ("A0",), np.array([1.0]))
+        serial = sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS, seed=3, jobs=1)
+        pooled = sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS, seed=3, jobs=8)
+        assert sizes == [2]
+        assert pooled == serial
 
     def test_t_with_high_dof_matches_normal(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -123,6 +124,13 @@ class TestIngest:
             ingest_prices(f)
         f.write_text("timestamp,BTC\n")
         assert len(ingest_prices(f)["BTC"]) == 0
+
+    def test_symbol_named_twice_rejected(self, tmp_path):
+        # the second BTC column used to replace the first without a word
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC,ETH, BTC\n2022-01-01T00:00:00Z,1,2,3\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: header names symbol 'BTC' twice$"):
+            ingest_prices(f)
 
     def test_not_plain_lists_every_stripped_character(self):
         stripped = {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\n"}

@@ -13,7 +13,7 @@ from crocodai.errors import (
     ProtocolError,
     RatioViolationError,
 )
-from crocodai.ledger import CLOSED, IN_AUCTION, INSOLVENT, SCALE, System
+from crocodai.ledger import CLOSED, FEE_SCALE, IN_AUCTION, INSOLVENT, SCALE, System
 from crocodai.scenarios import _conservation
 from crocodai.stablecoin import SystemParams
 
@@ -427,7 +427,7 @@ class TestGrowthAgainstExactRationals:
             big_p, big_q = ((1 + Fraction(rate)) ** slots).as_integer_ratio()
             sys_ = growth_system(users=len(GROWTH_AMOUNTS), savings_rate=rate)
             chain = sys_.chains[sys_.main]
-            chain.pot.surplus = Fraction(10**81)  # covers every payout: none is cut pro rata
+            chain.pot.surplus_wad = 10**81 * FEE_SCALE  # covers every payout: none is cut pro rata
             for user, amount in enumerate(GROWTH_AMOUNTS, 1):
                 core.savings_deposit(sys_, sys_.main, user, amount)
             events = len(chain.events)
@@ -621,7 +621,7 @@ class TestSavings:
         sys_ = vault_system()
         sys_.params = SystemParams(savings_rate=Decimal(rate))
         chain = sys_.chains[sys_.main]
-        chain.pot.surplus = Fraction(surplus)  # surplus injected for the test
+        chain.pot.surplus_wad = int(Fraction(surplus) * FEE_SCALE)  # surplus injected for the test
         return sys_
 
     def test_overflowing_growth_is_refused(self):
@@ -672,7 +672,7 @@ class TestFullBacking:
         cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
         core.deposit_collateral(sys_, cdp, units(150))
         core.withdraw_stablecoins(sys_, cdp, units(99))
-        sys_.chains[sys_.main].cdps[cdp].debt = Fraction(100)  # exercise the reporting path
+        sys_.chains[sys_.main].cdps[cdp].debt_wad = 100 * FEE_SCALE  # exercise the reporting path
         report = core.full_backing(sys_)
         assert report.ratio == Fraction(3, 2) and report.ok
 
@@ -680,7 +680,7 @@ class TestFullBacking:
         sys_ = vault_system()
         cdp = core.open_cdp(sys_, sys_.main, 1, sys_.eth)
         core.deposit_collateral(sys_, cdp, units(109))
-        sys_.chains[sys_.main].cdps[cdp].debt = Fraction(100)
+        sys_.chains[sys_.main].cdps[cdp].debt_wad = 100 * FEE_SCALE
         report = core.full_backing(sys_)
         assert report.ratio == Fraction(109, 100) and not report.ok
 
