@@ -349,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     args.input_sha256 = {}
     try:
         _check_outputs(args)
+        if getattr(args, "seed", 0) < 0:  # before any ingest or fit
+            raise CliError(f"--seed: must be >= 0, got {args.seed}")
         payload, code = args.func(args)
         config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
         identity = {"config": config, "input_sha256": args.input_sha256}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -46,7 +47,6 @@ class Token:
     id: int
     symbol: str
     chain: int  # home chain id
-    pegged: bool = False  # fiat/gold-pegged collateral (USDC, PAXG, ...)
 
 
 @dataclass
@@ -73,7 +73,6 @@ class Cdp:
 
 @dataclass
 class Auction:
-    cdp: int
     start_slot: int
     best_bid: int = 0
     best_bidder: int | None = None
@@ -99,7 +98,6 @@ class SavingsPot:
 @dataclass
 class Event:
     slot: int
-    seq: int
     kind: str
     payload: dict[str, Any]
 
@@ -171,19 +169,34 @@ class System:
     # registration
 
     def create_chain(self, config: dict[str, Any] | None = None) -> int:
-        config = config or {}
+        name, balances, wards = self.chain_config({} if config is None else config)
         chain_id = len(self.chains)
-        name = config.get("name", f"chain-{chain_id}")
-        if name in self._chain_names:
-            raise DuplicateChainError(f"chain name already registered: {name!r}")
-        balances = {int(k): int(v) for k, v in config.get("accounts", {}).items()}
-        if any(v < 0 for v in balances.values()):
-            raise ProtocolError("initial balances must be >= 0")
-        wards = {int(w) for w in config.get("wards", [])}
-        chain = CoinChain(chain_id, name, balances, wards)
-        self.chains[chain_id] = chain
+        self.chains[chain_id] = CoinChain(chain_id, name, balances, wards)
         self._chain_names[name] = chain_id
         return chain_id
+
+    def chain_config(self, config: dict[str, Any]) -> tuple[str, dict[int, int], set[int]]:
+        """The name, genesis balances and wards `create_chain(config)` would
+        give a chain now, read whole and changing nothing: a str name not yet
+        registered (default ``chain-<id>``), account ids that are ints or their
+        decimal strings, balances >= 0 and wards that are ints, never bools.
+        Else a ProtocolError."""
+        if not isinstance(config, dict):
+            raise ProtocolError(f"chain config must be a dict, got {config!r}")
+        name = config.get("name", f"chain-{len(self.chains)}")
+        if type(name) is not str:
+            raise ProtocolError(f"chain name must be a str, got {name!r}")
+        if name in self._chain_names:
+            raise DuplicateChainError(f"chain name already registered: {name!r}")
+        accounts, wards = config.get("accounts", {}), config.get("wards", [])
+        if not isinstance(accounts, dict) or not isinstance(wards, (list, tuple, set, frozenset)):
+            raise ProtocolError("chain accounts must be a dict and wards a list")
+        balances = {_account_id(k): v for k, v in accounts.items()}
+        if any(type(v) is not int or v < 0 for v in balances.values()):
+            raise ProtocolError("initial balances must be ints >= 0")
+        if any(type(w) is not int for w in wards):
+            raise ProtocolError(f"wards must be ints, got {list(wards)!r}")
+        return name, balances, set(wards)
 
     def chain(self, chain_id: int) -> CoinChain:
         try:
@@ -196,12 +209,12 @@ class System:
             raise UnknownChainError(f"unknown chain name {name!r}")
         return self.chains[self._chain_names[name]]
 
-    def register_token(self, symbol: str, chain_id: int, pegged: bool = False) -> int:
+    def register_token(self, symbol: str, chain_id: int) -> int:
         self.chain(chain_id)
         if symbol in self._token_symbols:
             raise ProtocolError(f"token symbol already registered: {symbol!r}")
         token_id = len(self.tokens)
-        self.tokens[token_id] = Token(token_id, symbol, chain_id, pegged)
+        self.tokens[token_id] = Token(token_id, symbol, chain_id)
         self._token_symbols[symbol] = token_id
         return token_id
 
@@ -238,7 +251,7 @@ class System:
 
     def apply(self, chain_id: int, kind: str, payload: dict[str, Any]) -> Event:
         chain = self.chain(chain_id)
-        ev = Event(self.slot, len(chain.events), kind, payload)
+        ev = Event(self.slot, kind, payload)
         chain.events.append(ev)
         _apply_to_state(chain, kind, payload)
         return ev
@@ -326,6 +339,16 @@ class System:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _account_id(key) -> int:
+    """An account id: an int, or its decimal string (JSON keys are strings)."""
+    if type(key) is int:
+        return key
+    with suppress(TypeError, ValueError):
+        if str(int(key)) == key:
+            return int(key)
+    raise ProtocolError(f"account id {key!r} is not an int or its decimal string")
+
+
 # ----------------------------------------------------------------------
 # event appliers: pure state writes, no validation (operations validate)
 
@@ -374,7 +397,7 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
             chain.cdps[int(cdp_id)].debt_wad = new_debt
         chain.pot.surplus_wad += p["surplus_delta"]
     elif kind == "auction_start":
-        chain.auctions[p["cdp"]] = Auction(p["cdp"], p["slot"])
+        chain.auctions[p["cdp"]] = Auction(p["slot"])
         chain.cdps[p["cdp"]].state = IN_AUCTION
     elif kind == "auction_bid":
         a = chain.auctions[p["cdp"]]

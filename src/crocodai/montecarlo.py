@@ -359,6 +359,8 @@ def table_sweep(
             raise DataError(f"need gamma' > theta > 1, got {g}, {theta}")
     if horizon < 1 or runs < 1:
         raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
+    if seed < 0:  # numpy's seed sequences take non-negative entropy only
+        raise DataError(f"seed must be >= 0, got {seed}")
     names = [p.name for p in portfolios]
     duplicates = sorted({n for n in names if names.count(n) > 1})
     if duplicates:

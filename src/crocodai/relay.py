@@ -44,7 +44,6 @@ class CrossChainTransfer:
     amount: int
     state: str = ESCROWED
     commit_votes: set[int] = field(default_factory=set)
-    abort_votes: set[int] = field(default_factory=set)
     request_slot: int = 0
 
 
@@ -132,9 +131,6 @@ def relay_step(system: System) -> list[dict[str, Any]]:
         if slot - transfer.request_slot >= timeout:
             # expired: refund if the escrow still exists, then close the
             # transfer so late commit certificates can never race the abort
-            for node_id, behavior in roster:
-                if behavior == HONEST:
-                    transfer.abort_votes.add(node_id)
             refunded = tid in system.chains[transfer.source].escrows
             if refunded:
                 system.apply(transfer.source, "escrow_refund", {"transfer": tid})
@@ -152,7 +148,6 @@ def relay_step(system: System) -> list[dict[str, Any]]:
                     transfer.commit_votes.add(node_id)
             elif behavior == BYZ_EQUIVOCATE:
                 transfer.commit_votes.add(node_id)
-                transfer.abort_votes.add(node_id)
             elif behavior == BYZ_FORGE:
                 # votes under ids it does not own are rejected by
                 # authentication; log the attempts for the monitor
@@ -219,19 +214,25 @@ def submit_governance(system: System, action: GovernanceAction, votes: set[int])
 
 
 def _validate_action(system: System, action: GovernanceAction) -> None:
+    """Read every field the action's effect reads, and raise ProtocolError
+    unless the effect can apply now."""
     kind, payload = action.kind, action.payload
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"governance payload must be a dict, got {payload!r}")
     if kind == "set_param":
+        if type(payload.get("name")) is not str or "value" not in payload:
+            raise ProtocolError("set_param needs a str 'name' and a 'value'")
         system.params.with_param(payload["name"], payload["value"])  # raises if invalid
     elif kind in ("add_ward", "remove_ward"):
+        if type(payload.get("account")) is not int or type(payload.get("chain", 0)) is not int:
+            raise ProtocolError(f"{kind} needs an int 'account' and, if any, an int 'chain'")
         if "chain" in payload:
             system.chain(payload["chain"])
-    elif kind == "add_chain":  # the name create_chain would give it now
-        name = payload.get("config", {}).get("name", f"chain-{len(system.chains)}")
-        if name in system._chain_names:
-            raise ProtocolError(f"chain name already registered: {name!r}")
+    elif kind == "add_chain":
+        system.chain_config(payload.get("config", {}))
     elif kind == "deprecate_contract":
-        if "contract" not in payload:
-            raise ProtocolError("deprecate_contract needs a 'contract' field")
+        if type(payload.get("contract")) is not str:
+            raise ProtocolError("deprecate_contract needs a str 'contract'")
     else:
         raise ProtocolError(f"unknown governance action kind {kind!r}")
 

@@ -22,10 +22,10 @@ symbol named once, and one row of 5-minute slot data per line:
   the price is missing.
 
 Gaps longer than two slot durations split a series into periods; no return
-ever spans a period boundary. `common_timeline` is the one alignment of one
-or more symbols (shared timestamps, price panel, period cuts that keep every
-series' own boundaries) that both the return model and the historical
-replay use.
+ever spans a period boundary. Periods are never stored: one gap rule
+(`_gap_cuts`) derives them from timestamps. `common_timeline` is the one
+alignment of one or more symbols (shared timestamps, price panel, and the gap
+rule's cuts of those timestamps) that the return model and the replay use.
 
 `ingest_prices` parses a block of lines at a time with numpy: the cells of
 a plain line are split on its commas, every price is converted in one call,
@@ -84,7 +84,6 @@ class PriceSeries:
     symbol: str
     times: np.ndarray  # int64 epoch seconds, strictly increasing
     prices: np.ndarray  # float, finite and > 0
-    boundaries: frozenset[int] = field(default_factory=frozenset)  # index starts a new period
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.int64)
@@ -101,10 +100,8 @@ class PriceSeries:
 
     def periods(self) -> list[tuple[int, int]]:
         """Half-open index spans [start, end) of gap-free stretches."""
-        if len(self) == 0:
-            return []
-        cuts = sorted(self.boundaries | {0, len(self)})
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1) if cuts[i + 1] > cuts[i]]
+        cuts = _gap_cuts(self.times)
+        return list(zip(cuts, cuts[1:]))
 
 
 def _parse_timestamp(text: str, row: int) -> int:
@@ -120,10 +117,11 @@ def _parse_timestamp(text: str, row: int) -> int:
     return int(dt.timestamp())
 
 
-def _gap_boundaries(times: np.ndarray) -> frozenset[int]:
-    gaps = np.diff(times)
-    idx = np.nonzero(gaps > MAX_GAP_SLOTS * SLOT_SECONDS)[0] + 1
-    return frozenset(int(i) for i in idx)
+def _gap_cuts(times: np.ndarray) -> list[int]:
+    """The gap rule: period cuts [0, ..., len(times)], sorted and unique; a
+    step longer than MAX_GAP_SLOTS slots starts a new period."""
+    gaps = np.flatnonzero(np.diff(times) > MAX_GAP_SLOTS * SLOT_SECONDS) + 1
+    return sorted({0, *gaps.tolist(), len(times)})
 
 
 def _split_line(line: str, where: str) -> list[str]:
@@ -321,16 +319,16 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
     out: dict[str, PriceSeries] = {}
     for j, symbol in enumerate(symbols):
         st = times[given[:, j]]
-        out[symbol] = PriceSeries(symbol, st, prices[given[:, j], j], _gap_boundaries(st))
+        out[symbol] = PriceSeries(symbol, st, prices[given[:, j], j])
     return out
 
 
 def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str]
                     ) -> tuple[np.ndarray, list[int]]:
     """Price panel (symbols x T) over the timestamps where every symbol has an
-    observation, and the period cuts [0, ..., T] of that common timeline: the
-    gap rule is re-applied to it and every symbol's own period boundaries are
-    kept, so a span between two cuts lies inside one period of each series."""
+    observation, and the gap rule's period cuts [0, ..., T] of that timeline.
+    A gap in one series lies between two consecutive common timestamps, so
+    the common gap rule cuts there too."""
     missing = [s for s in symbols if s not in series_map]
     if missing:
         raise DataError(f"symbols not in the dataset: {missing}")
@@ -339,15 +337,10 @@ def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str
         t = series_map[s].times
         common = t if i == 0 else np.intersect1d(common, t, assume_unique=True)
     panel = np.empty((len(symbols), len(common)))
-    cuts = set(_gap_boundaries(common)) | {0, len(common)}
     for i, s in enumerate(symbols):
         ser = series_map[s]
-        pos = np.searchsorted(ser.times, common)
-        panel[i] = ser.prices[pos]
-        # a common step whose two observations lie in different periods of ser
-        period = np.searchsorted(sorted(ser.boundaries), pos, side="right")
-        cuts.update((np.flatnonzero(np.diff(period)) + 1).tolist())
-    return panel, sorted(cuts)
+        panel[i] = ser.prices[np.searchsorted(ser.times, common)]
+    return panel, _gap_cuts(common)
 
 
 def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence[str] | None = None

@@ -253,7 +253,7 @@ def _typed(typ):
     return read
 
 
-_str, _bool, _dict, _array = (_typed(t) for t in (str, bool, dict, list))
+_str, _dict, _array = (_typed(t) for t in (str, dict, list))
 
 
 def _read(spec: Any, path: str, schema: dict) -> dict[str, Any]:
@@ -410,8 +410,8 @@ def parse_scenario(doc: Any) -> Scenario:
     ceilings: dict[int, Fraction] = {}
     for i, spec in enumerate(top["tokens"]):
         at = f"$.tokens[{i}]"
-        f = _read(spec, at, {"symbol": _str, "chain": chain, "pegged": (_bool, False),
-                             "price": (_fraction, None), "ceiling": (_fraction, None)})
+        f = _read(spec, at, {"symbol": _str, "chain": chain, "price": (_fraction, None),
+                             "ceiling": (_fraction, None)})
         if f["symbol"] in tokens:
             raise _fail(f"{at}.symbol", f"token symbol already registered: {f['symbol']!r}")
         tokens[f["symbol"]] = i, f["chain"]
@@ -472,8 +472,8 @@ def run_scenario_file(path: str | Path) -> dict[str, Any]:
 
 
 # actions: each takes the System, then its entry's fields in schema order
-def _register_token(system: System, symbol, chain, pegged, price) -> None:
-    token_id = system.register_token(symbol, chain, pegged)
+def _register_token(system: System, symbol, chain, price) -> None:
+    token_id = system.register_token(symbol, chain)
     if price is not None:
         system.set_price(token_id, price)
 

@@ -184,10 +184,12 @@ def price_of(system: System, token_id: int) -> Fraction:
     return system.prices.get(token_id, Fraction(0))
 
 
-def above_ratio(price, collateral: int, debt, gamma) -> bool:
+def above_ratio(price, collateral: int, debt_wad: int, gamma) -> bool:
     """The ratio rule: collateral (minor units) at `price` is worth strictly
-    more than gamma times the debt (stablecoin units)."""
-    return price * Fraction(collateral, SCALE) > gamma * debt
+    more than gamma times the debt (1 / FEE_SCALE units), p * c > gamma * D
+    cross-multiplied over the rationals' denominators."""
+    return (price.numerator * gamma.denominator * collateral * MINOR
+            > gamma.numerator * price.denominator * debt_wad)
 
 
 def _book(system: System) -> tuple[dict[int, int], dict[int, int]]:
@@ -273,11 +275,11 @@ def withdraw_stablecoins(system: System, cdp_id: int, amount: int) -> int:
         return 0
 
     price = price_of(system, cdp.token)
-    new_debt = Fraction(cdp.debt_wad + amount * MINOR, FEE_SCALE)
-    if not above_ratio(price, cdp.collateral, new_debt, params.gamma):
+    new_wad = cdp.debt_wad + amount * MINOR
+    if not above_ratio(price, cdp.collateral, new_wad, params.gamma):
         raise RatioViolationError(
             f"collateral value {_approx(price * cdp.collateral / SCALE)} would not strictly "
-            f"exceed gamma * debt = {_approx(params.gamma * new_debt)}"
+            f"exceed gamma * debt = {_approx(params.gamma * Fraction(new_wad, FEE_SCALE))}"
         )
     if not ceiling_allows(params, cdp.token, debt_totals(system), amount):
         raise CeilingViolationError(
@@ -293,7 +295,7 @@ def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
     if amount > cdp.collateral:
         raise ProtocolError(f"withdrawal {amount} exceeds collateral {cdp.collateral}")
     if cdp.debt_wad and not above_ratio(
-        price_of(system, cdp.token), cdp.collateral - amount, cdp.debt, system.params.gamma
+        price_of(system, cdp.token), cdp.collateral - amount, cdp.debt_wad, system.params.gamma
     ):
         raise RatioViolationError("withdrawal would breach the liquidation ratio")
     if amount == 0:
@@ -370,7 +372,7 @@ def _growth(rate: Fraction, slots: int) -> int:
 
 def check_liquidatable(cdp: Cdp, price: Fraction, gamma: Fraction) -> bool:
     """True iff p*c/D <= gamma with D > 0 (a debt-free CDP is never liquidatable)."""
-    return bool(cdp.debt_wad) and not above_ratio(price, cdp.collateral, cdp.debt, gamma)
+    return bool(cdp.debt_wad) and not above_ratio(price, cdp.collateral, cdp.debt_wad, gamma)
 
 
 # ----------------------------------------------------------------------

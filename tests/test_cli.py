@@ -602,6 +602,19 @@ class TestCommaListFlags:
         assert "--gamma-prime" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "oracle-tail"])
+    def test_negative_seed_refused_before_any_work(self, prices, monkeypatch, capsys, command):
+        # numpy's generators raised ValueError for -1: a traceback with exit 1
+        def no_work(*_, **__):
+            raise AssertionError("ran with a negative seed")
+
+        for name in ("ingest_prices", "table_sweep", "tail_probability_experiment"):
+            monkeypatch.setattr(cli, name, no_work)
+        flags = {"simulate": ["--prices", str(prices), "--portfolio", "C-Mix2", "--n", "100"],
+                 "oracle-tail": ["--trials", "10000"]}[command]
+        assert main([command, *flags, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+
 
 class TestPortfolioFile:
     """A bad --portfolio file is a usage error (exit 2) that names the
@@ -764,7 +777,8 @@ class TestScenarioCommand:
         ({"attacks": [{"kind": "token_crash", "tokenz": ["ETH"]}]},
          "$.attacks[0]: unknown keys ['tokenz']"),
         # values that used to be coerced or ignored
-        ({"tokens": [{"symbol": "ETH", "chain": "eth", "pegged": "false"}]}, "$.tokens[0].pegged"),
+        ({"tokens": [{"symbol": "ETH", "chain": "eth", "pegged": False}]},
+         "$.tokens[0]: unknown keys ['pegged']"),
         ({"workload": [{"op": "transfer_local", "chain": "eth", "from": 1, "to": 2,
                         "amount": 1.7}]}, "$.workload[0].amount"),
         ({"workload": [{"op": "transfer_local", "chain": "eth", "from": 1, "to": 2,

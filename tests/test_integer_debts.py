@@ -1,9 +1,10 @@
 """Debts, surplus and interest paid are integers in 1 / FEE_SCALE units.
 
 The integer aggregates of `stablecoin` against a reference scan in exact
-`Fraction`s (the arithmetic the integers replaced) on random books,
-including debts near the 10**42-unit bound and exact ties p*c = gamma*D;
-and a fork rebuild from the event log against the live integer state.
+`Fraction`s (the arithmetic the integers replaced) on random books, and the
+cross-multiplied ratio rule against its `Fraction` expression, including
+debts near the 10**42-unit bound and exact ties p*c = gamma*D; and a fork
+rebuild from the event log against the live integer state.
 """
 
 from contextlib import suppress
@@ -103,10 +104,10 @@ class TestAggregatesAgainstFractions:
         system = book([None] * N_TOKENS, [price, None, None], [(0, collateral, debt)])
         system.params = params
         cdp = system.chains[0].cdps[0]
-        assert not core.above_ratio(price, collateral, cdp.debt, gamma)
+        assert not core.above_ratio(price, collateral, cdp.debt_wad, gamma)
         assert core.check_liquidatable(cdp, price, gamma)
         cdp.debt_wad = debt - 1  # one 10**-18 unit less: strictly above
-        assert core.above_ratio(price, collateral, cdp.debt, gamma)
+        assert core.above_ratio(price, collateral, cdp.debt_wad, gamma)
         assert not core.check_liquidatable(cdp, price, gamma)
 
         # aggregate value = theta * aggregate debt exactly: not fully backed
@@ -114,6 +115,23 @@ class TestAggregatesAgainstFractions:
         system.set_price(0, params.theta * Fraction(debt, FEE_SCALE) / Fraction(collateral, SCALE))
         report = core.full_backing(system)
         assert report.ratio == params.theta and not report.ok
+
+
+    @given(st.one_of(st.fractions(0, 10**6, max_denominator=10**6),
+                     st.floats(0, 1e6).map(Fraction), st.just(Fraction(1234.5678))),
+           st.integers(0, 10**15), debts, st.fractions(Fraction(111, 100), 3, max_denominator=1000))
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_rule_against_fractions(self, price, collateral, debt_wad, gamma):
+        # the cross-multiplied rule against p * c > gamma * D in Fractions,
+        # at the drawn price and at the exact tie, one 10**-18 unit either side
+        def reference(p, d):
+            return p * Fraction(collateral, SCALE) > gamma * Fraction(d, FEE_SCALE)
+
+        assert core.above_ratio(price, collateral, debt_wad, gamma) == reference(price, debt_wad)
+        if collateral and debt_wad:
+            tie = gamma * Fraction(debt_wad, FEE_SCALE) / Fraction(collateral, SCALE)
+            for d in (debt_wad - 1, debt_wad, debt_wad + 1):
+                assert core.above_ratio(tie, collateral, d, gamma) == reference(tie, d) == (d < debt_wad)
 
 
 def integer_state(chain):

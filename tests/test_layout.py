@@ -9,6 +9,12 @@ an attribute (`x.foo`) or a string constant that is exactly the name
 a docstring or a longer string is not a reference. A name only tests use
 belongs in `tests/`. The check only reads those directories.
 
+Every field of a dataclass declared in the package must be read by the
+program: some attribute load in `src/`, `scripts/` or `perfbench/` must name
+it, or the fact it stores is kept for nothing. A write-only field whose
+loads only mutate it, such as a set of votes that only `.add` loads (the
+relay's former `abort_votes`), passes: finding it is beyond an AST check.
+
 The event appliers (`ledger._apply_to_state`) name no `Fraction`: debts, the
 savings pot's surplus and interest paid are integers in 1 / FEE_SCALE units.
 """
@@ -24,6 +30,13 @@ PROGRAM_DIRS = ("src", "scripts", "perfbench")
 # name -> why it stays without a caller in the program
 ALLOWED = {
     "close_cdp": "a protocol operation; ROADMAP item 3 adds it to the scenario language",
+}
+
+# Class.field -> why it stays although no attribute load names it
+ALLOWED_FIELDS = {
+    "PriceFeed.oracle_id": "perfbench and scenarios construct PriceFeed(i, ...) positionally",
+    "FailureEstimate.ci_half_width": "written out by dataclasses.asdict in as_json",
+    "AuditReport.unmatched_burns": "a monitor finding that sets ok",
 }
 
 _CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
@@ -46,20 +59,36 @@ def _public_names(tree):
                     yield item.name, item.lineno
 
 
+def _dataclass_fields(tree):
+    """(Class.field, line) of each annotated field of each @dataclass class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.lineno
+
+
+def _program_trees():
+    for top in PROGRAM_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield ast.parse(path.read_text())
+
+
 def _references():
     """Every name that some node of the program's Python files refers to: a
     name read, an attribute or a string constant. A constant's own
     assignment stores its name, so it does not count."""
     refs = set()
-    for top in PROGRAM_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    refs.add(node.value)
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
     return refs
 
 
@@ -75,6 +104,19 @@ def test_every_public_name_has_a_caller_in_the_program():
                 unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, f"public names only tests use: {unused}"
     assert set(ALLOWED) <= defined, "an allowed name is gone: drop it from ALLOWED"
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    loads = {node.attr for tree in _program_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    declared, unread = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, lineno in _dataclass_fields(ast.parse(path.read_text())):
+            declared.add(name)
+            if name.split(".")[1] not in loads and name not in ALLOWED_FIELDS:
+                unread.append(f"{path.name}:{lineno} {name}")
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+    assert set(ALLOWED_FIELDS) <= declared, "an allowed field is gone: drop it from ALLOWED_FIELDS"
 
 
 def test_event_appliers_build_no_fraction():

@@ -212,7 +212,7 @@ class TestHistoricalReplay:
     def test_windows_never_span_periods(self):
         times = np.concatenate([np.arange(8) * 300, 10**6 + np.arange(8) * 300])
         prices = np.concatenate([np.full(8, 10.0), np.full(8, 1.0)])  # cliff at the gap
-        s = PriceSeries("X", times, prices, boundaries=frozenset({8}))
+        s = PriceSeries("X", times, prices)
         p = Portfolio("solo", ("X",), np.array([1.0]))
         est = replay_cell(p, {"X": s}, 1.2, 1.1, horizon=5)
         assert est.probability == 0.0  # the 90% drop is hidden behind the boundary
@@ -435,6 +435,15 @@ class TestTableSweep:
         p = Portfolio("solo", ("A0",), np.array([1.0]))
         with pytest.raises(DataError):
             table_sweep([p], [1.2], model, 1.1, horizon=horizon, runs=runs)
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence(-1) raised numpy's ValueError, which callers do not map to exit 2
+        model = toy_model(np.eye(1) * 1e-4)
+        p = Portfolio("solo", ("A0",), np.array([1.0]))
+        for crn in (True, False):
+            with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+                table_sweep([p], [1.2], model, 1.1, horizon=5, runs=100, seed=-1,
+                            common_random_numbers=crn)
 
     def test_duplicate_names_rejected(self):
         # cells are keyed by name: a second "x" would overwrite the first's

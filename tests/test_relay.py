@@ -1,7 +1,10 @@
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_backed_instance, units
 from crocodai import relay, scenarios
@@ -30,6 +33,20 @@ from crocodai.relay import (
 )
 from crocodai.ledger import SCALE, System
 from crocodai.stablecoin import SystemParams
+
+
+# JSON-like governance payloads: the fields the actions read, given values of
+# every JSON type
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from(["7", "x", "gamma", "relay_f", "transfer_timeout", "debt_ceilings", "1.6"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "accounts", "wards", "1", "a"]), inner, max_size=3),
+    max_leaves=8)
+GOVERNANCE_PAYLOADS = _JSON | st.dictionaries(
+    st.sampled_from(["account", "chain", "name", "value", "config", "contract"]), _JSON, max_size=3)
+GOVERNANCE_KINDS = st.sampled_from(["add_ward", "remove_ward", "set_param", "add_chain",
+                                    "deprecate_contract", "bogus"])
 
 
 def run_until_resolved(sys_, tid, max_slots=30):
@@ -227,6 +244,63 @@ class TestGovernance:
             assert (sys_.params.gamma, sys_.params.theta) == (Fraction(3, 2), Fraction(7, 5))
 
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("add_ward", {}),
+        ("add_ward", {"account": "7"}),
+        ("add_ward", {"account": True}),
+        ("remove_ward", {"account": 7, "chain": [0]}),
+        ("set_param", {}),
+        ("set_param", {"name": "gamma"}),
+        ("set_param", {"name": ["gamma"], "value": "1.6"}),
+        ("add_chain", {"config": {"accounts": {"a": 1}}}),
+        ("add_chain", {"config": {"accounts": {"01": 1}}}),
+        ("add_chain", {"config": {"wards": ["x"]}}),
+        ("add_chain", {"config": {"wards": [True]}}),
+        ("add_chain", {"config": {"accounts": {"1": -5}}}),
+        ("add_chain", {"config": {"accounts": {"1": True}}}),
+        ("add_chain", {"config": {"accounts": {"1": 2.0}}}),
+        ("add_chain", {"config": {"name": 5}}),
+        ("add_chain", {"config": "x"}),
+        ("add_chain", {"config": None}),
+        ("deprecate_contract", {"contract": ["x"]}),
+        ("deprecate_contract", ["x"]),
+        ("set_param", None),
+    ])
+    def test_malformed_payload_refused_at_submit(self, two_chains, kind, payload):
+        # each used to raise a KeyError, TypeError or ValueError out of
+        # submit_governance, or to be staged and raise out of the next
+        # relay.step, losing the slot's other actions and its relay round;
+        # account "7" was applied, and every later state_digest raised
+        sys_ = two_chains
+        with pytest.raises(ProtocolError):
+            relay.submit_governance(sys_, GovernanceAction(kind, payload, nonce=1), {0, 1, 2})
+        assert sys_.staged_governance == [] and sys_.applied_nonces == set()
+        assert relay.submit_governance(sys_, GovernanceAction("add_ward", {"account": 7}, 1), {0, 1, 2})
+
+    def test_chain_config_account_ids_may_be_decimal_strings(self, two_chains):
+        action = GovernanceAction("add_chain", {"config": {"name": "g", "accounts": {"5": 3, 6: 4},
+                                                           "wards": [-1, 2]}}, nonce=1)
+        assert relay.submit_governance(two_chains, action, {0, 1, 2})
+        relay.step(two_chains)
+        chain = two_chains.chain_by_name("g")
+        assert (chain.balances, chain.wards) == ({5: 3, 6: 4}, {-1, 2})
+
+    @given(st.lists(st.tuples(GOVERNANCE_KINDS, GOVERNANCE_PAYLOADS), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_accepted_action_applies(self, actions):
+        sys_ = System(SystemParams())
+        for name in ("alpha", "beta"):
+            sys_.create_chain({"name": name, "accounts": {"1": units(100)}})
+        relay.register_relays(sys_)
+        relay.request_transfer(sys_, 0, 1, units(10), 1, 7)
+        for nonce, (kind, payload) in enumerate(actions, start=1):
+            with contextlib.suppress(ProtocolError):
+                assert relay.submit_governance(sys_, GovernanceAction(kind, payload, nonce), {0, 1, 2})
+        for _ in range(2):  # the staged actions, then a round with their effects
+            assert isinstance(relay.step(sys_), list)
+            assert isinstance(sys_.state_digest(), str)
+
+
 class TestCostModel:
     def test_threshold_design_constant_in_n(self):
         # single on-chain verification regardless of quorum size
@@ -273,9 +347,6 @@ def _reference_round(system):
             continue
 
         if slot - transfer.request_slot >= timeout:
-            for node_id in sorted(system.relays):
-                if system.relays[node_id] == HONEST:
-                    transfer.abort_votes.add(node_id)
             refunded = False
             source = system.chains.get(transfer.source)
             if source is not None and tid in source.escrows:
@@ -292,7 +363,6 @@ def _reference_round(system):
                     transfer.commit_votes.add(node_id)
             elif behavior == BYZ_EQUIVOCATE:
                 transfer.commit_votes.add(node_id)
-                transfer.abort_votes.add(node_id)
             elif behavior == BYZ_FORGE:
                 for forged in sorted(system.relays):
                     if forged != node_id:
@@ -377,7 +447,7 @@ def _run_schedule(seed, monkeypatch, after_step, steps=180):
 
 
 def _votes(system):
-    return {tid: (t.state, t.commit_votes, t.abort_votes) for tid, t in system.transfers.items()}
+    return {tid: (t.state, t.commit_votes) for tid, t in system.transfers.items()}
 
 
 class TestIndexedRound:

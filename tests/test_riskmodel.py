@@ -137,7 +137,7 @@ class TestIngest:
         assert set(riskmodel._NOT_PLAIN) == stripped | {'"'}
 
 
-def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, frozenset[int]]]:
+def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]:
     """The row-by-row parser that `ingest_prices` replaced, plus its one new
     rule: a non-finite price is rejected."""
     with open(path, newline="") as fh:
@@ -174,8 +174,9 @@ def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, frozenset[
     times_arr = np.asarray(times, dtype=np.int64)
     for symbol, col in zip(symbols, columns):
         st_ = times_arr[np.array([v is not None for v in col], dtype=bool)]
+        cuts = [0, *(np.flatnonzero(np.diff(st_) > 2 * 300) + 1).tolist(), len(st_)]
         out[symbol] = (st_, np.array([v for v in col if v is not None], dtype=float),
-                       riskmodel._gap_boundaries(st_))
+                       [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
     return out
 
 
@@ -274,12 +275,12 @@ class TestIngestMatchesRowParser:
             return
         assert not isinstance(expected, str), expected
         assert list(series) == list(expected)
-        for symbol, (times, prices, boundaries) in expected.items():
+        for symbol, (times, prices, periods) in expected.items():
             got = series[symbol]
             assert got.times.dtype == np.int64 and got.prices.dtype == np.float64
             assert np.array_equal(got.times, times)
             assert np.array_equal(got.prices, prices)
-            assert got.boundaries == boundaries
+            assert got.periods() == periods
 
     @given(_price_csv())
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -318,7 +319,7 @@ class TestLogReturns:
 
     def test_returns_skip_period_boundary(self):
         times = [0, 300, 600, 20000, 20300]
-        s = PriceSeries("X", times, [1, 2, 4, 8, 16], boundaries=frozenset({3}))
+        s = PriceSeries("X", times, [1, 2, 4, 8, 16])
         _, (r,) = aligned_log_returns({s.symbol: s})
         assert len(r) == 3  # junctions 0-1, 1-2 and 3-4 only
 
@@ -332,13 +333,6 @@ class TestLogReturns:
         s = PriceSeries("X", [0], [1.0])
         with pytest.raises(DataError):
             aligned_log_returns({s.symbol: s})
-
-    def test_boundary_without_a_time_gap_is_kept(self):
-        # index 5 starts a new period although the timestamps run on evenly
-        s = PriceSeries("X", np.arange(10) * 300, np.arange(1.0, 11.0), boundaries=frozenset({5}))
-        _, (r,) = aligned_log_returns({s.symbol: s})
-        assert len(r) == 8  # junction 4-5 is skipped
-        assert r[4] == pytest.approx(math.log(7.0 / 6.0))
 
     def test_aligned_uses_common_timestamps(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -363,17 +357,17 @@ class TestLogReturns:
         assert cuts == [0, 3, 5]
 
     def test_one_series_boundary_cuts_the_common_timeline(self):
-        # only A has a boundary, at its index 4 (t=1200), where B has no
-        # observation: the common step 900 -> 1500 crosses A's periods
-        times = np.arange(8) * 300
-        a = PriceSeries("A", times, np.arange(1.0, 9.0), boundaries=frozenset({4}))
-        b = PriceSeries("B", np.delete(times, 4), np.arange(1.0, 8.0))
+        # only A has a gap, 900 -> 1800; B has no observation at 900, so the
+        # gap lies inside the common step 600 -> 1800, which is cut
+        a = PriceSeries("A", [0, 300, 600, 900, 1800, 2100, 2400], np.arange(1.0, 8.0))
+        b = PriceSeries("B", [0, 300, 600, 1200, 1500, 1800, 2100, 2400], np.arange(1.0, 9.0))
+        assert (a.periods(), b.periods()) == ([(0, 4), (4, 7)], [(0, 8)])
         for order in (["A", "B"], ["B", "A"]):
             _, cuts = common_timeline({"A": a, "B": b}, order)
-            assert cuts == [0, 4, 7]
+            assert cuts == [0, 3, 6]
         _, rets = aligned_log_returns({"A": a, "B": b})
-        assert rets.shape == (2, 5)
-        assert rets[0].tolist() == pytest.approx(np.log([2 / 1, 3 / 2, 4 / 3, 7 / 6, 8 / 7]).tolist())
+        assert rets.shape == (2, 4)
+        assert rets[0].tolist() == pytest.approx(np.log([2 / 1, 3 / 2, 6 / 5, 7 / 6]).tolist())
 
     def test_common_timeline_unknown_symbol(self):
         with pytest.raises(DataError, match="not in the dataset"):

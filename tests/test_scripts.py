@@ -133,6 +133,7 @@ class TestRiskTablesArguments:
         (("--runs", 0), "horizon and runs must be >= 1, got 288, 0"),
         (("--horizon", 0), "horizon and runs must be >= 1, got 0, 100000"),
         (("--theta", 1.3), "need gamma' > theta > 1, got 1.2, 1.3"),
+        (("--seed", -1), "seed must be >= 0, got -1"),
     ])
     def test_sweep_arguments(self, tmp_path, capsys, flags, message):
         generate(tmp_path, "--slots", 200)
