@@ -59,7 +59,6 @@ class EscrowRecord:
 
 @dataclass
 class Cdp:
-    id: int
     owner: int
     token: int
     collateral: int = 0  # minor units of the collateral token
@@ -151,13 +150,14 @@ class System:
         self.prices: dict[int, Fraction] = {}
         self.slot = 0
         # relay-module state (owned by crocodai.relay, stored here so the
-        # whole world is one deterministic value)
+        # whole world is one deterministic value); the relay roster is
+        # range(params.relay_n), and a relay that `relays` does not name is honest
         self.relays: dict[int, str] = {}  # relay id -> behavior
         self.transfers: dict[int, Any] = {}
         # the escrowed subset of `transfers`, in id order: a relay round
         # walks only these, so its cost does not grow with history
         self.pending_transfers: dict[int, Any] = {}
-        self.staged_governance: list[tuple[int, Any]] = []
+        self.staged_governance: list[Any] = []  # each takes effect at the next step
         self.applied_nonces: set[int] = set()
         self.deprecated_contracts: set[str] = set()
         self.revert_log: list[dict[str, Any]] = []
@@ -191,7 +191,7 @@ class System:
         accounts, wards = config.get("accounts", {}), config.get("wards", [])
         if not isinstance(accounts, dict) or not isinstance(wards, (list, tuple, set, frozenset)):
             raise ProtocolError("chain accounts must be a dict and wards a list")
-        balances = {_account_id(k): v for k, v in accounts.items()}
+        balances = {read_id(k): v for k, v in accounts.items()}
         if any(type(v) is not int or v < 0 for v in balances.values()):
             raise ProtocolError("initial balances must be ints >= 0")
         if any(type(w) is not int for w in wards):
@@ -253,7 +253,7 @@ class System:
         chain = self.chain(chain_id)
         ev = Event(self.slot, kind, payload)
         chain.events.append(ev)
-        _apply_to_state(chain, kind, payload)
+        _apply_to_state(chain, ev)
         return ev
 
     # ------------------------------------------------------------------
@@ -293,7 +293,7 @@ class System:
         dropped = len(chain.events) - len(kept)
         chain.reset_state()
         for ev in kept:
-            _apply_to_state(chain, ev.kind, ev.payload)
+            _apply_to_state(chain, ev)
         chain.events = kept
         record = {
             "type": "fork_revert",
@@ -339,34 +339,31 @@ class System:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _account_id(key) -> int:
-    """An account id: an int, or its decimal string (JSON keys are strings)."""
+def read_id(key, what: str = "account id") -> int:
+    """An account, relay or token id: an int, or its decimal string (JSON keys
+    are strings), never a bool, a float or a padded or signed string."""
     if type(key) is int:
         return key
-    with suppress(TypeError, ValueError):
+    with suppress(ArithmeticError, TypeError, ValueError):  # int() of inf, None, "x"
         if str(int(key)) == key:
             return int(key)
-    raise ProtocolError(f"account id {key!r} is not an int or its decimal string")
+    raise ProtocolError(f"{what} {key!r} is not an int or its decimal string")
 
 
 # ----------------------------------------------------------------------
 # event appliers: pure state writes, no validation (operations validate)
 
 
-def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
-    b = chain.balances
+def _apply_to_state(chain: CoinChain, ev: Event) -> None:
+    kind, p, b = ev.kind, ev.payload, chain.balances
     if kind == "transfer":
         b[p["from"]] = b.get(p["from"], 0) - p["amount"]
         b[p["to"]] = b.get(p["to"], 0) + p["amount"]
     elif kind == "mint":
         b[p["account"]] = b.get(p["account"], 0) + p["amount"]
-    elif kind == "burn":
-        b[p["account"]] = b.get(p["account"], 0) - p["amount"]
     elif kind == "escrow_create":
         b[p["sender"]] = b.get(p["sender"], 0) - p["amount"]
-        chain.escrows[p["transfer"]] = EscrowRecord(
-            p["transfer"], p["sender"], p["amount"], p["slot"]
-        )
+        chain.escrows[p["transfer"]] = EscrowRecord(p["transfer"], p["sender"], p["amount"], ev.slot)
     elif kind == "escrow_burn":
         del chain.escrows[p["transfer"]]
     elif kind == "escrow_refund":
@@ -377,7 +374,7 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
     elif kind == "ward_remove":
         chain.wards.discard(p["account"])
     elif kind == "cdp_open":
-        chain.cdps[p["cdp"]] = Cdp(p["cdp"], p["owner"], p["token"])
+        chain.cdps[p["cdp"]] = Cdp(p["owner"], p["token"])
     elif kind == "cdp_deposit":
         chain.cdps[p["cdp"]].collateral += p["amount"]
     elif kind == "cdp_withdraw_collateral":
@@ -397,7 +394,7 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
             chain.cdps[int(cdp_id)].debt_wad = new_debt
         chain.pot.surplus_wad += p["surplus_delta"]
     elif kind == "auction_start":
-        chain.auctions[p["cdp"]] = Auction(p["slot"])
+        chain.auctions[p["cdp"]] = Auction(ev.slot)
         chain.cdps[p["cdp"]].state = IN_AUCTION
     elif kind == "auction_bid":
         a = chain.auctions[p["cdp"]]
@@ -406,7 +403,7 @@ def _apply_to_state(chain: CoinChain, kind: str, p: dict[str, Any]) -> None:
         b[p["bidder"]] = b.get(p["bidder"], 0) - p["amount"]
         a.best_bid = p["amount"]
         a.best_bidder = p["bidder"]
-        a.last_bid_slot = p["slot"]
+        a.last_bid_slot = ev.slot
     elif kind == "auction_settle":
         a = chain.auctions[p["cdp"]]
         cdp = chain.cdps[p["cdp"]]

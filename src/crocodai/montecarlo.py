@@ -44,6 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import minimum_filter1d
 
 from .errors import DataError
 from .riskmodel import STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
@@ -182,21 +183,9 @@ def _min_relative_values(
 
 
 def _window_minima(row: np.ndarray, width: int) -> np.ndarray:
-    """Minimum of every `width`-slot window of `row`, one per start slot, by
-    the van Herk / Gil-Werman block method (van Herk 1992, Pattern
-    Recognition Letters 13(7); Gil & Werman 1993, IEEE TPAMI 15(5)). The row
-    is cut into blocks of `width` slots, so a window is the tail of one block
-    and the head of the next: its minimum is the suffix minimum at its first
-    slot and the prefix minimum at its last. Three passes, whatever the width."""
-    count = len(row) - width + 1
-    prefix = np.full(-(-len(row) // width) * width, np.inf)
-    prefix[: len(row)] = row
-    suffix = prefix.copy()
-    blocks = prefix.reshape(-1, width)
-    np.minimum.accumulate(blocks, axis=1, out=blocks)
-    blocks = suffix.reshape(-1, width)[:, ::-1]
-    np.minimum.accumulate(blocks, axis=1, out=blocks)
-    return np.minimum(suffix[:count], prefix[width - 1 : width - 1 + count])
+    """Minimum of every `width`-slot window of `row`, one per start slot:
+    scipy's sliding minimum, its window shifted to start at each slot."""
+    return minimum_filter1d(row, width, origin=-(width // 2))[: len(row) - width + 1]
 
 
 def historical_replay(

@@ -19,6 +19,7 @@ bit-identical to numpy's `median` of the full row. On 20,000 trials
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,7 @@ def medianize(reports: list[float]) -> float:
     """Median of the reports; even counts take the mean of the middle two."""
     if not reports:
         raise StalePriceError("no reports this slot, vault keeps its last value")
-    ordered = sorted(reports)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+    return statistics.median(reports)
 
 
 def update_vault_price(system: System, token_id: int, reports: list[float]) -> float:

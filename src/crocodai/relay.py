@@ -2,15 +2,18 @@
 governance actions, fault injection, and abstract cost models for the three
 relay signature designs.
 
-Authentication is abstract: a vote is valid iff it carries the node id of a
-registered relay, so Byzantine forgery of other ids is rejected by
-construction. Commit is atomic within one relay step on both chains.
+The relay roster is range(params.relay_n), so governance resizes it at the
+next slot. Authentication is abstract: a vote is valid iff it carries the
+node id of a relay on the roster, so Byzantine forgery of other ids is
+rejected by construction. Commit is atomic within one relay step on both
+chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .errors import (
     InsufficientBalanceError,
@@ -36,7 +39,6 @@ ABORTED = "aborted"
 
 @dataclass
 class CrossChainTransfer:
-    id: int
     source: int
     target: int
     sender: int
@@ -55,8 +57,8 @@ class GovernanceAction:
 
 
 def register_relays(system: System, behaviors: dict[int, str] | None = None) -> None:
-    """Map each of the n relay ids of the system params to its behavior;
-    behaviors default to honest."""
+    """Set the behaviors of the relays of the roster 0..relay_n-1 that
+    `behaviors` names; every other relay is honest."""
     behaviors = behaviors or {}
     n = system.params.relay_n
     unknown = [node_id for node_id in behaviors if node_id not in range(n)]
@@ -65,7 +67,7 @@ def register_relays(system: System, behaviors: dict[int, str] | None = None) -> 
     for behavior in behaviors.values():
         if behavior not in BEHAVIORS:
             raise ProtocolError(f"unknown relay behavior {behavior!r}")
-    system.relays = {node_id: behaviors.get(node_id, HONEST) for node_id in range(n)}
+    system.relays = dict(behaviors)
 
 
 def quorum(system: System) -> int:
@@ -90,22 +92,18 @@ def request_transfer(
         )
     tid = len(system.transfers)  # transfers are never removed
     transfer = CrossChainTransfer(
-        tid, source_chain, target_chain, sender, target_addr, amount, request_slot=system.slot
+        source_chain, target_chain, sender, target_addr, amount, request_slot=system.slot
     )
-    system.apply(
-        source_chain,
-        "escrow_create",
-        {"transfer": tid, "sender": sender, "amount": amount, "slot": system.slot},
-    )
+    system.apply(source_chain, "escrow_create", {"transfer": tid, "sender": sender, "amount": amount})
     system.transfers[tid] = transfer
     system.pending_transfers[tid] = transfer
     return tid
 
 
-def _node_validates(system: System, transfer: CrossChainTransfer) -> bool:
+def _node_validates(system: System, tid: int, transfer: CrossChainTransfer) -> bool:
     # an honest node re-reads the source chain and votes only if the escrow
     # is actually there with the advertised amount
-    rec = system.chains[transfer.source].escrows.get(transfer.id)
+    rec = system.chains[transfer.source].escrows.get(tid)
     return rec is not None and rec.amount == transfer.amount
 
 
@@ -125,7 +123,8 @@ def relay_step(system: System) -> list[dict[str, Any]]:
     out: list[dict[str, Any]] = []
     needed = quorum(system)
     timeout = system.params.transfer_timeout
-    roster = sorted(system.relays.items())
+    roster = [(node_id, system.relays.get(node_id, HONEST))
+              for node_id in range(system.params.relay_n)]
 
     for tid, transfer in list(system.pending_transfers.items()):
         if slot - transfer.request_slot >= timeout:
@@ -141,7 +140,7 @@ def relay_step(system: System) -> list[dict[str, Any]]:
 
         # nothing is applied while the nodes vote, so every honest node
         # reads the same escrow
-        valid = _node_validates(system, transfer)
+        valid = _node_validates(system, tid, transfer)
         for node_id, behavior in roster:
             if behavior == HONEST:
                 if valid:
@@ -197,70 +196,67 @@ def step(system: System) -> list[dict[str, Any]]:
 
 
 def submit_governance(system: System, action: GovernanceAction, votes: set[int]) -> bool:
-    """Validate and stage an action; it takes effect at the next slot boundary.
+    """Check and stage an action; it takes effect at the next step.
 
-    Returns True iff the certificate carried a 2f+1 quorum of registered
-    relay votes. The nonce is consumed only on acceptance.
+    Returns True iff the certificate carried a 2f+1 quorum of votes from the
+    roster. The nonce is consumed only on acceptance.
     """
     if action.nonce in system.applied_nonces:
         raise StaleNonceError(f"nonce {action.nonce} already used")
-    valid_votes = {v for v in votes if v in system.relays}
+    valid_votes = {v for v in votes if v in range(system.params.relay_n)}
     if len(valid_votes) < quorum(system):
         return False
-    _validate_action(system, action)
+    _effect(system, action)
     system.applied_nonces.add(action.nonce)
-    system.staged_governance.append((system.slot + 1, action))
+    system.staged_governance.append(action)
     return True
 
 
-def _validate_action(system: System, action: GovernanceAction) -> None:
-    """Read every field the action's effect reads, and raise ProtocolError
-    unless the effect can apply now."""
+def _effect(system: System, action: GovernanceAction) -> Callable[[], Any]:
+    """The action's effect on `system` as it stands, after reading every
+    field the effect reads; a ProtocolError unless it can apply now."""
     kind, payload = action.kind, action.payload
     if not isinstance(payload, dict):
         raise ProtocolError(f"governance payload must be a dict, got {payload!r}")
     if kind == "set_param":
         if type(payload.get("name")) is not str or "value" not in payload:
             raise ProtocolError("set_param needs a str 'name' and a 'value'")
-        system.params.with_param(payload["name"], payload["value"])  # raises if invalid
-    elif kind in ("add_ward", "remove_ward"):
-        if type(payload.get("account")) is not int or type(payload.get("chain", 0)) is not int:
+        params = system.params.with_param(payload["name"], payload["value"])  # raises if invalid
+        return partial(setattr, system, "params", params)
+    if kind in ("add_ward", "remove_ward"):
+        account = payload.get("account")
+        if type(account) is not int or type(payload.get("chain", 0)) is not int:
             raise ProtocolError(f"{kind} needs an int 'account' and, if any, an int 'chain'")
-        if "chain" in payload:
-            system.chain(payload["chain"])
-    elif kind == "add_chain":
-        system.chain_config(payload.get("config", {}))
-    elif kind == "deprecate_contract":
+        targets = [system.chain(payload["chain"]).id] if "chain" in payload else sorted(system.chains)
+
+        def wards() -> None:
+            for chain_id in targets:
+                system.apply(chain_id, "ward_add" if kind == "add_ward" else "ward_remove",
+                             {"account": account})
+        return wards
+    if kind == "add_chain":
+        config = payload.get("config", {})
+        system.chain_config(config)
+        return partial(system.create_chain, config)
+    if kind == "deprecate_contract":
         if type(payload.get("contract")) is not str:
             raise ProtocolError("deprecate_contract needs a str 'contract'")
-    else:
-        raise ProtocolError(f"unknown governance action kind {kind!r}")
+        return partial(system.deprecated_contracts.add, payload["contract"])
+    raise ProtocolError(f"unknown governance action kind {kind!r}")
 
 
 def _apply_staged_governance(system: System) -> list[dict[str, Any]]:
-    due = [(s, a) for s, a in system.staged_governance if s <= system.slot]
-    system.staged_governance = [(s, a) for s, a in system.staged_governance if s > system.slot]
+    due, system.staged_governance = system.staged_governance, []
     out = []
-    for _, action in due:
-        kind, payload = action.kind, action.payload
+    for action in due:
         try:  # an action applied since this one was staged may have made it invalid
-            _validate_action(system, action)
+            effect = _effect(system, action)
         except ProtocolError as exc:
-            out.append({"type": "governance_failed", "kind": kind, "nonce": action.nonce,
+            out.append({"type": "governance_failed", "kind": action.kind, "nonce": action.nonce,
                         "error": str(exc)})
             continue
-        if kind == "set_param":
-            system.params = system.params.with_param(payload["name"], payload["value"])
-        elif kind in ("add_ward", "remove_ward"):
-            event = "ward_add" if kind == "add_ward" else "ward_remove"
-            targets = [payload["chain"]] if "chain" in payload else sorted(system.chains)
-            for chain_id in targets:
-                system.apply(chain_id, event, {"account": payload["account"]})
-        elif kind == "add_chain":
-            system.create_chain(payload.get("config", {}))
-        elif kind == "deprecate_contract":
-            system.deprecated_contracts.add(payload["contract"])
-        out.append({"type": "governance_applied", "kind": kind, "nonce": action.nonce})
+        effect()
+        out.append({"type": "governance_applied", "kind": action.kind, "nonce": action.nonce})
     return out
 
 

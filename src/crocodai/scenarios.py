@@ -27,7 +27,7 @@ import numpy as np
 from . import relay as relay_mod
 from . import stablecoin as core
 from .errors import InvalidParameterError, PreconditionError, ProtocolError, ScenarioFormatError
-from .ledger import SCALE, System
+from .ledger import SCALE, System, read_id
 from .montecarlo import Portfolio
 from .oracle import (
     PriceFeed,
@@ -83,9 +83,9 @@ def builtin_portfolio(name: str) -> Portfolio:
 def _check_start_conditions(system: System) -> None:
     # every CDP above the ratio, every token with debt inside its ceiling
     for chain in system.chains.values():
-        for cdp in chain.cdps.values():
+        for cdp_id, cdp in chain.cdps.items():
             if core.check_liquidatable(cdp, core.price_of(system, cdp.token), system.params.gamma):
-                raise PreconditionError(f"CDP {cdp.id} starts at ratio <= gamma")
+                raise PreconditionError(f"CDP {cdp_id} starts at ratio <= gamma")
     totals = core.debt_totals(system)
     for token_id in totals[0]:
         if not core.ceiling_allows(system.params, token_id, totals, 0):
@@ -188,8 +188,6 @@ def compromised_chain_scenario(system: System, chain_id: int, h_prime: int) -> A
 
     details: dict[str, Any] = {"h_prime": h_prime}
     if h_prime > 0:
-        if not system.relays:
-            relay_mod.register_relays(system)
         target_chain = min(cid for cid in system.chains if cid != chain_id)
         attacker = _fresh_account(system)
         system.tick()
@@ -306,13 +304,14 @@ def _list(reader):
 
 
 def _ids(reader, what: str, roster: range | None = None):
-    """A reader of an object keyed by integer ids (accounts, relays), from `roster` if given."""
+    """A reader of an object keyed by ids (accounts, relays) as `ledger.read_id`
+    reads them, from `roster` if given."""
     def read(value: Any, path: str) -> dict[int, Any]:
         out = {}
         for key, item in _dict(value, path).items():
             try:
-                node = int(key)
-            except ValueError:
+                node = read_id(key)
+            except ProtocolError:
                 raise _fail(f"{path}.{key}", f"{what} is not an integer") from None
             if roster is not None and node not in roster:
                 raise _fail(f"{path}.{key}", f"{what} outside the roster 0..{roster[-1]}")

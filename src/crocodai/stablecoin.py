@@ -31,7 +31,7 @@ from .errors import (
     ProtocolError,
     RatioViolationError,
 )
-from .ledger import FEE_SCALE, MINOR, OPEN, SCALE, Auction, Cdp, CoinChain, System
+from .ledger import FEE_SCALE, MINOR, OPEN, SCALE, Auction, Cdp, CoinChain, System, read_id
 
 # a debt stays below DEBT_BOUND in 1 / FEE_SCALE units (10**42 units), so no
 # debt takes a growth factor past DEBT_BOUND; factors are whole multiples of
@@ -39,7 +39,7 @@ from .ledger import FEE_SCALE, MINOR, OPEN, SCALE, Auction, Cdp, CoinChain, Syst
 # fee-accrued debt within 1/2 + slots * 10**-40 of a 10**-18 unit of exact
 DEBT_BOUND, GROWTH_SCALE = 10**60, 10**100
 
-MAX_RELAYS = 64  # the largest relay_n: the relay roster holds one entry per relay
+MAX_RELAYS = 64  # the largest relay_n: a relay round visits every relay for each pending transfer
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def _coerce_param(name: str, value):
                     "min_bid_step"):
             return exact_fraction(value)
         if name == "debt_ceilings":
-            return {int(k): exact_fraction(v) for k, v in dict(value).items()}
-    except OverflowError as exc:
+            return {read_id(k, "token id"): exact_fraction(v) for k, v in dict(value).items()}
+    except (OverflowError, ProtocolError) as exc:
         raise InvalidParameterError(f"parameter {name}: {exc}", name) from None
     except (ArithmeticError, TypeError, ValueError):
         raise InvalidParameterError(f"parameter {name}: not a number: {value!r}", name) from None
@@ -300,11 +300,7 @@ def withdraw_collateral(system: System, cdp_id: int, amount: int) -> None:
         raise RatioViolationError("withdrawal would breach the liquidation ratio")
     if amount == 0:
         return
-    system.apply(
-        chain.id,
-        "cdp_withdraw_collateral",
-        {"cdp": cdp_id, "amount": amount, "to": cdp.owner},
-    )
+    system.apply(chain.id, "cdp_withdraw_collateral", {"cdp": cdp_id, "amount": amount})
 
 
 def close_cdp(system: System, cdp_id: int) -> None:
@@ -332,15 +328,15 @@ def accrue_stability_fee(system: System, slots: int) -> None:
     for chain in system.chains.values():
         debts: dict[str, int] = {}  # in 1 / FEE_SCALE units
         surplus_delta = 0
-        for cdp in chain.cdps.values():
+        for cdp_id, cdp in chain.cdps.items():
             if cdp.state != OPEN or not cdp.debt_wad:
                 continue
             new = _times(cdp.debt_wad, factor)
             if new >= DEBT_BOUND:
-                raise ProtocolError(f"CDP {cdp.id}: debt {_approx(cdp.debt)} would not stay "
+                raise ProtocolError(f"CDP {cdp_id}: debt {_approx(cdp.debt)} would not stay "
                                     f"below 10**42 units")
             surplus_delta += new - cdp.debt_wad
-            debts[str(cdp.id)] = new
+            debts[str(cdp_id)] = new
         if debts:
             accruals.append((chain.id, {"debts": debts, "surplus_delta": surplus_delta}))
     for chain_id, payload in accruals:
@@ -396,7 +392,7 @@ def start_auction(system: System, cdp_id: int) -> int:
     chain, cdp = _guard_cdp(system, cdp_id, error=AuctionError)
     if not check_liquidatable(cdp, price_of(system, cdp.token), system.params.gamma):
         raise AuctionError(f"CDP {cdp_id} is not liquidatable at the current price")
-    system.apply(chain.id, "auction_start", {"cdp": cdp_id, "slot": system.slot})
+    system.apply(chain.id, "auction_start", {"cdp": cdp_id})
     return cdp_id
 
 
@@ -414,9 +410,7 @@ def place_bid(system: System, cdp_id: int, bidder: int, amount: int) -> None:
             )
     if chain.balance(bidder) < amount:
         raise InsufficientBalanceError(f"bidder {bidder} cannot cover bid of {amount}")
-    system.apply(
-        chain.id, "auction_bid", {"cdp": cdp_id, "bidder": bidder, "amount": amount, "slot": system.slot}
-    )
+    system.apply(chain.id, "auction_bid", {"cdp": cdp_id, "bidder": bidder, "amount": amount})
 
 
 def settle_auction(system: System, cdp_id: int) -> dict:

@@ -827,11 +827,18 @@ class TestScenarioCommand:
         ({"params": {"relay_n": 4.9}}, "$.params.relay_n: not an integer: 4.9"),
         ({"params": {"auction_duration": "12"}}, "$.params.auction_duration: not an integer"),
         ({"params": {"transfer_timeout": True}}, "$.params.transfer_timeout: not an integer"),
-        # one relay node is built per relay
+        # a relay round visits every relay of the roster for each pending transfer
         ({"params": {"relay_n": 10**9}}, "$.params.relay_n: relay_n must be <= 64"),
         # 10**999999999 used to be built before anything was checked
         ({"tokens": [{"symbol": "ETH", "chain": "eth", "price": "1e999999999"}]},
          "$.tokens[0].price: decimal exponent of '1e999999999' is past +-4300"),
+        # ids are read as the ledger reads them: an int's own decimal string;
+        # int(key) used to run " 5", "+6" and "0_7" as accounts 5, 6 and 7
+        *[({"chains": [{"name": "eth", "accounts": {key: 7}}]},
+           f"$.chains[0].accounts.{key}: account id is not an integer")
+          for key in (" 5", "+6", "0_7", "05")],
+        *[({"relays": {"faults": {key: "crashed"}}}, f"$.relays.faults.{key}: relay id is not an integer")
+          for key in (" 1", "+1", "0_1", "01")],
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1

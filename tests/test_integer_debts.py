@@ -173,8 +173,9 @@ class TestForkRebuild:
                 elif kind == "pay":
                     core.savings_accrue(system, chain.id, n)
                 elif chain.cdps:
-                    cdp = chain.cdps[sorted(chain.cdps)[pick % len(chain.cdps)]]
-                    core.repay_debt(system, cdp.id, min(chain.balance(cdp.owner),
+                    cdp_id = sorted(chain.cdps)[pick % len(chain.cdps)]
+                    cdp = chain.cdps[cdp_id]
+                    core.repay_debt(system, cdp_id, min(chain.balance(cdp.owner),
                                                         cdp.debt_wad * SCALE // FEE_SCALE))
             snapshots.append(integer_state(chain))
 

@@ -17,6 +17,10 @@ relay's former `abort_votes`), passes: finding it is beyond an AST check.
 
 The event appliers (`ledger._apply_to_state`) name no `Fraction`: debts, the
 savings pot's surplus and interest paid are integers in 1 / FEE_SCALE units.
+They handle exactly the event kinds that some `.apply(<chain>, "<kind>",
+...)` call of the package emits, so no branch is kept for an event nothing
+writes, and no payload literal carries a `"slot"`: an event's slot is
+`Event.slot`.
 """
 
 import ast
@@ -119,10 +123,45 @@ def test_every_dataclass_field_is_read_by_the_program():
     assert set(ALLOWED_FIELDS) <= declared, "an allowed field is gone: drop it from ALLOWED_FIELDS"
 
 
-def test_event_appliers_build_no_fraction():
+def _applier():
     tree = ast.parse((PACKAGE / "ledger.py").read_text())
-    applier = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_apply_to_state")
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_apply_to_state")
+
+
+def test_event_appliers_build_no_fraction():
+    applier = _applier()
     names = {node.id for node in ast.walk(applier) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(applier) if isinstance(node, ast.Attribute)}
     assert "Fraction" not in names
+
+
+def _kinds(node):
+    """The event kinds an `.apply` call's kind argument names: a string
+    constant, or either branch of a conditional expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _kinds(node.body) | _kinds(node.orelse)
+    return set()
+
+
+def test_appliers_handle_exactly_the_emitted_events():
+    emitted, slotted = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "apply" and len(node.args) == 3):
+                continue
+            emitted |= _kinds(node.args[1])
+            payload = node.args[2]
+            if isinstance(payload, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "slot" for key in payload.keys):
+                slotted.append(f"{path.name}:{node.lineno}")
+    handled = {node.comparators[0].value for node in ast.walk(_applier())
+               if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+               and node.left.id == "kind" and isinstance(node.comparators[0], ast.Constant)}
+    assert handled, "no applier branch found"
+    assert not handled - emitted, f"applier branches no operation emits: {sorted(handled - emitted)}"
+    assert not emitted - handled, f"events no applier handles: {sorted(emitted - handled)}"
+    assert not slotted, f"payloads that repeat the event's slot: {slotted}"

@@ -150,7 +150,7 @@ class TestDeterminism:
             events = list(chain.events)
             chain.reset_state()
             for ev in events:
-                _apply_to_state(chain, ev.kind, ev.payload)
+                _apply_to_state(chain, ev)
         assert sys_.state_digest() == digest
 
     def test_unknown_event_kind_rejected(self, system):

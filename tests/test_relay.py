@@ -142,16 +142,59 @@ class TestRelayStep:
         # if the escrow disappears (reverted fork) before quorum, honest
         # nodes stop voting and the transfer can only expire
         sys_ = two_chains
-        for node_id in sys_.relays:
+        for node_id in range(sys_.params.relay_n):
             sys_.relays[node_id] = CRASHED
         tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
         sys_.mark_compromised(sys_.alpha)
         sys_.fork_revert(sys_.alpha, since_slot=0)
-        for node_id in sys_.relays:
+        for node_id in range(sys_.params.relay_n):
             sys_.relays[node_id] = relay.HONEST
         relay.step(sys_)
         assert sys_.transfers[tid].state == ESCROWED
         assert sys_.transfers[tid].commit_votes == set()
+
+
+class TestRoster:
+    def test_unregistered_relays_are_honest(self):
+        sys_ = System(SystemParams(relay_n=7, relay_f=2))
+        a = sys_.create_chain({"name": "alpha", "accounts": {"1": units(100)}})
+        b = sys_.create_chain({"name": "beta"})
+        tid = relay.request_transfer(sys_, a, 1, units(10), b, 7)
+        relay.step(sys_)
+        assert sys_.transfers[tid].commit_votes == set(range(7))
+        action = GovernanceAction("add_ward", {"account": 7}, nonce=1)
+        assert relay.submit_governance(sys_, action, {2, 3, 4, 5, 6})
+
+    def test_governance_resizes_the_roster(self, two_chains):
+        # relay_n 7 then relay_f 2 used to leave a quorum of 5 over the 4
+        # relays register_relays had made: every later transfer aborted and
+        # no certificate could pass again
+        sys_ = two_chains
+        for nonce, (name, value) in enumerate((("relay_n", 7), ("relay_f", 2)), start=1):
+            action = GovernanceAction("set_param", {"name": name, "value": value}, nonce)
+            assert relay.submit_governance(sys_, action, {0, 1, 2})
+            relay.step(sys_)
+        assert relay.quorum(sys_) == 5
+        tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
+        assert run_until_resolved(sys_, tid) is not None
+        assert sys_.transfers[tid].state == COMMITTED
+        assert not relay.submit_governance(sys_, GovernanceAction("add_ward", {"account": 7}, 3),
+                                           {0, 1, 2, 3})
+        assert relay.submit_governance(sys_, GovernanceAction("add_ward", {"account": 7}, 3),
+                                       {0, 1, 2, 3, 4})
+
+    def test_shrunk_roster_ignores_votes_and_faults_past_it(self, two_chains):
+        sys_ = two_chains
+        relay.register_relays(sys_, {3: CRASHED})
+        sys_.params = sys_.params.with_param("relay_n", 7)
+        relay.register_relays(sys_, {5: BYZ_FORGE})
+        sys_.params = sys_.params.with_param("relay_n", 4)
+        tid = relay.request_transfer(sys_, sys_.alpha, 1, units(10), sys_.beta, 7)
+        events = relay.step(sys_)
+        assert [e["type"] for e in events] == ["commit"]
+        assert sys_.transfers[tid].commit_votes == {0, 1, 2, 3}
+        assert not relay.submit_governance(sys_, GovernanceAction("add_ward", {"account": 7}, 1),
+                                           {0, 4, 5, 6})
 
 
 class TestGovernance:
@@ -356,20 +399,20 @@ def _reference_round(system):
             out.append({"type": "abort", "transfer": tid, "slot": slot, "refunded": refunded})
             continue
 
-        for node_id in sorted(system.relays):
-            behavior = system.relays[node_id]
+        for node_id in range(system.params.relay_n):
+            behavior = system.relays.get(node_id, HONEST)
             if behavior == HONEST:
-                if relay._node_validates(system, transfer):
+                if relay._node_validates(system, tid, transfer):
                     transfer.commit_votes.add(node_id)
             elif behavior == BYZ_EQUIVOCATE:
                 transfer.commit_votes.add(node_id)
             elif behavior == BYZ_FORGE:
-                for forged in sorted(system.relays):
+                for forged in range(system.params.relay_n):
                     if forged != node_id:
                         out.append({"type": "forged_vote_rejected", "transfer": tid,
                                     "by": node_id, "claimed": forged, "slot": slot})
 
-        if len(transfer.commit_votes) >= needed and relay._node_validates(system, transfer):
+        if len(transfer.commit_votes) >= needed and relay._node_validates(system, tid, transfer):
             system.apply(transfer.source, "escrow_burn", {"transfer": tid})
             system.apply(transfer.target, "mint", {"account": transfer.target_addr,
                                                    "amount": transfer.amount, "by": "relay",
@@ -493,7 +536,7 @@ def test_round_cost_does_not_grow_with_history(monkeypatch):
     validations = []
     validate = relay._node_validates
     monkeypatch.setattr(relay, "_node_validates",
-                        lambda s, t: validations.append(t.id) or validate(s, t))
+                        lambda s, tid, t: validations.append(tid) or validate(s, tid, t))
 
     def one_round(history):
         sys_ = System(SystemParams())

@@ -81,6 +81,13 @@ class TestParams:
         with pytest.raises(InvalidParameterError, match="unknown parameter 'gama'"):
             SystemParams.from_json({"gama": 2})
 
+    @pytest.mark.parametrize("key", [1.9, True, "05", " 1", "x"])
+    def test_ceiling_token_ids_are_ints_or_their_decimal_strings(self, key):
+        # int(key) used to fold 1.9 and True into token 1
+        with pytest.raises(InvalidParameterError, match="debt_ceilings") as err:
+            SystemParams(debt_ceilings={key: "0.3"})
+        assert err.value.param == "debt_ceilings"
+
     def test_ceiling_range(self):
         with pytest.raises(InvalidParameterError):
             SystemParams(debt_ceilings={0: Fraction(3, 2)})
@@ -313,24 +320,24 @@ def fee_accrued_vault(slots):
     core.deposit_collateral(sys_, cdp, units(10**12))
     core.withdraw_stablecoins(sys_, cdp, units(10**11))
     core.accrue_stability_fee(sys_, slots)
-    return sys_, sys_.chains[sys_.main].cdps[cdp]
+    return sys_, cdp, sys_.chains[sys_.main].cdps[cdp]
 
 
 class TestDebtDigits:
     def test_fee_accrued_debt_keeps_every_digit(self):
         # the appliers ran in the caller's 28-digit context, so one minor
         # unit on this debt used to drop its last two digits
-        sys_, cdp = fee_accrued_vault(1000)
+        sys_, cdp_id, cdp = fee_accrued_vault(1000)
         assert cdp.debt == Decimal("100001000004.995016616741417207")
         assert sys_.chains[sys_.main].pot.surplus == Decimal("1000004.995016616741417207")
-        core.withdraw_stablecoins(sys_, cdp.id, 1)
+        core.withdraw_stablecoins(sys_, cdp_id, 1)
         assert cdp.debt == Decimal("100001000004.995016617741417207")
-        core.repay_debt(sys_, cdp.id, 1)
+        core.repay_debt(sys_, cdp_id, 1)
         assert cdp.debt == Decimal("100001000004.995016616741417207")
 
     def test_fork_rebuild_matches_the_live_state(self):
-        sys_, cdp = fee_accrued_vault(1001)
-        core.withdraw_stablecoins(sys_, cdp.id, 1)
+        sys_, cdp_id, cdp = fee_accrued_vault(1001)
+        core.withdraw_stablecoins(sys_, cdp_id, 1)
         sys_.mark_compromised(sys_.main)
         live = sys_.state_digest()
         sys_.fork_revert(sys_.main, sys_.slot + 1)  # keeps every event: a pure rebuild
