@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from crocodai.errors import CrocodaiError
-from crocodai.montecarlo import Portfolio, table_sweep
+from crocodai.montecarlo import BUILTIN_PORTFOLIOS, Portfolio, builtin_portfolio, table_sweep
 from crocodai.optimizer import QpProblem, debt_ceilings_from, min_variance
 from crocodai.riskmodel import fit_model_from_series, ingest_prices
-from crocodai.scenarios import BUILTIN_PORTFOLIOS, builtin_portfolio
 
 
 def tables(args, prices: Path) -> None:

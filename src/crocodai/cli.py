@@ -14,6 +14,10 @@ identical flags, input files and seed produce byte-identical files.
 Exit codes: 0 success, 1 assertion/scenario failure, 2 usage error, which
 includes an input file that is missing or not a file, and an output that
 cannot be written (its directory is checked before the work starts).
+
+Each subcommand, or the helper that reads its input, imports the engine it
+runs when it runs: `scenario` and `oracle-tail` load no risk engine, and only
+a command that fits or replays loads scipy.
 """
 
 from __future__ import annotations
@@ -24,23 +28,16 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import CrocodaiError
-from .montecarlo import Portfolio, historical_replay, table_sweep
-from .optimizer import QpProblem, debt_ceilings_from, min_variance
-from .oracle import tail_probability_experiment
-from .riskmodel import (
-    NORMAL,
-    STUDENT_T,
-    PriceSeries,
-    ReturnModel,
-    fit_model_from_series,
-    ingest_prices,
-)
-from .scenarios import PEGGED_SYMBOLS, UNIVERSES, builtin_portfolio, run_scenario_file
+
+if TYPE_CHECKING:
+    from .montecarlo import Portfolio
+    from .riskmodel import PriceSeries, ReturnModel
 
 DATA_ENV = "CROCODAI_DATA"
 # the attributes of the parsed flags left out of the recorded configuration
@@ -92,6 +89,7 @@ def _check_outputs(args) -> None:
 def _read_prices(args) -> dict[str, PriceSeries]:
     """Ingest the price file, and record it as `args.prices`: `--prices`, or
     `$CROCODAI_DATA/prices.csv` when the flag is not given."""
+    from .riskmodel import ingest_prices
     if not args.prices:
         root = os.environ.get(DATA_ENV)
         if not root:
@@ -114,6 +112,7 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _load_model(args) -> ReturnModel:
+    from .riskmodel import ReturnModel, fit_model_from_series
     args.symbols = args.symbols.split(",") if args.symbols else None
     if args.model:
         return ReturnModel.load(_input_file(args, "model", args.model, "--model"))
@@ -121,6 +120,7 @@ def _load_model(args) -> ReturnModel:
 
 
 def _portfolio(args) -> Portfolio:
+    from .montecarlo import Portfolio, builtin_portfolio
     spec = args.portfolio
     if spec.endswith(".json"):
         path = _input_file(args, "portfolio", spec, "--portfolio")
@@ -169,6 +169,8 @@ def cmd_fit(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    from .montecarlo import table_sweep
+    from .riskmodel import NORMAL, STUDENT_T
     args.gamma_prime = _floats(args.gamma_prime, "--gamma-prime")
     model = _load_model(args)
     result = table_sweep(
@@ -189,6 +191,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_replay(args) -> tuple[dict, int]:
+    from .montecarlo import historical_replay
     args.gamma_prime = gammas = _floats(args.gamma_prime, "--gamma-prime")
     series = _read_prices(args)
     portfolio = _portfolio(args)
@@ -198,6 +201,8 @@ def cmd_replay(args) -> tuple[dict, int]:
 
 
 def cmd_optimize(args) -> tuple[dict, int]:
+    from .montecarlo import PEGGED_SYMBOLS, UNIVERSES
+    from .optimizer import QpProblem, debt_ceilings_from, min_variance
     model = _load_model(args)
     # default caps mirror the reference choices: 0.1 for the open universe,
     # 0.2 for the curated ones
@@ -231,6 +236,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
 
 
 def cmd_scenario(args) -> tuple[dict, int]:
+    from .scenarios import run_scenario_file
     tokens = list(args.file)
     if tokens and tokens[0] == "run":  # `scenario run file.json` form
         tokens = tokens[1:]
@@ -243,6 +249,7 @@ def cmd_scenario(args) -> tuple[dict, int]:
 
 
 def cmd_oracle_tail(args) -> tuple[dict, int]:
+    from .oracle import tail_probability_experiment
     args.c = _floats(args.c, "--c")
     rng = np.random.default_rng(args.seed)
     rows = []

@@ -51,10 +51,8 @@ class Token:
 
 @dataclass
 class EscrowRecord:
-    transfer: int
     sender: int
     amount: int
-    created_slot: int
 
 
 @dataclass
@@ -315,10 +313,7 @@ class System:
             c = self.chains[cid]
             view[str(cid)] = {
                 "balances": {str(k): v for k, v in sorted(c.balances.items())},
-                "escrows": {
-                    str(k): [e.transfer, e.sender, e.amount, e.created_slot]
-                    for k, e in sorted(c.escrows.items())
-                },
+                "escrows": {str(k): [e.sender, e.amount] for k, e in sorted(c.escrows.items())},
                 "wards": sorted(c.wards),
                 "cdps": {
                     str(k): [d.owner, d.token, d.collateral, str(d.debt), d.state]
@@ -363,7 +358,7 @@ def _apply_to_state(chain: CoinChain, ev: Event) -> None:
         b[p["account"]] = b.get(p["account"], 0) + p["amount"]
     elif kind == "escrow_create":
         b[p["sender"]] = b.get(p["sender"], 0) - p["amount"]
-        chain.escrows[p["transfer"]] = EscrowRecord(p["transfer"], p["sender"], p["amount"], ev.slot)
+        chain.escrows[p["transfer"]] = EscrowRecord(p["sender"], p["amount"])
     elif kind == "escrow_burn":
         del chain.escrows[p["transfer"]]
     elif kind == "escrow_refund":

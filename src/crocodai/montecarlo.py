@@ -44,9 +44,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import minimum_filter1d
 
-from .errors import DataError
+from .errors import DataError, ProtocolError
 from .riskmodel import STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
@@ -86,6 +85,45 @@ class Portfolio:
         if not 0.0 < total < math.inf:
             raise DataError(f"portfolio weights must have a positive, finite total, got {total}")
         return cls(name, assets, w / total)
+
+
+# ----------------------------------------------------------------------
+# built-in portfolios (weights in percent, normalized on construction)
+
+_BUILTIN_WEIGHTS: dict[str, dict[str, float]] = {
+    "D-All": {"USDC": 47, "ETH": 19, "PAXG": 14, "USDP": 10, "USDT": 8, "WBTC": 2},
+    "D-ERC": {"ETH": 90.2, "WBTC": 9.4, "GNO": 0.2, "LINK": 0.1, "MATIC": 0.05, "YFI": 0.05},
+    "D-Mix1": {"ETH": 50, "WBTC": 30, "GNO": 5, "LINK": 5, "MATIC": 5, "YFI": 5},
+    "D-Mix2": {"ETH": 20, "WBTC": 20, "GNO": 15, "LINK": 15, "MATIC": 15, "YFI": 15},
+    "C-Mix1": {"ETH": 50, "WBTC": 30, "ADA": 5, "DOT": 5, "TRX": 5, "AVAX": 5},
+    "C-Mix2": {"ETH": 20, "WBTC": 20, "ADA": 15, "DOT": 15, "TRX": 15, "AVAX": 15},
+    # optimized fixtures; exact values are dataset-dependent
+    "D-Opt": {"WBTC": 74.015, "GNO": 25.985},
+    "C-Opt": {"WBTC": 62.204, "TRX": 37.796},
+    "A-Opt": {
+        "BSV": 8.728, "BTG": 0.796, "BTT": 36.821, "DCR": 4.357, "GNO": 5.221,
+        "HT": 0.0762, "KCS": 2.726, "KLAY": 5.705, "LEO": 17.568, "OKB": 3.223,
+        "TRX": 13.017, "TWT": 0.483, "XLM": 0.593,
+    },
+}
+
+BUILTIN_PORTFOLIOS = tuple(_BUILTIN_WEIGHTS)
+
+# candidate collateral universes for the optimizer CLI
+UNIVERSES: dict[str, tuple[str, ...]] = {
+    "D": ("ETH", "WBTC", "GNO", "LINK", "MATIC", "YFI"),
+    "C": ("ETH", "WBTC", "ADA", "DOT", "TRX", "AVAX", "SOL", "ALGO", "EOS"),
+}
+
+PEGGED_SYMBOLS = frozenset(
+    {"USDC", "USDT", "USDP", "BUSD", "DAI", "GUSD", "TUSD", "USDN", "PAXG", "USDD", "FRAX"}
+)
+
+
+def builtin_portfolio(name: str) -> Portfolio:
+    if name not in _BUILTIN_WEIGHTS:
+        raise ProtocolError(f"unknown builtin portfolio {name!r} (have {sorted(_BUILTIN_WEIGHTS)})")
+    return Portfolio.from_weights(name, _BUILTIN_WEIGHTS[name])
 
 
 @dataclass(frozen=True)
@@ -185,6 +223,7 @@ def _min_relative_values(
 def _window_minima(row: np.ndarray, width: int) -> np.ndarray:
     """Minimum of every `width`-slot window of `row`, one per start slot:
     scipy's sliding minimum, its window shifted to start at each slot."""
+    from scipy.ndimage import minimum_filter1d  # here, not at the top: only replay needs scipy
     return minimum_filter1d(row, width, origin=-(width // 2))[: len(row) - width + 1]
 
 

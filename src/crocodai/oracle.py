@@ -30,6 +30,7 @@ from .ledger import System
 CONSTANT_OFFSET = "constant-offset"
 FIXED_TARGET = "fixed-target"
 SILENT = "silent"
+MAX_FEEDS = 64  # the tail experiment's largest feed count: a chunk holds 1.6 MB per honest feed
 
 
 def _finite(name: str, value: float) -> None:
@@ -180,6 +181,8 @@ def tail_probability_experiment(
     """
     if n_corrupt < 0 or n_feeds <= 0:
         raise QuorumError("feed counts must be positive")
+    if n_feeds > MAX_FEEDS:  # before n_feeds / 2, which overflows past 1e308
+        raise ProtocolError(f"feed count {n_feeds} is above the ceiling of {MAX_FEEDS}")
     if not n_corrupt < n_feeds / 2:
         raise QuorumError(
             f"corrupted feeds must be a strict minority: {n_corrupt} of {n_feeds}"

@@ -60,8 +60,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import digamma, gammaln
 
 from .errors import DataError, ModelError
 from .ledger import SLOT_SECONDS
@@ -473,6 +471,7 @@ def _t_neg_loglik(params: np.ndarray, x2: np.ndarray) -> tuple[float, np.ndarray
     """Mean negative log-likelihood of a location-0 Student-t with
     (nu, sigma^2) = exp(params), and its gradient in params, given the
     squared observations."""
+    from scipy.special import digamma, gammaln  # here, not at the top: only the fit needs scipy
     nu, s2 = np.exp(params)
     z = x2 / (nu * s2)
     mean_log = float(np.log1p(z).mean())
@@ -495,6 +494,7 @@ def fit_nu(standardized: np.ndarray) -> float:
     bounded to the clamp: about ten O(n) evaluations, where a generic simplex
     search over the log-pdf takes hundreds.
     """
+    from scipy.optimize import minimize
     x2 = np.square(np.asarray(standardized, dtype=float))
     mean_x2 = float(x2.mean()) if x2.size else math.nan
     if not 0.0 < mean_x2 < math.inf:

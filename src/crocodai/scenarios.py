@@ -1,5 +1,6 @@
-"""Built-in collateral portfolios, black-swan attack checkers, and the JSON
-scenario runner.
+"""Black-swan attack checkers and the JSON scenario runner, the top of the
+protocol engine: like `ledger`, `stablecoin`, `relay` and `oracle`, it imports
+nothing from the risk engine (`riskmodel`, `montecarlo`, `optimizer`) or scipy.
 
 The two attack checkers verify, with exact rational arithmetic, that after
 a worst-case event the aggregate collateral-to-debt ratio stays strictly
@@ -28,7 +29,6 @@ from . import relay as relay_mod
 from . import stablecoin as core
 from .errors import InvalidParameterError, PreconditionError, ProtocolError, ScenarioFormatError
 from .ledger import SCALE, System, read_id
-from .montecarlo import Portfolio
 from .oracle import (
     PriceFeed,
     report_price,
@@ -37,43 +37,10 @@ from .oracle import (
 )
 from .stablecoin import SystemParams
 
-# ----------------------------------------------------------------------
-# built-in portfolios (weights in percent, normalized on construction)
 
-_BUILTIN_WEIGHTS: dict[str, dict[str, float]] = {
-    "D-All": {"USDC": 47, "ETH": 19, "PAXG": 14, "USDP": 10, "USDT": 8, "WBTC": 2},
-    "D-ERC": {"ETH": 90.2, "WBTC": 9.4, "GNO": 0.2, "LINK": 0.1, "MATIC": 0.05, "YFI": 0.05},
-    "D-Mix1": {"ETH": 50, "WBTC": 30, "GNO": 5, "LINK": 5, "MATIC": 5, "YFI": 5},
-    "D-Mix2": {"ETH": 20, "WBTC": 20, "GNO": 15, "LINK": 15, "MATIC": 15, "YFI": 15},
-    "C-Mix1": {"ETH": 50, "WBTC": 30, "ADA": 5, "DOT": 5, "TRX": 5, "AVAX": 5},
-    "C-Mix2": {"ETH": 20, "WBTC": 20, "ADA": 15, "DOT": 15, "TRX": 15, "AVAX": 15},
-    # optimized fixtures; exact values are dataset-dependent
-    "D-Opt": {"WBTC": 74.015, "GNO": 25.985},
-    "C-Opt": {"WBTC": 62.204, "TRX": 37.796},
-    "A-Opt": {
-        "BSV": 8.728, "BTG": 0.796, "BTT": 36.821, "DCR": 4.357, "GNO": 5.221,
-        "HT": 0.0762, "KCS": 2.726, "KLAY": 5.705, "LEO": 17.568, "OKB": 3.223,
-        "TRX": 13.017, "TWT": 0.483, "XLM": 0.593,
-    },
-}
-
-BUILTIN_PORTFOLIOS = tuple(_BUILTIN_WEIGHTS)
-
-# candidate collateral universes for the optimizer CLI
-UNIVERSES: dict[str, tuple[str, ...]] = {
-    "D": ("ETH", "WBTC", "GNO", "LINK", "MATIC", "YFI"),
-    "C": ("ETH", "WBTC", "ADA", "DOT", "TRX", "AVAX", "SOL", "ALGO", "EOS"),
-}
-
-PEGGED_SYMBOLS = frozenset(
-    {"USDC", "USDT", "USDP", "BUSD", "DAI", "GUSD", "TUSD", "USDN", "PAXG", "USDD", "FRAX"}
-)
-
-
-def builtin_portfolio(name: str) -> Portfolio:
-    if name not in _BUILTIN_WEIGHTS:
-        raise ProtocolError(f"unknown builtin portfolio {name!r} (have {sorted(_BUILTIN_WEIGHTS)})")
-    return Portfolio.from_weights(name, _BUILTIN_WEIGHTS[name])
+def builtin_portfolio(name: str):  # kept only for perfbench/risk.py:78 until it calls montecarlo's
+    from .montecarlo import builtin_portfolio as preset
+    return preset(name)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from crocodai import relay as relay_mod
 from crocodai import stablecoin as core
 from crocodai.errors import ProtocolError
 from crocodai.ledger import SCALE, System
-from crocodai.montecarlo import Portfolio, historical_replay, table_sweep
+from crocodai.montecarlo import Portfolio, builtin_portfolio, historical_replay, table_sweep
 from crocodai.optimizer import QpProblem, min_variance
 from crocodai.oracle import tail_probability_experiment
 from crocodai.relay import (
@@ -48,7 +48,6 @@ from crocodai.riskmodel import (
     sample_returns,
 )
 from crocodai.scenarios import (
-    builtin_portfolio,
     ceiling_headroom,
     compromised_chain_scenario,
     token_crash_scenario,

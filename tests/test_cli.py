@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_price_csv
-from crocodai import cli
+from crocodai import montecarlo, oracle, riskmodel
 from crocodai.cli import main
 from crocodai.ledger import SCALE
 from crocodai.riskmodel import MAX_CELL_CHARS
@@ -201,14 +201,14 @@ class TestFitSimulateReplay:
                                                                monkeypatch):
         # replay used to run once per gamma'; now one call yields every cell
         calls = []
-        original = cli.historical_replay
+        original = montecarlo.historical_replay
 
         def counted(*args, **kwargs):
             result = original(*args, **kwargs)
             calls.append(result.runs)
             return result
 
-        monkeypatch.setattr(cli, "historical_replay", counted)
+        monkeypatch.setattr(montecarlo, "historical_replay", counted)
         out = tmp_path / "replay.json"
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"weights": {"BTC": 0.6, "ETH": 0.4}}))
@@ -436,7 +436,7 @@ class TestPaths:
                                                                 capsys, monkeypatch, flag):
         # an --out into a missing directory used to end in a FileNotFoundError
         # traceback after the whole computation
-        monkeypatch.setattr(cli, "table_sweep", lambda *a, **k: pytest.fail("work started"))
+        monkeypatch.setattr(montecarlo, "table_sweep", lambda *a, **k: pytest.fail("work started"))
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
         target = tmp_path / "missing" / "x.out"
@@ -458,14 +458,14 @@ class TestPaths:
         # the directory goes away while the experiment runs
         folder = tmp_path / "d"
         folder.mkdir()
-        original = cli.tail_probability_experiment
+        original = oracle.tail_probability_experiment
 
         def remove_folder(*args):
             if folder.exists():
                 folder.rmdir()
             return original(*args)
 
-        monkeypatch.setattr(cli, "tail_probability_experiment", remove_folder)
+        monkeypatch.setattr(oracle, "tail_probability_experiment", remove_folder)
         target = folder / "x.json"
         assert main(["oracle-tail", "--trials", "10000", "--out", str(target)]) == 2
         err = capsys.readouterr().err
@@ -608,8 +608,9 @@ class TestCommaListFlags:
         def no_work(*_, **__):
             raise AssertionError("ran with a negative seed")
 
-        for name in ("ingest_prices", "table_sweep", "tail_probability_experiment"):
-            monkeypatch.setattr(cli, name, no_work)
+        for module, name in ((riskmodel, "ingest_prices"), (montecarlo, "table_sweep"),
+                             (oracle, "tail_probability_experiment")):
+            monkeypatch.setattr(module, name, no_work)
         flags = {"simulate": ["--prices", str(prices), "--portfolio", "C-Mix2", "--n", "100"],
                  "oracle-tail": ["--trials", "10000"]}[command]
         assert main([command, *flags, "--seed", "-1"]) == 2
@@ -839,6 +840,9 @@ class TestScenarioCommand:
           for key in (" 5", "+6", "0_7", "05")],
         *[({"relays": {"faults": {key: "crashed"}}}, f"$.relays.faults.{key}: relay id is not an integer")
           for key in (" 1", "+1", "0_1", "01")],
+        # a huge feed count used to reach numpy's "Maximum allowed dimension exceeded", exit 1
+        ({"attacks": [{"kind": "corrupt_oracles", "feeds": 10**30, "trials": 10000}]},
+         f"$.attacks[0]: feed count {10**30} is above the ceiling of 64"),
     ])
     def test_exit_two_on_bad_field(self, tmp_path, capsys, section, needle):
         # a missing or non-numeric field used to end in a traceback, exit 1
@@ -921,6 +925,16 @@ class TestOracleTail:
         out = tmp_path / "tail.json"
         assert main(["oracle-tail", "--trials", "10000", "--out", str(out), *flags]) == 2
         assert "sigma_star" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("feeds", [10**30, 10**400], ids=["1e30", "1e400"])
+    def test_huge_feed_count_is_usage_error(self, tmp_path, capsys, feeds):
+        # numpy's "Maximum allowed dimension exceeded" (10**30) and the minority
+        # check's OverflowError (10**400) used to end in a traceback
+        out = tmp_path / "tail.json"
+        assert main(["oracle-tail", "--feeds", str(feeds), "--trials", "10000",
+                     "--out", str(out)]) == 2
+        assert f"feed count {feeds} is above the ceiling of 64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_seed_zero_exceedances(self, tmp_path):

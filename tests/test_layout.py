@@ -21,11 +21,22 @@ They handle exactly the event kinds that some `.apply(<chain>, "<kind>",
 ...)` call of the package emits, so no branch is kept for an event nothing
 writes, and no payload literal carries a `"slot"`: an event's slot is
 `Event.slot`.
+
+The protocol engine (`ledger`, `stablecoin`, `relay`, `oracle`, `scenarios`)
+imports nothing from the risk engine (`riskmodel`, `montecarlo`, `optimizer`)
+or scipy, at any depth. Fresh interpreters show the same seam at run time:
+importing `scenarios`, and the CLI's `scenario` and `oracle-tail`, load no
+risk engine, and only a command that fits loads scipy.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import write_price_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "crocodai"
@@ -41,6 +52,15 @@ ALLOWED_FIELDS = {
     "PriceFeed.oracle_id": "perfbench and scenarios construct PriceFeed(i, ...) positionally",
     "FailureEstimate.ci_half_width": "written out by dataclasses.asdict in as_json",
     "AuditReport.unmatched_burns": "a monitor finding that sets ok",
+}
+
+PROTOCOL_MODULES = ("ledger", "stablecoin", "relay", "oracle", "scenarios")
+RISK_IMPORTS = {"riskmodel", "montecarlo", "optimizer", "scipy"}
+
+# module.function -> why it imports the risk engine when called
+ALLOWED_IMPORTS = {
+    "scenarios.builtin_portfolio": "perfbench/risk.py calls it by this name; it goes once "
+                                   "perfbench calls montecarlo.builtin_portfolio",
 }
 
 _CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
@@ -165,3 +185,76 @@ def test_appliers_handle_exactly_the_emitted_events():
     assert not handled - emitted, f"applier branches no operation emits: {sorted(handled - emitted)}"
     assert not emitted - handled, f"events no applier handles: {sorted(emitted - handled)}"
     assert not slotted, f"payloads that repeat the event's slot: {slotted}"
+
+
+def _imported_names(node):
+    """Every dotted part an `import` or `from` node names, module and names."""
+    parts = set()
+    if isinstance(node, ast.ImportFrom):
+        parts |= set((node.module or "").split("."))
+    for alias in node.names:
+        parts |= set(alias.name.split("."))
+    return parts
+
+
+def test_protocol_engine_imports_nothing_from_the_risk_engine():
+    found, allowed = [], set()
+    for module in PROTOCOL_MODULES:
+        for top in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            owner = f"{module}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                        _imported_names(node) & RISK_IMPORTS:
+                    if owner in ALLOWED_IMPORTS:
+                        allowed.add(owner)
+                    else:
+                        found.append(f"{module}.py:{node.lineno}")
+    assert not found, f"protocol modules that import the risk engine: {found}"
+    assert allowed == set(ALLOWED_IMPORTS), "an allowed import is gone: drop its entry"
+
+
+_RISK_ENGINE = {f"crocodai.{name}" for name in RISK_IMPORTS - {"scipy"}}
+
+
+def _fresh_modules(code, *args):
+    """The modules a fresh interpreter holds after running `code`, which sets
+    `code` to an exit code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = f"import sys\n{code}\nprint(code, *sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    code, *modules = run.stdout.split()
+    assert code == "0", run.stderr
+    return set(modules)
+
+
+def _cli(*argv):
+    return _fresh_modules("from crocodai.cli import main\ncode = main(sys.argv[1:])", *argv)
+
+
+def _scipy(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def test_protocol_runs_load_no_risk_engine(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    scenario = tmp_path / "readme.json"
+    scenario.write_text(re.search(r"\*\*Scenario JSON\*\*.*?```json\n(.*?)```", readme, re.S)[1])
+    runs = {
+        "import": _fresh_modules("import crocodai.scenarios\ncode = 0"),
+        "scenario": _cli("scenario", scenario, "--out", tmp_path / "scenario.json"),
+        "oracle-tail": _cli("oracle-tail", "--trials", 10000, "--out", tmp_path / "tail.json"),
+    }
+    for name, modules in runs.items():
+        assert "crocodai.ledger" in modules, name
+        assert not (modules & _RISK_ENGINE) | _scipy(modules), name
+
+
+def test_only_a_fit_loads_scipy(tmp_path):
+    prices = write_price_csv(tmp_path / "prices.csv", ["BTC", "ETH", "TRX"], slots=300, seed=1)
+    model = tmp_path / "model.json"
+    assert _scipy(_cli("fit", "--prices", prices, "--out", model))
+    for argv in (["ingest", "--prices", prices], ["optimize", "--model", model, "--cap", 0.5]):
+        modules = _cli(*argv, "--out", tmp_path / "out.json")
+        assert "crocodai.riskmodel" in modules and not _scipy(modules), argv[0]

@@ -14,6 +14,7 @@ from crocodai.montecarlo import (
     Portfolio,
     _chunk_min_relvalue,
     _window_minima,
+    builtin_portfolio,
     confidence_interval,
     historical_replay,
     table_sweep,
@@ -25,7 +26,6 @@ from crocodai.riskmodel import (
     ingest_prices,
     sample_returns,
 )
-from crocodai.scenarios import builtin_portfolio
 
 
 class TestPortfolio:

@@ -132,6 +132,13 @@ class TestTailExperiment:
         with pytest.raises(ProtocolError):
             tail_probability_experiment(5, 2, 1.0, 2.0, 100, np.random.default_rng(0))
 
+    def test_feed_count_ceiling_checked_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ProtocolError, match="feed count 65 is above the ceiling of 64"):
+            tail_probability_experiment(65, 0, 1.0, 2.0, 10**4, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert tail_probability_experiment(64, 31, 1.0, 2.0, 10**4, rng).trials == 10**4
+
     def test_deep_tail_is_rare(self):
         est = tail_probability_experiment(5, 2, 1.0, 5.0, 10**6, np.random.default_rng(1))
         assert est.empirical <= 1e-4

@@ -23,9 +23,8 @@ from crocodai.errors import (
     ScenarioFormatError,
 )
 from crocodai.ledger import SCALE, System
+from crocodai.montecarlo import BUILTIN_PORTFOLIOS, builtin_portfolio
 from crocodai.scenarios import (
-    BUILTIN_PORTFOLIOS,
-    builtin_portfolio,
     ceiling_headroom,
     compromised_chain_scenario,
     parse_scenario,
