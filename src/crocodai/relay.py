@@ -5,8 +5,9 @@ relay signature designs.
 The relay roster is range(params.relay_n), so governance resizes it at the
 next slot. Authentication is abstract: a vote is valid iff it carries the
 node id of a relay on the roster, so Byzantine forgery of other ids is
-rejected by construction. Commit is atomic within one relay step on both
-chains.
+rejected by construction and a forging relay counts as one that never
+votes. A relay round is one vote rule over two voter sets built once per
+round. Commit is atomic within one relay step on both chains.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ def quorum(system: System) -> int:
     return 2 * system.params.relay_f + 1
 
 
+def _roster(system: System) -> set[int]:
+    """The ids of the relays whose votes count, on transfers and on
+    certificates alike."""
+    return set(range(system.params.relay_n))
+
+
 # ----------------------------------------------------------------------
 # transfers
 
@@ -110,11 +117,14 @@ def _node_validates(system: System, tid: int, transfer: CrossChainTransfer) -> b
 def relay_step(system: System) -> list[dict[str, Any]]:
     """One relay round at the system clock's slot.
 
-    Honest nodes vote on every escrowed transfer they can validate; a
-    transfer commits once 2f+1 distinct authenticated votes accumulate
-    (burn on source and mint on target happen atomically within the step).
-    Escrows that reach the timeout expire: commits are no longer accepted
-    and the escrow is refunded in the same deterministic step.
+    The round is one vote rule. An equivocating relay of the roster votes
+    for every pending transfer, and an honest one for each transfer whose
+    escrow it can validate; a crashed, refusing or forging relay never casts
+    a vote that counts. A transfer commits once the votes of 2f+1 distinct
+    relays on the roster accumulate (burn on source and mint on target happen
+    atomically within the step); votes cast before the roster shrank no
+    longer count. Escrows that reach the timeout expire: commits are no
+    longer accepted and the escrow is refunded in the same deterministic step.
 
     The round walks `system.pending_transfers` only; transfer ids are issued
     in increasing order, so that index is in id order.
@@ -123,8 +133,10 @@ def relay_step(system: System) -> list[dict[str, Any]]:
     out: list[dict[str, Any]] = []
     needed = quorum(system)
     timeout = system.params.transfer_timeout
-    roster = [(node_id, system.relays.get(node_id, HONEST))
-              for node_id in range(system.params.relay_n)]
+    roster = _roster(system)
+    always = {node_id for node_id in roster if system.relays.get(node_id) == BYZ_EQUIVOCATE}
+    on_valid = always | {node_id for node_id in roster
+                         if system.relays.get(node_id, HONEST) == HONEST}
 
     for tid, transfer in list(system.pending_transfers.items()):
         if slot - transfer.request_slot >= timeout:
@@ -138,32 +150,12 @@ def relay_step(system: System) -> list[dict[str, Any]]:
             out.append({"type": "abort", "transfer": tid, "slot": slot, "refunded": refunded})
             continue
 
-        # nothing is applied while the nodes vote, so every honest node
+        # nothing is applied while the relays vote, so every honest relay
         # reads the same escrow
         valid = _node_validates(system, tid, transfer)
-        for node_id, behavior in roster:
-            if behavior == HONEST:
-                if valid:
-                    transfer.commit_votes.add(node_id)
-            elif behavior == BYZ_EQUIVOCATE:
-                transfer.commit_votes.add(node_id)
-            elif behavior == BYZ_FORGE:
-                # votes under ids it does not own are rejected by
-                # authentication; log the attempts for the monitor
-                for forged, _ in roster:
-                    if forged != node_id:
-                        out.append(
-                            {
-                                "type": "forged_vote_rejected",
-                                "transfer": tid,
-                                "by": node_id,
-                                "claimed": forged,
-                                "slot": slot,
-                            }
-                        )
-            # CRASHED and BYZ_REFUSE contribute nothing
-
-        if len(transfer.commit_votes) >= needed and valid:
+        transfer.commit_votes |= on_valid if valid else always
+        votes = transfer.commit_votes & roster
+        if len(votes) >= needed and valid:
             system.apply(transfer.source, "escrow_burn", {"transfer": tid})
             system.apply(
                 transfer.target,
@@ -172,14 +164,7 @@ def relay_step(system: System) -> list[dict[str, Any]]:
             )
             transfer.state = COMMITTED
             del system.pending_transfers[tid]
-            out.append(
-                {
-                    "type": "commit",
-                    "transfer": tid,
-                    "slot": slot,
-                    "votes": sorted(transfer.commit_votes),
-                }
-            )
+            out.append({"type": "commit", "transfer": tid, "slot": slot, "votes": sorted(votes)})
     return out
 
 
@@ -203,8 +188,7 @@ def submit_governance(system: System, action: GovernanceAction, votes: set[int])
     """
     if action.nonce in system.applied_nonces:
         raise StaleNonceError(f"nonce {action.nonce} already used")
-    valid_votes = {v for v in votes if v in range(system.params.relay_n)}
-    if len(valid_votes) < quorum(system):
+    if len(_roster(system).intersection(votes)) < quorum(system):
         return False
     _effect(system, action)
     system.applied_nonces.add(action.nonce)

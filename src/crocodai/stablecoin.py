@@ -39,7 +39,7 @@ from .ledger import FEE_SCALE, MINOR, OPEN, SCALE, Auction, Cdp, CoinChain, Syst
 # fee-accrued debt within 1/2 + slots * 10**-40 of a 10**-18 unit of exact
 DEBT_BOUND, GROWTH_SCALE = 10**60, 10**100
 
-MAX_RELAYS = 64  # the largest relay_n: a relay round visits every relay for each pending transfer
+MAX_RELAYS = 64  # the largest relay_n: a relay round adds up to relay_n votes to each pending transfer
 
 
 @dataclass(frozen=True)

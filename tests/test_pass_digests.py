@@ -8,10 +8,15 @@ first. A change meant to move a decision says so in CHANGES.md and pins
 the new digest.
 """
 
+import functools
+import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from crocodai import relay
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -31,3 +36,32 @@ def test_seed0_pass_digest(name):
     result = workload.run_pass()
     assert result.failed == 0, result.failures
     assert result.digest == DIGESTS[name]
+
+
+# every relay step of the seed-0 RelayTraffic pass: its records, then the
+# state_digest after it. Escrows and commit votes are live mid-pass, so this
+# sees what the end-of-pass digest cannot.
+RELAY_STEPS = 3033
+RELAY_STEPS_DIGEST = "e472c484ebf6f900aa659d1323bc1ab7d47c15fd1c113103c2f2a300c9cbb532"
+
+
+def test_seed0_relay_steps_digest(monkeypatch):
+    h, steps = hashlib.sha256(), []
+    step = relay.step
+
+    @functools.wraps(step)  # the pass digest hashes the function's name
+    def pinned(system):
+        out = step(system)
+        steps.append(None)
+        h.update(json.dumps(out, sort_keys=True).encode())
+        h.update(system.state_digest().encode())
+        return out
+
+    monkeypatch.setattr(relay, "step", pinned)
+    workload = protocol.RelayTraffic(0)
+    workload.prepare()
+    result = workload.run_pass()
+    assert result.failed == 0, result.failures
+    assert result.digest == DIGESTS["RelayTraffic"]
+    assert len(steps) == RELAY_STEPS
+    assert h.hexdigest() == RELAY_STEPS_DIGEST
