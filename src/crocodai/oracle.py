@@ -6,7 +6,9 @@ Corruption strategies: "constant-offset" shifts every report by a fixed
 amount, "fixed-target" reports one constant value regardless of the base
 price, "silent" reports nothing.
 
-The tail experiment never builds the (trials, feeds) report array. Batcher's
+The tail experiment never builds the (trials, feeds) report array: it draws
+the honest reports MAX_CHUNK_REPORTS (600,000, 4.8 MB) or fewer at a time,
+in chunks of whole trials, which give the values of one draw. Batcher's
 merge-exchange network (Knuth, TAOCP vol. 3, section 5.2.2, Algorithm M)
 sorts the h honest columns with one `np.minimum` and one `np.maximum` per
 comparator, O(h log^2 h) column operations, and the corrupt reports, all one
@@ -30,7 +32,8 @@ from .ledger import System
 CONSTANT_OFFSET = "constant-offset"
 FIXED_TARGET = "fixed-target"
 SILENT = "silent"
-MAX_FEEDS = 64  # the tail experiment's largest feed count: a chunk holds 1.6 MB per honest feed
+MAX_FEEDS = 64  # the tail experiment's largest feed count
+MAX_CHUNK_REPORTS = 600_000  # honest reports drawn at once in the tail experiment: 4.8 MB
 
 
 def _finite(name: str, value: float) -> None:
@@ -205,7 +208,7 @@ def tail_probability_experiment(
     honest = n_feeds - n_corrupt
 
     exceed = 0
-    chunk = 200_000
+    chunk = max(1, MAX_CHUNK_REPORTS // honest)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)

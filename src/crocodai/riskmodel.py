@@ -27,10 +27,16 @@ ever spans a period boundary. Periods are never stored: one gap rule
 alignment of one or more symbols (shared timestamps, price panel, and the gap
 rule's cuts of those timestamps) that the return model and the replay use.
 
-`ingest_prices` parses a block of lines at a time with numpy: the cells of
-a plain line are split on its commas, every price is converted in one call,
-and a timestamp of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z``
-or ``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
+`ingest_prices` parses a block of lines at a time with numpy. A block that
+is plain as a whole (ASCII, with no quote, whitespace or blank line, and no
+line longer than a cell may be) is read by one call of numpy's C text reader,
+``np.loadtxt``, which converts a number as ``float`` does, and the rules are
+checked on what it read. Any other block, or one that the reader or a rule
+refuses, is read by `_read_block`, which defines the errors: the cells of a
+plain line are split on its commas, every price is converted in one call,
+and only the other lines go through the csv module. Either way, a timestamp
+of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z`` or
+``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
 ``fromisoformat`` one at a time. Every rule is checked on the whole block
 at once, and the error names the first bad cell in reading order; only that
 cell's line is split again, to quote the cell in the message.
@@ -194,6 +200,36 @@ def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return seconds, malformed
 
 
+def _read_plain(text: str, lines: list[str], first_row: int, k: int, prev_time: int | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """What `_read_block` returns for a block of data lines (`text`, split
+    into `lines`), read in one call of numpy's C text reader, which converts
+    a number as `float` does; or None, and `_read_block` reads the block.
+
+    The block must be plain as a whole: ASCII, with no quote, whitespace or
+    blank line (the reader would skip it, and warn on a block of nothing
+    else), and no line longer than a cell may be. The reader refuses a
+    line that is not k + 1 cells, a cell that is empty and a price it cannot
+    convert (``1_0``, which `float` reads, among them); then the rules are
+    checked on what it read. Any refusal or broken rule gives None.
+    """
+    if (not text.isascii() or any(char in text for char in _NOT_PLAIN) or "" in lines
+            or max(map(len, lines)) > MAX_CELL_CHARS):
+        return None
+    try:  # comments=None, or "#" would cut the cell 1#2 to 1
+        table = np.loadtxt(lines, dtype=[("stamp", object), ("prices", float, (k,))],
+                           delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    times, malformed = _stamp_seconds(table["stamp"], np.arange(first_row, first_row + len(lines)))
+    prices = table["prices"].copy()  # drops the stamps' strings with the table
+    if (malformed.any() or (np.diff(times) <= 0).any()
+            or (prev_time is not None and times[0] <= prev_time)
+            or not ((prices > 0) & (prices < np.inf)).all()):
+        return None
+    return times, prices, np.ones(prices.shape, dtype=bool)
+
+
 def _price(cell: str) -> float:
     """The price a cell reads as, NaN (a bad price) if float cannot read it."""
     try:
@@ -307,8 +343,10 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
         blocks = [(np.empty(0, dtype=np.int64), np.empty((0, k)), np.empty((0, k), dtype=bool))]
         first_row, prev_time = 2, None
         while chunk := fh.readlines(_BLOCK_CHARS):
-            lines = "".join(chunk).removesuffix("\n").split("\n")
-            blocks.append(_read_block(lines, first_row, symbols, prev_time))
+            text = "".join(chunk).removesuffix("\n")
+            lines = text.split("\n")
+            block = _read_plain(text, lines, first_row, k, prev_time)
+            blocks.append(block or _read_block(lines, first_row, symbols, prev_time))
             first_row += len(lines)
             if len(blocks[-1][0]):
                 prev_time = int(blocks[-1][0][-1])

@@ -139,6 +139,27 @@ class TestTailExperiment:
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
         assert tail_probability_experiment(64, 31, 1.0, 2.0, 10**4, rng).trials == 10**4
 
+    @pytest.mark.parametrize("n_corrupt, c", [(0, 0.1), (20, 0.05)])
+    def test_chunks_are_bounded_and_give_one_draw(self, n_corrupt, c):
+        class Recorder:  # the generator, with the size of each draw recorded
+            def __init__(self):
+                self.rng, self.sizes = np.random.default_rng(5), []
+
+            def normal(self, loc, scale, size):
+                self.sizes.append(size)
+                return self.rng.normal(loc, scale, size)
+
+        trials, honest = 20_000, 64 - n_corrupt
+        rng = Recorder()
+        est = tail_probability_experiment(64, n_corrupt, 1.0, c, trials, rng)
+        assert len(rng.sizes) > 1
+        assert max(math.prod(size) for size in rng.sizes) <= oracle.MAX_CHUNK_REPORTS
+        base = 1000.0 + c
+        reports = np.random.default_rng(5).normal(base, 1.0, size=(trials, honest))
+        rows = np.hstack([reports, np.full((trials, n_corrupt), base + c)])
+        expected = int(np.count_nonzero(np.abs(np.median(rows, axis=1) - base) > c))
+        assert est.exceedances == expected > 0
+
     def test_deep_tail_is_rare(self):
         est = tail_probability_experiment(5, 2, 1.0, 5.0, 10**6, np.random.default_rng(1))
         assert est.empirical <= 1e-4

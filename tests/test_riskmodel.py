@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -137,6 +138,59 @@ class TestIngest:
         assert set(riskmodel._NOT_PLAIN) == stripped | {'"'}
 
 
+@pytest.mark.parametrize("block_chars", [1, 64, 1 << 20])
+class TestPlainBlockTraps:
+    """Plain lines that a C text reader could read otherwise than the rules
+    say: each is read, or refused, as the rules say."""
+
+    @staticmethod
+    def ingest(path, block_chars):
+        with mock.patch.object(riskmodel, "_BLOCK_CHARS", block_chars):
+            return ingest_prices(path)
+
+    def test_blank_only_block_raises_no_warning(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:00:00Z,1\n\n\n\n2022-01-01T00:05:00Z,2\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = self.ingest(f, block_chars)
+        assert series["BTC"].prices.tolist() == [1.0, 2.0]
+
+    def test_hash_in_a_price_is_not_a_comment(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:00:00Z,1\n2022-01-01T00:05:00Z,1#2\n")
+        with pytest.raises(DataError, match="^row 3: malformed price '1#2'$"):
+            self.ingest(f, block_chars)
+
+    def test_long_stamp_is_read_whole(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:00:00.000000+05:00,1\n2022-01-01T00:05:00Z,2\n")
+        times = self.ingest(f, block_chars)["BTC"].times
+        start = datetime(2021, 12, 31, 19, tzinfo=timezone.utc).timestamp()
+        assert times.tolist() == [start, start + 18_300]
+
+    def test_underscore_in_a_price_reads_as_float_reads_it(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:00:00Z,1_0\n2022-01-01T00:05:00Z,2\n")
+        assert self.ingest(f, block_chars)["BTC"].prices.tolist() == [10.0, 2.0]
+
+    def test_stamp_out_of_order_is_named_by_its_line(self, tmp_path, block_chars):
+        # at block size 1 the order is checked across blocks, and the row
+        # number counts the blank lines of a block read before
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:05:00Z,1\n\n\n2022-01-01T00:10:00Z,2\n"
+                     "2022-01-01T00:00:00Z,3\n")
+        with pytest.raises(DataError, match="^row 6: timestamps must be strictly increasing$"):
+            self.ingest(f, block_chars)
+
+    def test_plain_line_longer_than_a_cell_is_refused(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC\n2022-01-01T00:00:00Z,1\n"
+                     f"2022-01-01T00:05:00Z,{'0' * (riskmodel.MAX_CELL_CHARS + 1)}1.5\n")
+        with pytest.raises(DataError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            self.ingest(f, block_chars)
+
+
 def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]:
     """The row-by-row parser that `ingest_prices` replaced, plus its one new
     rule: a non-finite price is rejected."""
@@ -259,6 +313,46 @@ def _price_csv(draw) -> tuple[str, int]:
     return text + draw(st.sampled_from(["", newline])), draw(st.sampled_from([1, 64, 1 << 20]))
 
 
+_PLAIN_PRICE_CELLS = st.one_of(
+    st.floats(1e-6, 1e9).map(repr),
+    st.floats(1e-3, 1e6).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(["+5", ".5", "5.", "1E+05", "123456789012345678901234567890"]),
+)
+# cells that break a rule, or that a C text reader may read otherwise than
+# float: 1_0 it refuses, and 1#2 it would cut at a comment sign
+_PLAIN_ODD_CELLS = ["1_0", "1#2", "infinity", "1e-400", "-0"]
+# a stamp out of order, one out of range and one malformed
+_PLAIN_ODD_STAMPS = ["2000-01-01T00:00:00", "2023-02-29T00:00:00", "yesterday"]
+
+
+@st.composite
+def _plain_price_csv(draw) -> tuple[str, int]:
+    """A price CSV with no quote, whitespace, blank line or empty cell, and
+    the block size to parse it with."""
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(1_500_000_000 // 60, 1_700_000_000 // 60)) * 60
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        t += 300 * draw(st.sampled_from([1, 1, 1, 2, 3, 50]))  # 3 and 50 slots are gaps
+        utc = datetime.fromtimestamp(t, timezone.utc)
+        form = draw(st.sampled_from(["naive", "Z", "seconds", "microseconds"]))
+        if form in ("naive", "Z"):
+            stamp = utc.strftime("%Y-%m-%dT%H:%M:%S" + "Z" * (form == "Z"))
+        else:  # a fraction with an offset is 32 characters
+            zone = timezone(timedelta(minutes=draw(st.integers(-(23 * 60 + 59), 23 * 60 + 59))))
+            stamp = utc.astimezone(zone).isoformat(timespec=form)
+        rows.append([stamp] + [draw(_PLAIN_PRICE_CELLS) for _ in range(k)])
+    # up to two odd cells, each on any row
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        column = draw(st.integers(0, k))
+        row[column] = draw(st.sampled_from(_PLAIN_ODD_CELLS if column else _PLAIN_ODD_STAMPS))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(["timestamp," + ",".join(f"S{i}" for i in range(k))]
+                        + [",".join(row) for row in rows])
+    return text + draw(st.sampled_from(["", newline])), draw(st.sampled_from([1, 64, 1 << 20]))
+
+
 class TestIngestMatchesRowParser:
     @staticmethod
     def assert_same(path, block_chars=1 << 20):
@@ -304,6 +398,54 @@ class TestIngestMatchesRowParser:
         path = tmp_path / "p.csv"
         path.write_text(f"timestamp,BTC\n{stamp},1\n")
         self.assert_same(path)
+
+    @given(_plain_price_csv())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_plain_file_same_series_or_same_error(self, tmp_path_factory, case):
+        text, block_chars = case
+        path = tmp_path_factory.getbasetemp() / "plain.csv"
+        path.write_bytes(text.encode())
+        self.assert_same(path, block_chars)
+
+
+class TestPlainBlockCounts:
+    """numpy's text reader reads each plain block in one call, and only a
+    block that it or a rule refuses is read again cell by cell. Counted
+    through wrappers, never timed."""
+
+    @staticmethod
+    def counted_ingest(path, block_chars):
+        with (mock.patch.object(riskmodel, "_BLOCK_CHARS", block_chars),
+              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+              mock.patch.object(riskmodel, "_read_block", wraps=riskmodel._read_block) as per_cell):
+            series = ingest_prices(path)
+        return series, loadtxt, per_cell
+
+    @staticmethod
+    def block_count(path, block_chars) -> int:
+        with open(path) as fh:
+            fh.readline()
+            return sum(1 for _ in iter(lambda: fh.readlines(block_chars), []))
+
+    @pytest.mark.parametrize("block_chars", [1, 2_000, 1 << 20])
+    def test_plain_file_is_read_once_per_block(self, tmp_path, block_chars):
+        f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
+        series, loadtxt, per_cell = self.counted_ingest(f, block_chars)
+        assert loadtxt.call_count == self.block_count(f, block_chars)
+        assert per_cell.call_count == 0
+        assert [len(s) for s in series.values()] == [200, 200, 200]
+
+    def test_empty_cell_sends_only_its_block_cell_by_cell(self, tmp_path):
+        f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
+        lines = f.read_text().split("\n")
+        lines[101] = lines[101].rsplit(",", 1)[0] + ","  # row 102 lacks its SOL price
+        f.write_text("\n".join(lines))
+        series, loadtxt, per_cell = self.counted_ingest(f, 2_000)
+        assert loadtxt.call_count == self.block_count(f, 2_000) > 2
+        assert per_cell.call_count == 1
+        block_lines, first_row = per_cell.call_args.args[:2]
+        assert first_row <= 102 < first_row + len(block_lines)
+        assert [len(s) for s in series.values()] == [200, 200, 199]
 
 
 class TestLogReturns:
