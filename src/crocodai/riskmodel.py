@@ -27,19 +27,18 @@ ever spans a period boundary. Periods are never stored: one gap rule
 alignment of one or more symbols (shared timestamps, price panel, and the gap
 rule's cuts of those timestamps) that the return model and the replay use.
 
-`ingest_prices` parses a block of lines at a time with numpy. A block that
+`ingest_prices` reads this one format a block of lines at a time, with one
+of two readers: plain blocks fast, any other block row by row. A block that
 is plain as a whole (ASCII, with no quote, whitespace or blank line, and no
 line longer than a cell may be) is read by one call of numpy's C text reader,
-``np.loadtxt``, which converts a number as ``float`` does, and the rules are
-checked on what it read. Any other block, or one that the reader or a rule
-refuses, is read by `_read_block`, which defines the errors: the cells of a
-plain line are split on its commas, every price is converted in one call,
-and only the other lines go through the csv module. Either way, a timestamp
+``np.loadtxt``, which converts a number as ``float`` does; empty price cells
+cost one more call. The rules are checked on what it read, and a timestamp
 of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z`` or
-``+HH:MM``/``-HH:MM``) is read from its digits; any other stamp goes through
-``fromisoformat`` one at a time. Every rule is checked on the whole block
-at once, and the error names the first bad cell in reading order; only that
-cell's line is split again, to quote the cell in the message.
+``+HH:MM``/``-HH:MM``) is read from its digits. Any other block, or one that
+the reader or a rule refuses, is read by `_read_block`, which defines the
+errors: it splits each line through the csv module, reads its timestamp with
+``fromisoformat`` and each price with ``float``, and raises at the first bad
+cell in reading order.
 
 A model file (a `ReturnModel.to_json` document, or the CLI's `fit` output,
 which wraps one as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``,
@@ -57,11 +56,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -151,7 +148,7 @@ _NOT_PLAIN = ('"\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2
 _STAMP_SHAPE = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
 
 
-def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stamp_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of stripped timestamp cells (an object array), and the
     mask of the stamps that are malformed.
 
@@ -194,132 +191,93 @@ def _stamp_seconds(stamps: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     malformed = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~canonical):
         try:
-            seconds[i] = _parse_timestamp(stamps[i], int(rows[i]))
+            seconds[i] = _parse_timestamp(stamps[i], 0)  # the mask, not the message, is kept
         except DataError:
             malformed[i] = True
     return seconds, malformed
 
 
-def _read_plain(text: str, lines: list[str], first_row: int, k: int, prev_time: int | None
+def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """What `_read_block` returns for a block of data lines (`text`, split
-    into `lines`), read in one call of numpy's C text reader, which converts
-    a number as `float` does; or None, and `_read_block` reads the block.
+    into `lines`), read by numpy's C text reader; or None, and `_read_block`
+    reads the block.
 
     The block must be plain as a whole: ASCII, with no quote, whitespace or
     blank line (the reader would skip it, and warn on a block of nothing
-    else), and no line longer than a cell may be. The reader refuses a
-    line that is not k + 1 cells, a cell that is empty and a price it cannot
-    convert (``1_0``, which `float` reads, among them); then the rules are
-    checked on what it read. Any refusal or broken rule gives None.
+    else), and no line longer than a cell may be. The reader refuses a line
+    that is not k + 1 cells, an empty cell and a price that `float` reads but
+    it cannot (``1_0``). A block it refuses is read once more with each empty
+    cell written as ``nan``, unless a cell holds an ``n`` and so may spell
+    ``nan`` itself. Any refusal or broken rule gives None.
     """
     if (not text.isascii() or any(char in text for char in _NOT_PLAIN) or "" in lines
             or max(map(len, lines)) > MAX_CELL_CHARS):
         return None
-    try:  # comments=None, or "#" would cut the cell 1#2 to 1
-        table = np.loadtxt(lines, dtype=[("stamp", object), ("prices", float, (k,))],
-                           delimiter=",", comments=None, ndmin=1)
+
+    def read(data: list[str]) -> np.ndarray:
+        # comments=None, or "#" would cut the cell 1#2 to 1
+        return np.loadtxt(data, dtype=[("stamp", object), ("prices", float, (k,))],
+                          delimiter=",", comments=None, ndmin=1)
+
+    filled = False
+    try:
+        table = read(lines)
     except ValueError:
-        return None
-    times, malformed = _stamp_seconds(table["stamp"], np.arange(first_row, first_row + len(lines)))
+        if "n" in text or "N" in text:
+            return None
+        # ",,,": the first pass fills every other empty cell, the second the rest
+        text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+        if text.endswith(","):
+            text += "nan"
+        try:
+            table = read(text.split("\n"))
+        except ValueError:
+            return None
+        filled = True
+    times, malformed = _stamp_seconds(table["stamp"])
     prices = table["prices"].copy()  # drops the stamps' strings with the table
+    given = ~np.isnan(prices) if filled else np.ones(prices.shape, dtype=bool)
     if (malformed.any() or (np.diff(times) <= 0).any()
             or (prev_time is not None and times[0] <= prev_time)
-            or not ((prices > 0) & (prices < np.inf)).all()):
+            or not (((prices > 0) & (prices < np.inf)) | ~given).all()):
         return None
-    return times, prices, np.ones(prices.shape, dtype=bool)
-
-
-def _price(cell: str) -> float:
-    """The price a cell reads as, NaN (a bad price) if float cannot read it."""
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
+    return times, prices, given
 
 
 def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time: int | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, prices (NaN where a cell is empty) and given-cell mask of the
     rows of a block of data lines that starts on line `first_row`, after the
-    timestamp `prev_time`; blank lines are skipped.
-
-    Every rule is checked on the whole block at once, and the DataError of
-    the first bad cell in reading order is raised; only its line is split
-    again, to quote the cell as the csv module reads it.
+    timestamp `prev_time`, read one line at a time; a line whose cells are
+    all blank is skipped. The first bad cell in reading order, a row's width
+    and timestamp before its prices, raises its DataError.
     """
     k = len(symbols)
-    n = len(lines)
-    rows = np.arange(first_row, first_row + n)
-    joined = ",".join(lines)
-    # a plain line has k commas, no quote or whitespace, and no more
-    # characters than a cell may hold, so its cells are the pieces between
-    # commas; any other line is split on its own and its cells stripped, and
-    # a blank one, or one with the wrong number of cells, becomes k + 1 empty
-    # cells
-    odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != k
-    odd |= np.fromiter(map(len, lines), np.int64, n) > MAX_CELL_CHARS
-    for char in _NOT_PLAIN:
-        if char in joined:
-            odd |= np.fromiter(map(operator.contains, lines, repeat(char)), bool, n)
-    patches = []
-    misshapen = np.zeros(n, dtype=bool)
-    if odd.any():
-        plain = list(lines)
-        for i in np.flatnonzero(odd):
-            plain[i] = "," * k
-            try:
-                cells = [cell.strip() for cell in _split_line(lines[i], f"row {rows[i]}")]
-            except DataError:  # a cell too long, named if no earlier cell is bad
-                misshapen[i] = True
-                continue
-            if len(cells) == k + 1:
-                patches.append((i, cells))
-            else:
-                misshapen[i] = any(cells)
-        joined = ",".join(plain)
-    flat = joined.split(",")
-    del joined
-    for i, cells in patches:
-        flat[i * (k + 1):(i + 1) * (k + 1)] = cells
-    grid = np.array(flat, dtype=object).reshape(-1, k + 1)
-    del flat
-    given = grid != ""
-    keep = given.any(axis=1) | misshapen
-    if not keep.all():
-        rows, grid, given, misshapen = rows[keep], grid[keep], given[keep], misshapen[keep]
-    times, malformed = _stamp_seconds(grid[:, 0], rows)
-    grid[~given] = "nan"
-    try:
-        prices = grid[:, 1:].astype(float)
-    except ValueError:
-        prices = np.frompyfunc(_price, 1, 1)(grid[:, 1:]).astype(float)
-
-    # the first offending cell in reading order, a row's width and timestamp
-    # before its prices
-    bad = np.zeros((len(rows), k + 1), dtype=bool)
-    bad[:, 0] = misshapen | malformed
-    bad[1:, 0] |= np.diff(times) <= 0
-    if prev_time is not None:
-        bad[:1, 0] |= times[:1] <= prev_time
-    bad[:, 1:] = given[:, 1:] & ~((prices > 0) & (prices < np.inf))
-    if bad.any():
-        r, c = divmod(int(np.argmax(bad)), k + 1)
-        row = int(rows[r])
-        cells = _split_line(lines[row - first_row], f"row {row}")
+    times: list[int] = []
+    prices: list[float] = []
+    for row, line in enumerate(lines, start=first_row):
+        cells = _split_line(line, f"row {row}")
+        stripped = [cell.strip() for cell in cells]
+        if not any(stripped):
+            continue
         if len(cells) != k + 1:
             raise DataError(f"row {row}: expected {k + 1} columns, got {len(cells)}")
-        if c == 0:
-            _parse_timestamp(cells[0], row)  # raises for a malformed stamp
+        t = _parse_timestamp(cells[0], row)
+        if prev_time is not None and t <= prev_time:
             raise DataError(f"row {row}: timestamps must be strictly increasing")
-        cell = cells[c].strip()
-        try:
-            price = float(cell)
-        except ValueError:
-            raise DataError(f"row {row}: malformed price {cell!r}") from None
-        kind = "non-positive" if price <= 0 else "non-finite"
-        raise DataError(f"row {row}: {kind} price {price} for {symbols[c - 1]}")
-    return times, prices, given[:, 1:]
+        times.append(prev_time := t)
+        for symbol, cell in zip(symbols, stripped[1:]):
+            try:
+                price = float(cell) if cell else math.nan
+            except ValueError:
+                raise DataError(f"row {row}: malformed price {cell!r}") from None
+            if cell and not 0 < price < math.inf:
+                kind = "non-positive" if price <= 0 else "non-finite"
+                raise DataError(f"row {row}: {kind} price {price} for {symbol}")
+            prices.append(price)
+    table = np.array(prices, dtype=float).reshape(-1, k)
+    return np.array(times, dtype=np.int64), table, ~np.isnan(table)
 
 
 def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
@@ -345,7 +303,7 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
         while chunk := fh.readlines(_BLOCK_CHARS):
             text = "".join(chunk).removesuffix("\n")
             lines = text.split("\n")
-            block = _read_plain(text, lines, first_row, k, prev_time)
+            block = _read_plain(text, lines, k, prev_time)
             blocks.append(block or _read_block(lines, first_row, symbols, prev_time))
             first_row += len(lines)
             if len(blocks[-1][0]):

@@ -191,6 +191,43 @@ class TestPlainBlockTraps:
             self.ingest(f, block_chars)
 
 
+@pytest.mark.parametrize("block_chars", [1, 64, 1 << 20])
+class TestMissingCellTraps:
+    """Lines that a reader filling empty cells, or reading a block line by
+    line, could read otherwise than the rules say: each is read, or refused,
+    as the rules say."""
+
+    ingest = staticmethod(TestPlainBlockTraps.ingest)
+
+    def test_unclosed_quote_does_not_join_the_next_line(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text('timestamp,BTC\n"2022-01-01T00:00:00Z,1\n2022-01-01T00:05:00Z",2\n')
+        with pytest.raises(DataError, match="^row 2: expected 2 columns, got 1$"):
+            self.ingest(f, block_chars)
+
+    def test_nan_is_refused_beside_an_empty_cell(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC,ETH\n2022-01-01T00:00:00Z,1,\n2022-01-01T00:05:00Z,nan,2\n")
+        with pytest.raises(DataError, match="^row 3: non-finite price nan for BTC$"):
+            self.ingest(f, block_chars)
+
+    def test_stamp_only_row_takes_part_in_the_order(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC,ETH\n2022-01-01T00:00:00Z,1,2\n2022-01-01T00:10:00Z,,\n"
+                     "2022-01-01T00:05:00Z,3,4\n")
+        with pytest.raises(DataError, match="^row 4: timestamps must be strictly increasing$"):
+            self.ingest(f, block_chars)
+
+    def test_underscore_beside_an_empty_cell_reads_as_float_reads_it(self, tmp_path, block_chars):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,BTC,ETH\n2022-01-01T00:00:00Z,1,\n2022-01-01T00:05:00Z,1_0,3\n")
+        series = self.ingest(f, block_chars)
+        start = datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp()
+        assert series["BTC"].prices.tolist() == [1.0, 10.0]
+        assert series["ETH"].prices.tolist() == [3.0]
+        assert series["ETH"].times.tolist() == [start + 300]
+
+
 def reference_ingest(path) -> dict[str, tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]:
     """The row-by-row parser that `ingest_prices` replaced, plus its one new
     rule: a non-finite price is rejected."""
@@ -316,19 +353,21 @@ def _price_csv(draw) -> tuple[str, int]:
 _PLAIN_PRICE_CELLS = st.one_of(
     st.floats(1e-6, 1e9).map(repr),
     st.floats(1e-3, 1e6).map(lambda x: f"{x:.6f}"),
-    st.sampled_from(["+5", ".5", "5.", "1E+05", "123456789012345678901234567890"]),
+    st.sampled_from(["+5", ".5", "5.", "1E+05", "123456789012345678901234567890", "", ""]),
 )
 # cells that break a rule, or that a C text reader may read otherwise than
-# float: 1_0 it refuses, and 1#2 it would cut at a comment sign
-_PLAIN_ODD_CELLS = ["1_0", "1#2", "infinity", "1e-400", "-0"]
+# float: 1_0 it refuses, 1#2 it would cut at a comment sign, and nan it reads
+# as an empty cell once the empty cells are written as nan
+_PLAIN_ODD_CELLS = ["1_0", "1#2", "infinity", "nan", "1e-400", "-0"]
 # a stamp out of order, one out of range and one malformed
 _PLAIN_ODD_STAMPS = ["2000-01-01T00:00:00", "2023-02-29T00:00:00", "yesterday"]
 
 
 @st.composite
 def _plain_price_csv(draw) -> tuple[str, int]:
-    """A price CSV with no quote, whitespace, blank line or empty cell, and
-    the block size to parse it with."""
+    """A price CSV with no quote, whitespace or blank line, some of its
+    price cells and whole rows of them empty, and the block size to parse
+    it with."""
     k = draw(st.integers(1, 3))
     t = draw(st.integers(1_500_000_000 // 60, 1_700_000_000 // 60)) * 60
     rows = []
@@ -341,9 +380,12 @@ def _plain_price_csv(draw) -> tuple[str, int]:
         else:  # a fraction with an offset is 32 characters
             zone = timezone(timedelta(minutes=draw(st.integers(-(23 * 60 + 59), 23 * 60 + 59))))
             stamp = utc.astimezone(zone).isoformat(timespec=form)
-        rows.append([stamp] + [draw(_PLAIN_PRICE_CELLS) for _ in range(k)])
+        if draw(st.integers(0, 3)) == 0:  # a stamp with no price
+            rows.append([stamp] + [""] * k)
+        else:
+            rows.append([stamp] + [draw(_PLAIN_PRICE_CELLS) for _ in range(k)])
     # up to two odd cells, each on any row
-    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2]))):
         row = draw(st.sampled_from(rows))
         column = draw(st.integers(0, k))
         row[column] = draw(st.sampled_from(_PLAIN_ODD_CELLS if column else _PLAIN_ODD_STAMPS))
@@ -409,9 +451,9 @@ class TestIngestMatchesRowParser:
 
 
 class TestPlainBlockCounts:
-    """numpy's text reader reads each plain block in one call, and only a
-    block that it or a rule refuses is read again cell by cell. Counted
-    through wrappers, never timed."""
+    """numpy's text reader reads each plain block in one call, or two when
+    the block has an empty cell, and only a block that it or a rule refuses
+    is read row by row. Counted through wrappers, never timed."""
 
     @staticmethod
     def counted_ingest(path, block_chars):
@@ -435,17 +477,30 @@ class TestPlainBlockCounts:
         assert per_cell.call_count == 0
         assert [len(s) for s in series.values()] == [200, 200, 200]
 
-    def test_empty_cell_sends_only_its_block_cell_by_cell(self, tmp_path):
+    def test_empty_cell_keeps_its_block_on_the_fast_path(self, tmp_path):
+        # the reader refuses the block with the empty cell, then reads it again
+        # with that cell written as nan
         f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
         lines = f.read_text().split("\n")
         lines[101] = lines[101].rsplit(",", 1)[0] + ","  # row 102 lacks its SOL price
         f.write_text("\n".join(lines))
         series, loadtxt, per_cell = self.counted_ingest(f, 2_000)
-        assert loadtxt.call_count == self.block_count(f, 2_000) > 2
+        assert loadtxt.call_count == self.block_count(f, 2_000) + 1 > 3
+        assert per_cell.call_count == 0
+        assert [len(s) for s in series.values()] == [200, 200, 199]
+
+    def test_quoted_cell_sends_only_its_block_row_by_row(self, tmp_path):
+        f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
+        lines = f.read_text().split("\n")
+        stamp, rest = lines[101].split(",", 1)
+        lines[101] = f'"{stamp}",{rest}'  # row 102's stamp is quoted
+        f.write_text("\n".join(lines))
+        series, loadtxt, per_cell = self.counted_ingest(f, 2_000)
+        assert loadtxt.call_count == self.block_count(f, 2_000) - 1 > 2
         assert per_cell.call_count == 1
         block_lines, first_row = per_cell.call_args.args[:2]
         assert first_row <= 102 < first_row + len(block_lines)
-        assert [len(s) for s in series.values()] == [200, 200, 199]
+        assert [len(s) for s in series.values()] == [200, 200, 200]
 
 
 class TestLogReturns:
