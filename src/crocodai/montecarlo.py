@@ -7,17 +7,17 @@ over-collateralization gamma'. Failure depends only on the portfolio's
 relative composition, never on its absolute size.
 
 Runs are pure functions of (config, seed, run index): draws come from
-fixed-size counter-derived substreams, so parallel and serial execution
-aggregate to bit-identical results. Every chunk is drawn by
-`riskmodel.sample_returns`, the one sampler the acceptance suite validates.
-Portfolios that share a seed (all of them under common random numbers)
-share each chunk's draws, colouring and price paths. Monte Carlo runs and
-historical replay windows alike are reduced to one relative value each, which
-one estimate builder thresholds at theta/gamma' for every gamma'. For a run,
-and for a replay window that can fail, it is the exact minimum. A window
-whose sliding-minimum lower bound lies provably above every threshold is
-never weighed, and carries that bound instead, so every count is the count
-of the exact minima.
+fixed-size counter-derived substreams, and a parallel sweep runs threads in
+one process over the same substreams, so it is bit-identical to a serial one.
+Every chunk is drawn by `riskmodel.sample_returns`, the one sampler the
+acceptance suite validates. Portfolios that share a seed (all of them under
+common random numbers) share each chunk's draws, colouring and price paths.
+Monte Carlo runs and historical replay windows alike are reduced to one
+relative value each, which one estimate builder thresholds at theta/gamma'
+for every gamma'. For a run, and for a replay window that can fail, it is the
+exact minimum. A window whose sliding-minimum lower bound lies provably above
+every threshold is never weighed, and carries that bound instead, so every
+count is the count of the exact minima.
 
 A chunk of n runs over the horizon works in one (assets, horizon, n)
 buffer, in six stages:
@@ -38,8 +38,10 @@ except where horizon * n is 1 (see `riskmodel.sample_returns`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
+from operator import call
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +51,7 @@ from .errors import DataError, ProtocolError
 from .riskmodel import STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
+MAX_JOBS = 64  # the largest job count: the most worker threads one sweep starts
 REPLAY_BLOCK = 256  # replay windows weighed together: ~3.5 MB at 6 assets, horizon 288
 
 
@@ -150,7 +153,7 @@ def confidence_interval(failures: int, runs: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / runs)
 
 
-def _chunk_min_relvalue(args) -> np.ndarray:
+def _chunk_min_relvalue(model, members, horizon, n, distribution, seed, chunk_index, zero_drift) -> np.ndarray:
     """Run-wise minimum relative value of every portfolio in a group that
     shares one seed: one chunk of returns is drawn by `sample_returns` once,
     and each asset row the group uses is accumulated and exponentiated once.
@@ -159,7 +162,6 @@ def _chunk_min_relvalue(args) -> np.ndarray:
     `np.cumsum(axis=1)` sums. Each portfolio's value path is w[0]*r[0], plus
     w[i]*r[i] for ascending i, each product rounded before it is added: the
     sum order of `np.einsum("i,itn->tn", w, r)` whenever horizon*n > 1."""
-    model, members, horizon, n, distribution, seed, chunk_index, zero_drift = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = len(model.assets)
     # each asset's horizon*n draws fill its (horizon, n) block in C order: the
@@ -193,26 +195,27 @@ def _min_relative_values(
     jobs: int = 1,
 ) -> np.ndarray:
     """Minimum relative portfolio value over slots 1..horizon, one row per
-    portfolio and one column per run. Portfolios with equal seeds share their
-    draws; each task is one chunk of runs for one such group."""
+    portfolio and one column per run. Each task, one chunk of runs for the
+    portfolios of one seed, draws from its own generator, only reads `model`
+    and writes only its own cells, so tasks may run on threads at once."""
     groups: dict[int, list[int]] = {}
     for p_i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(p_i)
-    spans, tasks = [], []
-    for seed, members in groups.items():
-        basket = tuple((portfolios[i].weights, model.index_of(portfolios[i].assets)) for i in members)
-        for chunk_index, start in enumerate(range(0, runs, CHUNK_RUNS)):
-            n = min(CHUNK_RUNS, runs - start)
-            spans.append((members, slice(start, start + n)))
-            tasks.append((model, basket, horizon, n, distribution, seed, chunk_index, zero_drift))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            parts = list(pool.map(_chunk_min_relvalue, tasks))
-    else:
-        parts = [_chunk_min_relvalue(t) for t in tasks]
+    baskets = [(p.weights, model.index_of(p.assets)) for p in portfolios]
     mins = np.empty((len(portfolios), runs))
-    for (members, cols), part in zip(spans, parts):
-        mins[members, cols] = part
+
+    def fill(members, seed, chunk_index, start):
+        n = min(CHUNK_RUNS, runs - start)
+        mins[members, start : start + n] = _chunk_min_relvalue(
+            model, [baskets[i] for i in members], horizon, n, distribution, seed, chunk_index, zero_drift)
+
+    tasks = [partial(fill, members, seed, chunk_index, start) for seed, members in groups.items()
+             for chunk_index, start in enumerate(range(0, runs, CHUNK_RUNS))]
+    if jobs > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            list(pool.map(call, tasks))
+    else:  # in the calling thread, whose CPU time a caller may be timing
+        list(map(call, tasks))
     return mins
 
 
@@ -387,6 +390,8 @@ def table_sweep(
             raise DataError(f"need gamma' > theta > 1, got {g}, {theta}")
     if horizon < 1 or runs < 1:
         raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise DataError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     if seed < 0:  # numpy's seed sequences take non-negative entropy only
         raise DataError(f"seed must be >= 0, got {seed}")
     names = [p.name for p in portfolios]

@@ -312,6 +312,42 @@ class TestFitSimulateReplay:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("jobs", [0, -3, 65, 10**9])
+    def test_jobs_outside_its_range_is_usage_error(self, prices, tmp_path, capsys,
+                                                   monkeypatch, jobs):
+        # --jobs 0 and -3 used to run serially without a word, and nothing
+        # bounded the pool's size; the ceiling is checked by refusal only
+        def no_work(*_, **__):
+            raise AssertionError(f"ran a chunk with --jobs {jobs}")
+
+        monkeypatch.setattr(montecarlo, "_chunk_min_relvalue", no_work)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--prices", str(prices), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2", "--n", "100", "--horizon", "4",
+                     "--jobs", str(jobs), "--out", str(out)]) == 2
+        assert f"jobs must be between 1 and 64, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_chunk_error_exits_two_at_any_job_count(self, prices, tmp_path, capsys, jobs):
+        # the sampler's refusal is raised inside a chunk task: on a worker
+        # thread at --jobs 2, so it must reach main the same way as at --jobs 1
+        model = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--out", str(model)]) == 0
+        doc = read(model)
+        doc["model"]["nu"] = [2.0] + doc["model"]["nu"][1:]
+        model.write_text(json.dumps(doc))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 0.5, "ETH": 0.5}}))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--model", str(model), "--portfolio", str(weights),
+                     "--gamma-prime", "1.2", "--n", str(3 * montecarlo.CHUNK_RUNS),
+                     "--horizon", "4", "--jobs", jobs, "--out", str(out)]) == 2
+        assert "nu must exceed 2 for the t sampler" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
     """An output records its subcommand and every flag but --out, --csv and

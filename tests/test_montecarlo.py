@@ -122,14 +122,14 @@ class TestSimulateFailure:
         one = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
         two = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=1)
         par = sweep_cell(p, model, 1.2, 1.1, 48, 5000, seed=9, jobs=3)
-        assert one.failures == two.failures == par.failures
+        assert one == two == par
 
     def test_pool_is_no_larger_than_the_task_count(self, monkeypatch):
-        # a fork-started pool launches all max_workers processes at its first
-        # submit, so --jobs 8 on two chunk tasks used to fork 8 processes
+        # a fork-started process pool launched all max_workers processes at
+        # its first submit, so --jobs 8 on two chunk tasks used to fork 8
         sizes = []
 
-        class SerialPool:  # records the pool size and starts no process
+        class SerialPool:  # records the pool size and starts no thread
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -142,13 +142,28 @@ class TestSimulateFailure:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         model = toy_model(np.eye(1) * 0.01)
         p = Portfolio("solo", ("A0",), np.array([1.0]))
         serial = sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS, seed=3, jobs=1)
         pooled = sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS, seed=3, jobs=8)
         assert sizes == [2]
         assert pooled == serial
+
+    def test_one_job_builds_no_pool(self, monkeypatch):
+        """jobs=1 runs every chunk in the calling thread. The benchmark's
+        clock is process CPU time less the time its SIGALRM handler spends,
+        so a chunk on a worker thread while the handler runs would be
+        subtracted with it."""
+        model = toy_model(np.eye(2) * 1e-3, nu=4.0)
+        p = Portfolio("eq", tuple(model.assets), np.ones(2) / 2)
+        pooled = sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS + 5, seed=4, jobs=2)
+
+        def no_pool(*_, **__):
+            raise AssertionError("jobs=1 built a pool")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        assert sweep_cell(p, model, 1.2, 1.1, 12, 2 * CHUNK_RUNS + 5, seed=4, jobs=1) == pooled
 
     def test_t_with_high_dof_matches_normal(self):
         rng = np.random.default_rng(1)
@@ -498,12 +513,30 @@ class TestSharedDraws:
                 assert table.estimates[(g, p.name)].seed == seed
                 assert table.estimates[(g, p.name)] == alone.estimates[(g, p.name)]
 
+    @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("crn", [True, False])
-    def test_parallel_equals_serial(self, crn):
+    def test_parallel_equals_serial(self, crn, jobs):
+        # without CRN there are three seed groups, each with a partial chunk
         ps = self.portfolios()[:3]
         serial = self.sweep(ps, common_random_numbers=crn, jobs=1)
-        parallel = self.sweep(ps, common_random_numbers=crn, jobs=2)
+        parallel = self.sweep(ps, common_random_numbers=crn, jobs=jobs)
         assert serial.as_json() == parallel.as_json()
+
+    def test_threads_lose_no_chunk(self):
+        # 36 small tasks on more threads than cores, switching as often as
+        # the interpreter allows: a lost or misplaced write leaves another
+        # task's minima, or np.empty's garbage, in some column
+        ps = self.portfolios()
+        seeds = [8 + 7919 * (p_i + 1) for p_i in range(len(ps))]
+        args = (ps, seeds, self.model(), 3, 8 * CHUNK_RUNS + 7, STUDENT_T, False)
+        serial = montecarlo._min_relative_values(*args, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = montecarlo._min_relative_values(*args, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial)
 
 
 class TestOneSampler:
@@ -565,7 +598,7 @@ class TestChunkKernel:
         model = self.model()
         members = tuple((np.array(w), np.array(idx)) for idx, w in baskets)
         got = _chunk_min_relvalue(
-            (model, members, self.HORIZON, self.N, distribution, self.SEED, self.CHUNK, False))
+            model, members, self.HORIZON, self.N, distribution, self.SEED, self.CHUNK, False)
         want = self.reference(model, members, distribution)
         assert got.shape == (len(members), self.N)
         assert np.array_equal(got, want)
