@@ -277,7 +277,9 @@ def historical_replay(
             continue
         seg = panel[:, a:b]
         starts = b - a - horizon
-        low = np.array([_window_minima(row, horizon + 1) for row in seg])
+        low = np.empty((len(seg), starts))
+        for i, row in enumerate(seg):
+            low[i] = _window_minima(row, horizon + 1)
         np.divide(low, seg[:, :starts], out=low)
         # every window's lower bound; a window that can fail gets its exact
         # minimum in its place
@@ -293,6 +295,7 @@ def historical_replay(
             ratio = np.ascontiguousarray(view[picks])
             ratio /= ratio[:, :, :1].copy()
             values[picks] = (weights @ ratio).min(axis=1)
+            del ratio  # so two gathers are never alive at once
         mins.append(values)
     if not mins:
         raise DataError("insufficient data: no window of the requested horizon")

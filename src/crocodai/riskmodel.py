@@ -38,7 +38,10 @@ of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z`` or
 the reader or a rule refuses, is read by `_read_block`, which defines the
 errors: it splits each line through the csv module, reads its timestamp with
 ``fromisoformat`` and each price with ``float``, and raises at the first bad
-cell in reading order.
+cell in reading order. Each block carries its prices transposed, so the
+series of one file share read-only arrays: every symbol with no missing cell
+has the one timestamp array, and its prices are a row of one (symbols x rows)
+matrix. A symbol with a missing cell gets its own copies of both.
 
 A model file (a `ReturnModel.to_json` document, or the CLI's `fit` output,
 which wraps one as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``,
@@ -198,7 +201,7 @@ def _stamp_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+                ) -> tuple[np.ndarray, np.ndarray] | None:
     """What `_read_block` returns for a block of data lines (`text`, split
     into `lines`), read by numpy's C text reader; or None, and `_read_block`
     reads the block.
@@ -236,18 +239,17 @@ def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
             return None
         filled = True
     times, malformed = _stamp_seconds(table["stamp"])
-    prices = table["prices"].copy()  # drops the stamps' strings with the table
-    given = ~np.isnan(prices) if filled else np.ones(prices.shape, dtype=bool)
+    prices = table["prices"].T.copy()  # drops the stamps' strings with the table
     if (malformed.any() or (np.diff(times) <= 0).any()
             or (prev_time is not None and times[0] <= prev_time)
-            or not (((prices > 0) & (prices < np.inf)) | ~given).all()):
+            or not (((prices > 0) & (prices < np.inf)) | (filled & np.isnan(prices))).all()):
         return None
-    return times, prices, given
+    return times, prices
 
 
 def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time: int | None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, prices (NaN where a cell is empty) and given-cell mask of the
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (symbols x rows) prices, NaN where a cell is empty, of the
     rows of a block of data lines that starts on line `first_row`, after the
     timestamp `prev_time`, read one line at a time; a line whose cells are
     all blank is skipped. The first bad cell in reading order, a row's width
@@ -276,12 +278,12 @@ def _read_block(lines: list[str], first_row: int, symbols: list[str], prev_time:
                 kind = "non-positive" if price <= 0 else "non-finite"
                 raise DataError(f"row {row}: {kind} price {price} for {symbol}")
             prices.append(price)
-    table = np.array(prices, dtype=float).reshape(-1, k)
-    return np.array(times, dtype=np.int64), table, ~np.isnan(table)
+    return np.array(times, dtype=np.int64), np.array(prices, dtype=float).reshape(-1, k).T.copy()
 
 
 def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
-    """Read the price CSV into one PriceSeries per symbol column."""
+    """Read the price CSV into one PriceSeries per symbol column, the series
+    with no missing cell on shared read-only arrays."""
     path = Path(path)
     with path.open() as fh:  # universal newlines: \r\n and \r read as \n
         first = fh.readline()
@@ -298,7 +300,7 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
             raise DataError(f"{path}: header names symbol {twice[0]!r} twice")
 
         k = len(symbols)
-        blocks = [(np.empty(0, dtype=np.int64), np.empty((0, k)), np.empty((0, k), dtype=bool))]
+        blocks = [(np.empty(0, dtype=np.int64), np.empty((k, 0)))]
         first_row, prev_time = 2, None
         while chunk := fh.readlines(_BLOCK_CHARS):
             text = "".join(chunk).removesuffix("\n")
@@ -309,11 +311,14 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
             if len(blocks[-1][0]):
                 prev_time = int(blocks[-1][0][-1])
 
-    times, prices, given = (np.concatenate(parts) for parts in zip(*blocks))
+    times, prices = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    del blocks  # before the series' checks take their temporaries
+    times.flags.writeable = prices.flags.writeable = False
     out: dict[str, PriceSeries] = {}
-    for j, symbol in enumerate(symbols):
-        st = times[given[:, j]]
-        out[symbol] = PriceSeries(symbol, st, prices[given[:, j], j])
+    for symbol, row in zip(symbols, prices):
+        given = ~np.isnan(row)
+        out[symbol] = (PriceSeries(symbol, times, row) if given.all()
+                       else PriceSeries(symbol, times[given], row[given]))
     return out
 
 
@@ -326,14 +331,15 @@ def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str
     missing = [s for s in symbols if s not in series_map]
     if missing:
         raise DataError(f"symbols not in the dataset: {missing}")
-    common = np.empty(0, dtype=np.int64)
-    for i, s in enumerate(symbols):
-        t = series_map[s].times
-        common = t if i == 0 else np.intersect1d(common, t, assume_unique=True)
+    times = [series_map[s].times for s in symbols]
+    common = times[0] if times else np.empty(0, dtype=np.int64)
+    for t in times[1:]:
+        if not (t is common or np.array_equal(t, common)):
+            common = np.intersect1d(common, t, assume_unique=True)
     panel = np.empty((len(symbols), len(common)))
-    for i, s in enumerate(symbols):
-        ser = series_map[s]
-        panel[i] = ser.prices[np.searchsorted(ser.times, common)]
+    for i, (s, t) in enumerate(zip(symbols, times)):  # common is in every t: same length, same stamps
+        prices = series_map[s].prices
+        panel[i] = prices if len(t) == len(common) else prices[np.searchsorted(t, common)]
     return panel, _gap_cuts(common)
 
 
@@ -345,13 +351,14 @@ def aligned_log_returns(series_map: Mapping[str, PriceSeries], symbols: Sequence
     panel, cuts = common_timeline(series_map, symbols)
     if panel.shape[1] < 2:
         raise DataError("fewer than two common observations across symbols")
-    chunks = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a >= 2:
-            chunks.append(np.diff(np.log(panel[:, a:b]), axis=1))
-    if not chunks:
+    np.log(panel, out=panel)
+    # one return per step inside a period: period i's land i columns left of its slots
+    returns = np.empty((len(symbols), panel.shape[1] - (len(cuts) - 1)))
+    if not returns.shape[1]:
         raise DataError("no period with two or more common observations")
-    return symbols, np.concatenate(chunks, axis=1)
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):  # np.diff's subtraction, in place
+        np.subtract(panel[:, a + 1 : b], panel[:, a : b - 1], out=returns[:, a - i : b - 1 - i])
+    return symbols, returns
 
 
 # ----------------------------------------------------------------------
@@ -521,15 +528,18 @@ def estimate_model(returns_by_asset: Mapping[str, np.ndarray], min_obs: int = 10
         raise ModelError("return arrays must be aligned (equal lengths)")
     if n < min_obs:
         raise ModelError(f"need at least {min_obs} return observations, got {n}")
+    # one copy, centred in place; the steps and sum orders of np.std and
+    # np.cov (ddof=1), so mu, the stds and cov are theirs bit for bit
     matrix = np.vstack(arrays)
     mu = matrix.mean(axis=1)
-    stds = matrix.std(axis=1, ddof=1)
+    matrix -= mu[:, None]
+    stds = np.sqrt(np.array([np.square(row).sum() for row in matrix]) / (n - 1))
     for a, s in zip(assets, stds):
         if s == 0.0:
             raise ModelError(f"zero-variance asset {a}")
-    cov = np.cov(matrix, ddof=1)
-    cov = np.atleast_2d(cov)
-    nu = np.array([fit_nu((row - m) / s) for row, m, s in zip(matrix, mu, stds)])
+    cov = np.dot(matrix, matrix.T)
+    cov *= np.true_divide(1, n - 1)
+    nu = np.array([fit_nu(row / s) for row, s in zip(matrix, stds)])
     return ReturnModel(assets=assets, mu=mu, cov=cov, nu=nu, n_obs=n)
 
 

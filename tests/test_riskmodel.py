@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -136,6 +137,115 @@ class TestIngest:
     def test_not_plain_lists_every_stripped_character(self):
         stripped = {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\n"}
         assert set(riskmodel._NOT_PLAIN) == stripped | {'"'}
+
+
+def write_panel_csv(path, symbols, rows, seed=0, hole_every=None):
+    """A gap-free 5-minute price CSV built in bulk; with `hole_every`, the
+    last symbol's cell is empty on every `hole_every`-th row."""
+    rng = np.random.default_rng(seed)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (rows, len(symbols))), axis=0))
+    stamps = np.datetime64("2022-08-26T02:00:00") + np.arange(rows) * np.timedelta64(300, "s")
+    lines = ["timestamp," + ",".join(symbols)]
+    for i, (stamp, row) in enumerate(zip(stamps.astype(str), prices.tolist())):
+        cells = [f"{p:.6f}" for p in row]
+        if hole_every and i % hole_every == hole_every - 1:
+            cells[-1] = ""
+        lines.append(stamp + "Z," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestSharedSeries:
+    """The series of one file share their arrays, read-only; a symbol with a
+    missing cell has its own."""
+
+    @pytest.mark.parametrize("block_chars", [64, 1 << 20])
+    def test_gap_free_series_share_one_timeline_and_one_matrix(self, tmp_path, block_chars):
+        f = write_panel_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], 300)
+        with mock.patch.object(riskmodel, "_BLOCK_CHARS", block_chars):
+            series = ingest_prices(f)
+        times = series["BTC"].times
+        assert all(s.times is times for s in series.values())
+        matrix = series["BTC"].prices.base
+        assert matrix is not None and all(s.prices.base is matrix for s in series.values())
+        assert matrix.shape == (3, 300)
+
+    def test_write_to_a_series_raises_and_leaves_the_others_alone(self, tmp_path):
+        f = write_panel_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], 300)
+        series = ingest_prices(f)
+        before = {s: (v.times.copy(), v.prices.copy()) for s, v in series.items()}
+        btc = series["BTC"]
+        for write in (lambda: btc.times.__setitem__(0, 0), lambda: btc.prices.__setitem__(0, 1.0),
+                      lambda: btc.prices.__imul__(2.0), lambda: btc.times.sort()):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        for s, (times, prices) in before.items():
+            assert np.array_equal(series[s].times, times) and np.array_equal(series[s].prices, prices)
+
+    def test_symbol_with_holes_gets_its_own_arrays(self, tmp_path):
+        f = write_panel_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], 300, hole_every=50)
+        series = ingest_prices(f)
+        btc, eth, sol = series["BTC"], series["ETH"], series["SOL"]
+        assert (len(btc), len(eth), len(sol)) == (300, 300, 294)
+        assert eth.times is btc.times
+        assert not np.shares_memory(sol.times, btc.times)
+        assert not np.shares_memory(sol.prices, btc.prices.base)
+        assert np.array_equal(sol.times, np.delete(btc.times, np.arange(49, 300, 50)))
+        sol.prices[0] = 1.0  # its own, so writable, and no other series changes
+        assert np.isfinite(btc.prices).all() and btc.prices[0] != 1.0
+
+    def test_aligned_read_of_shared_series_calls_no_intersection(self, tmp_path):
+        f = write_panel_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], 300)
+        series = ingest_prices(f)
+        with (mock.patch.object(np, "intersect1d", wraps=np.intersect1d) as intersect,
+              mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search):
+            panel, cuts = common_timeline(series, ["SOL", "BTC"])
+            # equal timestamps in another array count as the same timeline
+            copied = {s: PriceSeries(s, v.times.copy(), v.prices) for s, v in series.items()}
+            again, _ = common_timeline(copied, ["SOL", "BTC"])
+        assert (intersect.call_count, search.call_count) == (0, 0)
+        assert panel.tolist() == [series["SOL"].prices.tolist(), series["BTC"].prices.tolist()]
+        assert np.array_equal(again, panel) and cuts == [0, 300]
+
+
+class TestMemoryGates:
+    """Working sets of ingest and fit, counted by tracemalloc over a
+    20,000-row, 8-symbol file, never timed. Ingest holds its blocks and
+    their concatenation once, and keeps no copy for each symbol; the fit
+    holds the aligned panel, the returns and one centred copy of them, and
+    no copy for np.std or np.cov."""
+
+    ROWS, SYMBOLS = 20_000, [f"S{i}" for i in range(8)]
+
+    @staticmethod
+    def traced(call):
+        """What `call` returns, and the bytes it left allocated and its peak."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            kept, peak = tracemalloc.get_traced_memory()
+            return result, kept - base, peak - base
+        finally:
+            tracemalloc.stop()
+
+    def test_ingest_keeps_its_data_once_and_peaks_at_about_twice(self, tmp_path):
+        f = write_panel_csv(tmp_path / "p.csv", self.SYMBOLS, self.ROWS)
+        with mock.patch.object(riskmodel, "_BLOCK_CHARS", 4096):
+            ingest_prices(f)  # first calls, so no lazy set-up is counted
+            series, kept, peak = self.traced(lambda: ingest_prices(f))
+        assert [len(s) for s in series.values()] == [self.ROWS] * 8
+        data = self.ROWS * (1 + len(self.SYMBOLS)) * 8  # one timestamp and one float per cell
+        assert kept <= 1.1 * data, kept / data
+        assert peak <= 2.2 * data, peak / data
+
+    def test_fit_holds_under_three_price_matrices(self, tmp_path):
+        series = ingest_prices(write_panel_csv(tmp_path / "p.csv", self.SYMBOLS, self.ROWS))
+        fit_model_from_series(series)  # first calls: scipy's optimizer loads lazily
+        model, _, peak = self.traced(lambda: fit_model_from_series(series))
+        assert model.n_obs == self.ROWS - 1
+        matrix = self.ROWS * len(self.SYMBOLS) * 8
+        assert peak <= 2.7 * matrix, peak / matrix
 
 
 @pytest.mark.parametrize("block_chars", [1, 64, 1 << 20])
@@ -566,6 +676,18 @@ class TestLogReturns:
         assert rets.shape == (2, 4)
         assert rets[0].tolist() == pytest.approx(np.log([2 / 1, 3 / 2, 6 / 5, 7 / 6]).tolist())
 
+    def test_returns_are_each_periods_log_diff_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        times = np.cumsum(rng.choice([300, 300, 300, 900], 2_000))
+        a = PriceSeries("A", times, np.exp(rng.normal(0.0, 0.5, 2_000)))
+        kept = times[rng.random(2_000) < 0.9]
+        b = PriceSeries("B", kept, np.exp(rng.normal(0.0, 0.5, len(kept))))
+        panel, cuts = common_timeline({"A": a, "B": b}, ["A", "B"])
+        expected = np.concatenate([np.diff(np.log(panel[:, lo:hi]), axis=1)
+                                   for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 2], axis=1)
+        assert len(cuts) > 3
+        assert np.array_equal(aligned_log_returns({"A": a, "B": b})[1], expected)
+
     def test_common_timeline_unknown_symbol(self):
         with pytest.raises(DataError, match="not in the dataset"):
             common_timeline({"A": PriceSeries("A", [0], [1.0])}, ["A", "Z"])
@@ -631,6 +753,15 @@ class TestEstimateModel:
         rng = np.random.default_rng(0)
         with pytest.raises(ModelError):
             estimate_model({"A": rng.normal(size=200), "B": rng.normal(size=150)})
+
+    def test_moments_are_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_t(4.0, (3, 5_001)) * [[0.01], [0.02], [0.005]] + [[1e-4], [0.0], [-3e-4]]
+        model = estimate_model({"A": x[0], "B": x[1], "C": x[2]})
+        assert np.array_equal(model.mu, x.mean(axis=1))
+        assert np.array_equal(model.cov, np.cov(x, ddof=1))
+        stds = x.std(axis=1, ddof=1)
+        assert model.nu.tolist() == [fit_nu((row - m) / s) for row, m, s in zip(x, x.mean(axis=1), stds)]
 
     def test_roundtrip_json(self, tmp_path):
         rng = np.random.default_rng(5)
