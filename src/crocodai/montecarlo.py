@@ -20,16 +20,20 @@ every threshold is never weighed, and carries that bound instead, so every
 count is the count of the exact minima.
 
 A chunk of n runs over the horizon works in one (assets, horizon, n)
-buffer, in six stages:
+buffer, its only large array, in six stages:
 
-1. draw: `sample_returns` draws the innovations into the buffer;
+1. draw: `sample_returns` draws the innovations into the buffer, for the
+   rows up to the group's last used one;
 2. colour: it colours them in place by the Cholesky factor, in einsum's
    sum order;
-3. cumsum: each slot adds the one before it, in place, as `np.cumsum` does;
-4. exp: `np.exp` in place gives every asset's price-ratio path;
+3. cumsum: each slot adds the one before it, in place, as `np.cumsum` does,
+   on one view per run of consecutive used rows;
+4. exp: `np.exp` in place on the same views gives the price-ratio paths;
 5. weight: each portfolio's value path is a sequential multiply-add of its
-   assets' paths into one reused (horizon, n) buffer, in einsum's sum order;
-6. min: the run-wise minimum over the horizon.
+   assets' rows, read in place, in einsum's sum order, one block of
+   COLOUR_BLOCK // n slots at a time into two reused buffers;
+6. min: each block's run-wise minimum folds into the minimum over the
+   horizon.
 
 Each stage gives the bits of the einsum and cumsum formulation it replaced,
 except where horizon * n is 1 (see `riskmodel.sample_returns`).
@@ -48,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ProtocolError
-from .riskmodel import STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
+from .riskmodel import COLOUR_BLOCK, STUDENT_T, PriceSeries, ReturnModel, common_timeline, sample_returns
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
 MAX_JOBS = 64  # the largest job count: the most worker threads one sweep starts
@@ -163,24 +167,28 @@ def _chunk_min_relvalue(model, members, horizon, n, distribution, seed, chunk_in
     w[i]*r[i] for ascending i, each product rounded before it is added: the
     sum order of `np.einsum("i,itn->tn", w, r)` whenever horizon*n > 1."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    m = len(model.assets)
-    # each asset's horizon*n draws fill its (horizon, n) block in C order: the
-    # same stream and layout as an (m, horizon, n) draw
-    returns = sample_returns(model, horizon * n, distribution, rng, zero_drift).reshape(m, horizon, n)
     rows = np.unique(np.concatenate([idx for _, idx in members]))
-    rel = returns if len(rows) == m else returns[rows]
-    for t in range(1, horizon):
-        np.add(rel[:, t - 1], rel[:, t], out=rel[:, t])
-    np.exp(rel, out=rel)  # per-asset price ratio paths
-    mins = np.empty((len(members), n))
-    acc, term = np.empty((horizon, n)), np.empty((horizon, n))
+    # each asset's horizon*n draws fill its (horizon, n) block in C order: the
+    # same stream and layout as an (m, horizon, n) draw; rows past the group's
+    # last are never drawn
+    returns = sample_returns(model, horizon * n, distribution, rng, zero_drift, rows[-1] + 1)
+    returns = returns.reshape(-1, horizon, n)
+    for run in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):  # consecutive rows, in place
+        rel = returns[run[0] : run[-1] + 1]
+        for t in range(1, horizon):
+            np.add(rel[:, t - 1], rel[:, t], out=rel[:, t])
+        np.exp(rel, out=rel)  # per-asset price ratio paths
+    step = min(horizon, max(1, COLOUR_BLOCK // n))  # slots weighed together
+    mins = np.full((len(members), n), np.inf)
+    acc, term = np.empty((step, n)), np.empty((step, n))
     for out, (weights, idx) in zip(mins, members):
-        pos = np.searchsorted(rows, idx)
-        np.multiply(weights[0], rel[pos[0]], out=acc)
-        for w, p in zip(weights[1:], pos[1:]):
-            np.multiply(w, rel[p], out=term)
-            acc += term
-        acc.min(axis=0, out=out)
+        for lo in range(0, horizon, step):
+            a, t = acc[: horizon - lo], term[: horizon - lo]
+            np.multiply(weights[0], returns[idx[0], lo : lo + step], out=a)
+            for w, i in zip(weights[1:], idx[1:]):
+                np.multiply(w, returns[i, lo : lo + step], out=t)
+                a += t
+            np.minimum(out, a.min(axis=0), out=out)
     return mins
 
 

@@ -331,15 +331,17 @@ def common_timeline(series_map: Mapping[str, PriceSeries], symbols: Sequence[str
     missing = [s for s in symbols if s not in series_map]
     if missing:
         raise DataError(f"symbols not in the dataset: {missing}")
-    times = [series_map[s].times for s in symbols]
-    common = times[0] if times else np.empty(0, dtype=np.int64)
-    for t in times[1:]:
+    times = {id(t): t for t in (series_map[s].times for s in symbols)}  # each array once
+    common = next(iter(times.values()), np.empty(0, dtype=np.int64))
+    for t in times.values():
         if not (t is common or np.array_equal(t, common)):
             common = np.intersect1d(common, t, assume_unique=True)
+    # common is in every t: at the same length the same stamps, else gathered once per array
+    at = {k: slice(None) if len(t) == len(common) else np.searchsorted(t, common)
+          for k, t in times.items()}
     panel = np.empty((len(symbols), len(common)))
-    for i, (s, t) in enumerate(zip(symbols, times)):  # common is in every t: same length, same stamps
-        prices = series_map[s].prices
-        panel[i] = prices if len(t) == len(common) else prices[np.searchsorted(t, common)]
+    for i, s in enumerate(symbols):
+        panel[i] = series_map[s].prices[at[id(series_map[s].times)]]
     return panel, _gap_cuts(common)
 
 
@@ -564,8 +566,12 @@ def sample_returns(
     distribution: str,
     rng: np.random.Generator,
     zero_drift: bool = False,
+    rows: int | None = None,
 ) -> np.ndarray:
-    """Draw an (assets x slots) matrix of correlated per-slot log returns.
+    """Draw an (assets x slots) matrix of correlated per-slot log returns,
+    or its first `rows` rows only, with the same bits: a normal draw fills
+    the rows in C order, a t draw goes asset by asset, and row i is coloured
+    from rows j <= i only.
 
     Student-t innovations are standardized to unit variance (divide by
     sqrt(nu/(nu-2))) so the target covariance is matched for any degrees of
@@ -579,15 +585,15 @@ def sample_returns(
     sums in another order, and this kernel's result, which differs from it
     by up to about 1e-18, is the defined one.
     """
-    m = len(model.assets)
+    m = len(model.assets) if rows is None else rows
     if distribution == NORMAL:
         x = rng.standard_normal((m, slots))
     elif distribution == STUDENT_T:
+        low = [nu for nu in model.nu.tolist() if nu <= 2]  # rows drawn or not
+        if low:
+            raise ModelError(f"nu must exceed 2 for the t sampler, got {low[0]}")
         x = np.empty((m, slots))
-        for i in range(m):  # fixed asset order keeps draws reproducible
-            nu = float(model.nu[i])
-            if nu <= 2:
-                raise ModelError(f"nu must exceed 2 for the t sampler, got {nu}")
+        for i, nu in enumerate(model.nu[:m].tolist()):  # fixed asset order keeps draws reproducible
             np.divide(rng.standard_t(nu, slots), math.sqrt(nu / (nu - 2.0)), out=x[i])
     else:
         raise ModelError(f"unknown distribution {distribution!r}")

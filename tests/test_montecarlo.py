@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import sweep_cell, toy_model
-from crocodai import montecarlo
+from crocodai import montecarlo, riskmodel
 from crocodai.errors import DataError, ModelError
 from crocodai.montecarlo import (
     CHUNK_RUNS,
@@ -580,8 +581,8 @@ class TestChunkKernel:
         model.nu = np.array([2.5, 3.0, 4.5, 8.0, 40.0])
         return model
 
-    def reference(self, model, members, distribution):
-        m, horizon, n = len(model.assets), self.HORIZON, self.N
+    def reference(self, model, members, distribution, horizon=HORIZON, n=N):
+        m = len(model.assets)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.SEED, spawn_key=(self.CHUNK,)))
         rel = np.exp(np.cumsum(
             sample_returns(model, horizon * n, distribution, rng).reshape(m, horizon, n), axis=1))
@@ -591,7 +592,7 @@ class TestChunkKernel:
     @pytest.mark.parametrize("baskets", [
         # every asset row in use, one basket listing its assets out of order
         [((0, 1, 2, 3, 4), (0.1, 0.2, 0.3, 0.15, 0.25)), ((3, 0), (0.6, 0.4)), ((2,), (1.0,))],
-        # a subset of the rows, so the group works on a copy of them
+        # a subset of the rows, so the group sums and weighs them in place
         [((4, 1), (0.7, 0.3)), ((1,), (1.0,)), ((1, 3, 4), (0.5, 0.25, 0.25))],
     ], ids=["all-rows", "row-subset"])
     def test_bit_identical_to_cumsum_and_einsum(self, distribution, baskets):
@@ -602,3 +603,58 @@ class TestChunkKernel:
         want = self.reference(model, members, distribution)
         assert got.shape == (len(members), self.N)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    @pytest.mark.parametrize("baskets", [
+        # rows 1, 3 and 4: two runs of consecutive rows
+        [((4, 1), (0.7, 0.3)), ((1,), (1.0,)), ((1, 3, 4), (0.5, 0.25, 0.25))],
+        # rows 0 and 2 only, so rows 3 and 4 are never drawn
+        [((2, 0), (0.6, 0.4)), ((0,), (1.0,))],
+    ], ids=["row-runs", "rows-below-the-last"])
+    @pytest.mark.parametrize("horizon, n", [
+        (24, 1024),  # 16 + 8 slots
+        (120, 300),  # 54 + 54 + 12 slots
+        (3, riskmodel.COLOUR_BLOCK + 1),  # one slot a block
+    ], ids=["two-blocks", "partial-last-block", "slot-by-slot"])
+    def test_weighed_a_slot_block_at_a_time(self, distribution, baskets, horizon, n):
+        model = self.model()
+        members = tuple((np.array(w), np.array(idx)) for idx, w in baskets)
+        got = _chunk_min_relvalue(model, members, horizon, n, distribution, self.SEED, self.CHUNK, False)
+        want = self.reference(model, members, distribution, horizon, n)
+        assert got.shape == (len(members), n)
+        assert np.array_equal(got, want)
+
+
+class TestChunkMemory:
+    """One chunk's working set, counted by tracemalloc, never timed: the
+    draw buffer `sample_returns` returns, and little besides. The group's
+    rows have gaps, as C-Mix2's have in the 8-asset benchmark model, and
+    the last row is in use, so every row is drawn."""
+
+    HORIZON, N = 288, CHUNK_RUNS
+
+    def model(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(8, 8)) * 0.01
+        return toy_model(a @ a.T, nu=4.0, mu=rng.normal(size=8) * 1e-4)
+
+    @pytest.mark.parametrize("distribution, bound", [(NORMAL, 1.15), (STUDENT_T, 1.25)])
+    def test_chunk_peaks_near_its_draw_buffer(self, distribution, bound):
+        model = self.model()
+        # rows 0, 1, 3, 4, 6 and 7
+        members = ((np.array([0.2, 0.2, 0.6]), np.array([4, 7, 0])),
+                   (np.full(4, 0.25), np.array([1, 3, 6, 0])))
+
+        def chunk():
+            return _chunk_min_relvalue(model, members, self.HORIZON, self.N, distribution, 0, 0, False)
+
+        chunk()  # first call, so no lazy set-up is counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chunk()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        buffer = len(model.assets) * self.HORIZON * self.N * 8
+        assert peak <= bound * buffer, peak / buffer

@@ -207,6 +207,20 @@ class TestSharedSeries:
         assert panel.tolist() == [series["SOL"].prices.tolist(), series["BTC"].prices.tolist()]
         assert np.array_equal(again, panel) and cuts == [0, 300]
 
+    def test_each_distinct_timeline_is_aligned_once(self, tmp_path):
+        # the seed-0 benchmark file's 8 symbols, SOL with holes and in the
+        # middle of the sorted order: one intersection with SOL's stamps and
+        # one gather for the shared timeline, however many symbols share it
+        symbols = ["ADA", "AVAX", "BTC", "DOT", "ETH", "TRX", "WBTC", "SOL"]
+        series = ingest_prices(write_panel_csv(tmp_path / "p.csv", symbols, 300, hole_every=50))
+        with (mock.patch.object(np, "intersect1d", wraps=np.intersect1d) as intersect,
+              mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search):
+            panel, cuts = common_timeline(series, sorted(symbols))
+        assert (intersect.call_count, search.call_count) == (1, 1)
+        common = series["SOL"].times
+        want = [series[s].prices[np.isin(series[s].times, common)] for s in sorted(symbols)]
+        assert np.array_equal(panel, want) and cuts == [0, len(common)]
+
 
 class TestMemoryGates:
     """Working sets of ingest and fit, counted by tracemalloc over a
@@ -899,6 +913,26 @@ class TestColouringKernel:
         want = einsum_reference(model, slots, distribution, np.random.default_rng(slots), zero_drift)
         assert got.shape == (m, slots)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("slots", [1, 2 * B + 3])
+    @pytest.mark.parametrize("distribution", [NORMAL, STUDENT_T])
+    @pytest.mark.parametrize("zero_drift", [False, True])
+    def test_first_rows_are_the_full_draws_rows(self, slots, distribution, zero_drift):
+        # a normal draw fills rows in C order, the t draw goes asset by
+        # asset, and row i is coloured from rows j <= i only
+        model = generic_model(8)
+        full = sample_returns(model, slots, distribution, np.random.default_rng(slots), zero_drift)
+        for rows in (1, 5, 8):
+            got = sample_returns(model, slots, distribution, np.random.default_rng(slots),
+                                 zero_drift, rows)
+            assert got.shape == (rows, slots)
+            assert np.array_equal(got, full[:rows])
+
+    def test_low_dof_beyond_the_rows_drawn_is_rejected(self):
+        model = generic_model(3)
+        model.nu = np.array([4.0, 5.0, 2.0])
+        with pytest.raises(ModelError, match="got 2.0$"):
+            sample_returns(model, 5, STUDENT_T, np.random.default_rng(0), rows=1)
 
     def test_one_slot_is_the_sequential_sum(self):
         # einsum's dot-product kernel takes over at one slot; the kernel's
