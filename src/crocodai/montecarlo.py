@@ -231,11 +231,12 @@ def _min_relative_values(
 # historical replay
 
 
-def _window_minima(row: np.ndarray, width: int) -> np.ndarray:
-    """Minimum of every `width`-slot window of `row`, one per start slot:
-    scipy's sliding minimum, its window shifted to start at each slot."""
+def _window_minima(rows: np.ndarray, width: int) -> np.ndarray:
+    """Minimum of every `width`-slot window along the last axis of `rows`
+    (one row, or a block of them), one per start slot: scipy's sliding
+    minimum, its window shifted to start at each slot."""
     from scipy.ndimage import minimum_filter1d  # here, not at the top: only replay needs scipy
-    return minimum_filter1d(row, width, origin=-(width // 2))[: len(row) - width + 1]
+    return minimum_filter1d(rows, width, axis=-1, origin=-(width // 2))[..., : rows.shape[-1] - width + 1]
 
 
 def historical_replay(
@@ -285,9 +286,7 @@ def historical_replay(
             continue
         seg = panel[:, a:b]
         starts = b - a - horizon
-        low = np.empty((len(seg), starts))
-        for i, row in enumerate(seg):
-            low[i] = _window_minima(row, horizon + 1)
+        low = _window_minima(seg, horizon + 1)
         np.divide(low, seg[:, :starts], out=low)
         # every window's lower bound; a window that can fail gets its exact
         # minimum in its place

@@ -151,9 +151,9 @@ _NOT_PLAIN = ('"\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2
 _STAMP_SHAPE = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
 
 
-def _stamp_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of stripped timestamp cells (an object array), and the
-    mask of the stamps that are malformed.
+def _stamp_seconds(stamps: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of stripped timestamp cells (an object array), or None
+    at the first stamp that is malformed.
 
     A stamp of the canonical shape ``YYYY-MM-DDTHH:MM:SS`` with no suffix,
     ``Z`` or ``+HH:MM``/``-HH:MM`` whose fields are in range is read in
@@ -191,13 +191,12 @@ def _stamp_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     offset = np.where(with_offset, np.where(sign == ord("-"), -60, 60) * (offset_hour * 60 + offset_minute), 0)
 
     seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second - offset
-    malformed = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~canonical):
         try:
-            seconds[i] = _parse_timestamp(stamps[i], 0)  # the mask, not the message, is kept
+            seconds[i] = _parse_timestamp(stamps[i], 0)
         except DataError:
-            malformed[i] = True
-    return seconds, malformed
+            return None  # `_read_block` reads the block and raises the message
+    return seconds
 
 
 def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
@@ -238,9 +237,9 @@ def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
         except ValueError:
             return None
         filled = True
-    times, malformed = _stamp_seconds(table["stamp"])
+    times = _stamp_seconds(table["stamp"])
     prices = table["prices"].T.copy()  # drops the stamps' strings with the table
-    if (malformed.any() or (np.diff(times) <= 0).any()
+    if (times is None or (np.diff(times) <= 0).any()
             or (prev_time is not None and times[0] <= prev_time)
             or not (((prices > 0) & (prices < np.inf)) | (filled & np.isnan(prices))).all()):
         return None
@@ -519,37 +518,37 @@ def fit_nu(standardized: np.ndarray) -> float:
     return min(max(nu, NU_MIN), NU_MAX)
 
 
-def estimate_model(returns_by_asset: Mapping[str, np.ndarray], min_obs: int = 100) -> ReturnModel:
-    """Sample moments plus per-asset t tail fit over aligned return arrays."""
-    assets = list(returns_by_asset)
+def estimate_model(assets: Sequence[str], returns: np.ndarray, min_obs: int = 100) -> ReturnModel:
+    """Sample moments plus per-asset t tail fit over an (assets x n) matrix
+    of aligned returns, one row per asset. The matrix is centred in place:
+    on return each row holds its returns less their mean."""
+    assets = list(assets)
     if not assets:
         raise ModelError("no assets given")
-    arrays = [np.asarray(returns_by_asset[a], dtype=float) for a in assets]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ModelError("return arrays must be aligned (equal lengths)")
-    if n < min_obs:
-        raise ModelError(f"need at least {min_obs} return observations, got {n}")
-    # one copy, centred in place; the steps and sum orders of np.std and
-    # np.cov (ddof=1), so mu, the stds and cov are theirs bit for bit
-    matrix = np.vstack(arrays)
-    mu = matrix.mean(axis=1)
-    matrix -= mu[:, None]
-    stds = np.sqrt(np.array([np.square(row).sum() for row in matrix]) / (n - 1))
+    if returns.ndim != 2 or len(returns) != len(assets):
+        raise ModelError(f"need one row of returns per asset: {len(assets)} assets, "
+                         f"returns of shape {returns.shape}")
+    n, need = returns.shape[1], max(min_obs, 2)  # n - 1 divides below
+    if n < need:
+        raise ModelError(f"need at least {need} return observations, got {n}")
+    # centred in place; the steps and sum orders of np.std and np.cov
+    # (ddof=1), so mu, the stds and cov are theirs bit for bit
+    mu = returns.mean(axis=1)
+    returns -= mu[:, None]
+    stds = np.sqrt(np.array([np.square(row).sum() for row in returns]) / (n - 1))
     for a, s in zip(assets, stds):
         if s == 0.0:
             raise ModelError(f"zero-variance asset {a}")
-    cov = np.dot(matrix, matrix.T)
+    cov = np.dot(returns, returns.T)
     cov *= np.true_divide(1, n - 1)
-    nu = np.array([fit_nu(row / s) for row, s in zip(matrix, stds)])
+    nu = np.array([fit_nu(row / s) for row, s in zip(returns, stds)])
     return ReturnModel(assets=assets, mu=mu, cov=cov, nu=nu, n_obs=n)
 
 
 def fit_model_from_series(series_map: Mapping[str, PriceSeries],
                           symbols: Sequence[str] | None = None,
                           min_obs: int = 100) -> ReturnModel:
-    symbols, returns = aligned_log_returns(series_map, symbols)
-    return estimate_model({s: returns[i] for i, s in enumerate(symbols)}, min_obs=min_obs)
+    return estimate_model(*aligned_log_returns(series_map, symbols), min_obs=min_obs)
 
 
 # ----------------------------------------------------------------------

@@ -145,6 +145,17 @@ class TestFitSimulateReplay:
         doc = read(model_path)
         assert doc["model"]["assets"] == ["BTC", "ETH", "TRX"]
 
+    @pytest.mark.parametrize("min_obs", ["-1", "0", "1"])
+    def test_fit_of_one_return_is_usage_error(self, tmp_path, capsys, min_obs):
+        # n - 1 = 0 divided the variance: numpy warned three times, and the
+        # error blamed the t-fit's input
+        prices = tmp_path / "p.csv"
+        prices.write_text("timestamp,BTC\n2022-01-01T00:00:00Z,100\n2022-01-01T00:05:00Z,110\n")
+        out = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--min-obs", min_obs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need at least 2 return observations, got 1\n"
+        assert not out.exists()
+
     def test_fit_output_loads_back_into_simulate(self, prices, tmp_path):
         model_path = tmp_path / "model.json"
         main(["fit", "--prices", str(prices), "--out", str(model_path)])

@@ -328,6 +328,11 @@ class TestPrunedReplay:
         row = np.random.default_rng(width).normal(size=41)
         direct = [row[s : s + width].min() for s in range(len(row) - width + 1)]
         assert np.array_equal(_window_minima(row, width), direct)
+        block = np.random.default_rng(width).normal(size=(3, 41))
+        minima = _window_minima(block, width)
+        assert minima.shape == (3, 41 - width + 1)
+        for row, got in zip(block, minima):
+            assert np.array_equal(got, [row[s : s + width].min() for s in range(len(row) - width + 1)])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("horizon", [1, 5, 37, 120])
