@@ -29,16 +29,17 @@ rule's cuts of those timestamps) that the return model and the replay use.
 
 `ingest_prices` reads this one format a block of lines at a time, with one
 of two readers: plain blocks fast, any other block row by row. A block that
-is plain as a whole (ASCII, with no quote, whitespace or blank line, and no
-line longer than a cell may be) is read by one call of numpy's C text reader,
-``np.loadtxt``, which converts a number as ``float`` does; empty price cells
-cost one more call. The rules are checked on what it read, and a timestamp
-of the shape ``YYYY-MM-DDTHH:MM:SS`` (with no suffix, ``Z`` or
-``+HH:MM``/``-HH:MM``) is read from its digits. Any other block, or one that
-the reader or a rule refuses, is read by `_read_block`, which defines the
-errors: it splits each line through the csv module, reads its timestamp with
-``fromisoformat`` and each price with ``float``, and raises at the first bad
-cell in reading order. Each block carries its prices transposed, so the
+is plain as a whole (ASCII, with no quote, whitespace, NUL or blank line, and
+no line longer than a cell may be) is read by one call of numpy's C text
+reader, ``np.loadtxt``, which converts a number as ``float`` does and takes a
+timestamp as bytes; empty price cells cost one more call. The rules are
+checked on what it read: stamps ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z``
+or ``+HH:MM``/``-HH:MM`` go through one call of numpy's ``datetime64``
+parser, any other stamp through ``fromisoformat``. Any other block, or one
+that the reader or a rule refuses, is read by `_read_block`, which defines
+the errors: it splits each line through the csv module, reads its timestamp
+with ``fromisoformat`` and each price with ``float``, and raises at the first
+bad cell in reading order. Each block carries its prices transposed, so the
 series of one file share read-only arrays: every symbol with no missing cell
 has the one timestamp array, and its prices are a row of one (symbols x rows)
 matrix. A symbol with a missing cell gets its own copies of both.
@@ -60,7 +61,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -88,15 +89,16 @@ class PriceSeries:
     symbol: str
     times: np.ndarray  # int64 epoch seconds, strictly increasing
     prices: np.ndarray  # float, finite and > 0
+    times_checked: InitVar[bool] = False  # the caller checked that times strictly increase
 
-    def __post_init__(self):
+    def __post_init__(self, times_checked: bool):
         self.times = np.asarray(self.times, dtype=np.int64)
         self.prices = np.asarray(self.prices, dtype=float)
         if len(self.times) != len(self.prices):
             raise DataError(f"{self.symbol}: times and prices differ in length")
         if not np.all(np.isfinite(self.prices) & (self.prices > 0)):
             raise DataError(f"{self.symbol}: prices must be finite and > 0")
-        if np.any(np.diff(self.times) <= 0):
+        if not times_checked and np.any(np.diff(self.times) <= 0):
             raise DataError(f"{self.symbol}: timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -147,53 +149,43 @@ _BLOCK_CHARS = 1 << 20
 # what makes a line not plain: a quote, or any character str.strip removes
 _NOT_PLAIN = ('"\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004'
               '\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000')
-# a canonical stamp with its offset suffix, every digit read as 0
-_STAMP_SHAPE = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
+# a stamp's body with each digit read as 0, and how far above it each byte may
+# be: 9 on a digit, 0 on a separator; 5 bytes of any value pad it to 24
+_BODY = np.frombuffer(b"0000-00-00T00:00:00\0\0\0\0\0", np.uint8)
+_BODY_SPAN = np.where(_BODY == ord("0"), 9, np.where(_BODY == 0, 255, 0)).astype(np.uint8)
+_YEAR_ONE = int(np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64))
 
 
-def _stamp_seconds(stamps: np.ndarray) -> np.ndarray | None:
-    """Epoch seconds of stripped timestamp cells (an object array), or None
-    at the first stamp that is malformed.
-
-    A stamp of the canonical shape ``YYYY-MM-DDTHH:MM:SS`` with no suffix,
-    ``Z`` or ``+HH:MM``/``-HH:MM`` whose fields are in range is read in
-    bulk from its digits, the date counted in days by ``datetime64``.
-    Every other stamp goes through `_parse_timestamp`, the definition of
-    an accepted stamp.
-    """
-    n = len(stamps)
-    stamps = stamps.tolist()
-    lengths = np.fromiter(map(len, stamps), np.int64, n)
-    # a longer stamp is cut to 25 characters, and its length makes it not canonical
-    codes = np.array(stamps, dtype="U25").view(np.uint32).reshape(n, 25)
-    digits = codes - ord("0")  # any other character wraps round to more than 9
-    shape = np.where(digits <= 9, ord("0"), codes) == _STAMP_SHAPE
-
-    def number(first: int, last: int) -> np.ndarray:
-        value = np.zeros(n, dtype=np.int64)
-        for col in range(first, last):
-            value = value * 10 + digits[:, col]
-        return value
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    offset_hour, offset_minute = number(20, 22), number(23, 25)
+def _stamp_seconds(codes: np.ndarray, lines: list[str]) -> np.ndarray | None:
+    """Epoch seconds of the timestamps of `lines`, or None at the first stamp
+    that is malformed. Row i of `codes` is the bytes of line i's record from
+    numpy's text reader, first its stamp in a 26-byte field that drops
+    trailing NULs. A stamp ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z`` or
+    ``+HH:MM``/``-HH:MM`` is read in bulk, its body by numpy's ``datetime64``
+    parser, which refuses (None) what ``fromisoformat`` refuses save year 0.
+    Any other stamp, one that fills the field and may have been cut among
+    them, goes through `_parse_timestamp`, the definition, with its line's text."""
     sign = codes[:, 19]
-    canonical = shape[:, :19].all(axis=1)
-    months = np.where(canonical, (year - 1970) * 12 + month - 1, 0)
-    first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    month_days = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first_day
-    canonical &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-                  & (hour <= 23) & (minute <= 59) & (second <= 59))
-    with_offset = ((lengths == 25) & ((sign == ord("+")) | (sign == ord("-")))
-                   & shape[:, 20:].all(axis=1) & (offset_hour <= 23) & (offset_minute <= 59))
-    canonical &= (lengths == 19) | ((lengths == 20) & (sign == ord("Z"))) | with_offset
-    offset = np.where(with_offset, np.where(sign == ord("-"), -60, 60) * (offset_hour * 60 + offset_minute), 0)
-
-    seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second - offset
+    signed = np.flatnonzero((sign == ord("+")) | (sign == ord("-")))
+    offset = codes[signed, 19:26]  # +HH:MM or -HH:MM, and the NUL after it
+    digits = (offset[:, [1, 2, 4, 5]] - ord("0")).astype(np.int64)  # any other byte wraps round past 9
+    hours, minutes = digits[:, 0] * 10 + digits[:, 1], digits[:, 2] * 10 + digits[:, 3]
+    with_offset = np.zeros(len(codes), dtype=bool)
+    with_offset[signed] = ((offset[:, 3] == ord(":")) & (offset[:, 6] == 0) & (digits <= 9).all(axis=1)
+                           & (hours <= 23) & (minutes <= 59))
+    broken = ((codes[:, :24] - _BODY) > _BODY_SPAN).view(np.uint64)  # 8 bytes a word
+    canonical = (((broken[:, 0] | broken[:, 1] | broken[:, 2]) == 0)
+                 & ((sign == 0) | ((sign == ord("Z")) & (codes[:, 20] == 0)) | with_offset))
+    seconds = np.zeros(len(codes), dtype=np.int64)
+    try:
+        seconds[canonical] = codes[canonical, :19].view("S19").ravel().astype("datetime64[s]")
+    except ValueError:  # a field out of range: `_read_block` reads the block
+        return None
+    canonical &= seconds >= _YEAR_ONE
+    seconds[signed] -= np.where(offset[:, 0] == ord("-"), -60, 60) * (hours * 60 + minutes)
     for i in np.flatnonzero(~canonical):
         try:
-            seconds[i] = _parse_timestamp(stamps[i], 0)
+            seconds[i] = _parse_timestamp(lines[i].split(",", 1)[0], 0)
         except DataError:
             return None  # `_read_block` reads the block and raises the message
     return seconds
@@ -205,21 +197,25 @@ def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
     into `lines`), read by numpy's C text reader; or None, and `_read_block`
     reads the block.
 
-    The block must be plain as a whole: ASCII, with no quote, whitespace or
-    blank line (the reader would skip it, and warn on a block of nothing
-    else), and no line longer than a cell may be. The reader refuses a line
-    that is not k + 1 cells, an empty cell and a price that `float` reads but
-    it cannot (``1_0``). A block it refuses is read once more with each empty
-    cell written as ``nan``, unless a cell holds an ``n`` and so may spell
-    ``nan`` itself. Any refusal or broken rule gives None.
+    The block must be plain as a whole: ASCII, with no quote, whitespace, NUL
+    or blank line (the reader would skip it, and warn on a block of nothing
+    else), and no line longer than a cell may be. The reader reads a stamp as
+    bytes, for `_stamp_seconds`, and refuses a line that is not k + 1 cells,
+    an empty cell and a price that `float` reads but it cannot (``1_0``). A
+    block it refuses is read once more with each empty cell written as
+    ``nan``, unless a cell holds an ``n`` and so may spell ``nan`` itself.
+    Any refusal or broken rule gives None.
     """
-    if (not text.isascii() or any(char in text for char in _NOT_PLAIN) or "" in lines
-            or max(map(len, lines)) > MAX_CELL_CHARS):
+    if not text.isascii() or any(char in text for char in _NOT_PLAIN) or "\0" in text or not any(lines):
         return None
+    start = 0  # a line start: the next MAX_CELL_CHARS + 1 characters must hold a line break
+    while len(text) - start > MAX_CELL_CHARS:
+        if not (start := text.rfind("\n", start, start + MAX_CELL_CHARS + 1) + 1):
+            return None
 
     def read(data: list[str]) -> np.ndarray:
         # comments=None, or "#" would cut the cell 1#2 to 1
-        return np.loadtxt(data, dtype=[("stamp", object), ("prices", float, (k,))],
+        return np.loadtxt(data, dtype=[("stamp", "S26"), ("prices", float, (k,))],
                           delimiter=",", comments=None, ndmin=1)
 
     filled = False
@@ -229,16 +225,16 @@ def _read_plain(text: str, lines: list[str], k: int, prev_time: int | None
         if "n" in text or "N" in text:
             return None
         # ",,,": the first pass fills every other empty cell, the second the rest
-        text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-        if text.endswith(","):
-            text += "nan"
+        text = (text + "\n").replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
         try:
             table = read(text.split("\n"))
         except ValueError:
             return None
         filled = True
-    times = _stamp_seconds(table["stamp"])
-    prices = table["prices"].T.copy()  # drops the stamps' strings with the table
+    if len(table) < len(lines):  # the reader skipped a blank line
+        return None
+    times = _stamp_seconds(table.view(np.uint8).reshape(len(table), -1), lines)
+    prices = table["prices"].T.copy()  # drops the stamps with the table
     if (times is None or (np.diff(times) <= 0).any()
             or (prev_time is not None and times[0] <= prev_time)
             or not (((prices > 0) & (prices < np.inf)) | (filled & np.isnan(prices))).all()):
@@ -301,9 +297,11 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
         k = len(symbols)
         blocks = [(np.empty(0, dtype=np.int64), np.empty((k, 0)))]
         first_row, prev_time = 2, None
-        while chunk := fh.readlines(_BLOCK_CHARS):
-            text = "".join(chunk).removesuffix("\n")
+        while text := fh.read(_BLOCK_CHARS):
+            text += fh.readline()  # CPython resizes the string in place, with no copy
             lines = text.split("\n")
+            if not lines[-1]:  # the text ends in a line break
+                lines.pop()
             block = _read_plain(text, lines, k, prev_time)
             blocks.append(block or _read_block(lines, first_row, symbols, prev_time))
             first_row += len(lines)
@@ -316,8 +314,8 @@ def ingest_prices(path: str | Path) -> dict[str, PriceSeries]:
     out: dict[str, PriceSeries] = {}
     for symbol, row in zip(symbols, prices):
         given = ~np.isnan(row)
-        out[symbol] = (PriceSeries(symbol, times, row) if given.all()
-                       else PriceSeries(symbol, times[given], row[given]))
+        out[symbol] = (PriceSeries(symbol, times, row, times_checked=True) if given.all()
+                       else PriceSeries(symbol, times[given], row[given], times_checked=True))
     return out
 
 

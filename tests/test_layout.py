@@ -52,6 +52,7 @@ ALLOWED_FIELDS = {
     "PriceFeed.oracle_id": "perfbench and scenarios construct PriceFeed(i, ...) positionally",
     "FailureEstimate.ci_half_width": "written out by dataclasses.asdict in as_json",
     "AuditReport.unmatched_burns": "a monitor finding that sets ok",
+    "PriceSeries.times_checked": "an InitVar: __post_init__ reads it as a parameter, never as an attribute",
 }
 
 PROTOCOL_MODULES = ("ledger", "stablecoin", "relay", "oracle", "scenarios")

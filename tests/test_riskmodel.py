@@ -221,6 +221,15 @@ class TestSharedSeries:
         want = [series[s].prices[np.isin(series[s].times, common)] for s in sorted(symbols)]
         assert np.array_equal(panel, want) and cuts == [0, len(common)]
 
+    def test_shared_timeline_is_checked_once_per_file(self, tmp_path):
+        # the reader checks one block's order; no series checks it again
+        symbols = [f"S{i}" for i in range(8)]
+        f = write_panel_csv(tmp_path / "p.csv", symbols, 300, hole_every=50)
+        with mock.patch.object(np, "diff", wraps=np.diff) as diff:
+            series = ingest_prices(f)
+        assert diff.call_count == 1
+        assert [len(s) for s in series.values()] == [300] * 7 + [294]
+
 
 class TestMemoryGates:
     """Working sets of ingest and fit, counted by tracemalloc over a
@@ -559,6 +568,15 @@ class TestIngestMatchesRowParser:
         "2023-01-01T00:00:00-00:00",
         "2023-01-01T00:00:00z", "2023-01-01t00:00:00", "2023-01-01T00:00:00.5", "2023-01-01T00:00:00ZZ",
         "2023-01-01T00:00", "2023-01-01", "2023-01-01T00:00:00+0530", "\u0662023-01-01T00:00:00",
+        # 25, 26 and 27 bytes: as long as, and longer than, a fixed-width stamp field
+        "2023-01-01T00:00:00.00000", "2023-01-01T00:00:00.000000", "2023-01-01T00:00:00+05:300",
+        "2023-01-01T00:00:00+05:30Z", "2023-01-01T00:00:00.000000Z", "2023-01-01T00:00:00.000000x",
+        # a fixed-width bytes field drops trailing NULs
+        "2023-01-01T00:00:00Z\x00", "2023-01-01T00:00:00\x00", "2023-01-01T00:00:00Z\x00x",
+        "2023-01-01T00:00:00\x00+05:00",
+        # a canonical body and one stray byte, or a body cut short
+        "2023-01-01T00:00:00x", "2023-01-01T00:00:00+", "2023-01-01T00:00:00\x7f",
+        "2023-01-01T00:00Z", "2023-01-01T00:00-05", "2023-01-01T00:00:0Z",
     ])
     def test_same_stamp_or_same_error(self, tmp_path, stamp):
         path = tmp_path / "p.csv"
@@ -591,7 +609,7 @@ class TestPlainBlockCounts:
     def block_count(path, block_chars) -> int:
         with open(path) as fh:
             fh.readline()
-            return sum(1 for _ in iter(lambda: fh.readlines(block_chars), []))
+            return sum(1 for _ in iter(lambda: fh.read(block_chars) + fh.readline(), ""))
 
     @pytest.mark.parametrize("block_chars", [1, 2_000, 1 << 20])
     def test_plain_file_is_read_once_per_block(self, tmp_path, block_chars):
@@ -626,6 +644,16 @@ class TestPlainBlockCounts:
         assert first_row <= 102 < first_row + len(block_lines)
         assert [len(s) for s in series.values()] == [200, 200, 200]
 
+    @pytest.mark.parametrize("suffix, parsed", [("Z", 0), ("", 0), ("+00:00", 0), ("-05:30", 0),
+                                                (".000Z", 200)])
+    def test_only_a_stamp_of_another_shape_is_parsed_alone(self, tmp_path, suffix, parsed):
+        f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
+        f.write_text(f.read_text().replace("Z,", suffix + ","))
+        with mock.patch.object(riskmodel, "_parse_timestamp", wraps=riskmodel._parse_timestamp) as parse:
+            series, _, per_cell = self.counted_ingest(f, 1 << 20)
+        assert (parse.call_count, per_cell.call_count) == (parsed, 0)
+        assert [len(s) for s in series.values()] == [200, 200, 200]
+
 
 class TestLogReturns:
     def test_definition(self):
@@ -649,6 +677,11 @@ class TestLogReturns:
         # NaN and inf used to construct and give NaN returns
         with pytest.raises(DataError, match="X: prices must be finite and > 0"):
             PriceSeries("X", np.arange(4) * 300, [1.0, bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("times", [[0, 300, 300], [0, 600, 300]])
+    def test_series_rejects_times_that_do_not_strictly_increase(self, times):
+        with pytest.raises(DataError, match="^X: timestamps must be strictly increasing$"):
+            PriceSeries("X", times, [1.0, 2.0, 3.0])
 
     def test_too_short(self):
         s = PriceSeries("X", [0], [1.0])
