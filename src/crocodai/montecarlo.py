@@ -56,7 +56,7 @@ from .riskmodel import COLOUR_BLOCK, STUDENT_T, PriceSeries, ReturnModel, common
 
 CHUNK_RUNS = 1024  # substream granularity, independent of the job count
 MAX_JOBS = 64  # the largest job count: the most worker threads one sweep starts
-REPLAY_BLOCK = 256  # replay windows weighed together: ~3.5 MB at 6 assets, horizon 288
+REPLAY_BYTES = 512 << 10  # replay windows weighed together, in bytes: 37 at 6 assets, horizon 288
 
 
 @dataclass(frozen=True)
@@ -267,10 +267,12 @@ def historical_replay(
     assets, and the slack covers the rounding of the threshold product. Such
     a window enters the estimate builder with its bound. Only the others,
     about a fifth of the windows of the seed-0 benchmark prices, are weighed
-    exactly: REPLAY_BLOCK of them are gathered at a time, and each is
-    computed as `weights @ (seg / seg[:, :1])` like a lone window. So every
-    count equals the full evaluation's by construction, and there is still
-    one value per window start."""
+    exactly: as many as fill REPLAY_BYTES (at least one) are gathered at a
+    time, so a gather fits a core's L2 cache at any asset count or horizon,
+    and each is computed as `weights @ (seg / seg[:, :1])` like a lone
+    window. So every count equals the full evaluation's by construction,
+    whatever the gather size, and there is still one value per window
+    start."""
     for g in gamma_primes:
         if not (g >= theta > 1.0):
             raise DataError(f"need gamma' >= theta > 1, got {g}, {theta}")
@@ -280,6 +282,7 @@ def historical_replay(
     weights = portfolio.weights
     margin = 1e-12 * max(1.0, len(weights) / 4000)
     cut = max((theta / g for g in gamma_primes), default=-math.inf) * (1.0 + margin)
+    block = max(1, REPLAY_BYTES // (8 * len(weights) * (horizon + 1)))  # windows a gather
     mins = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < horizon + 1:
@@ -294,8 +297,8 @@ def historical_replay(
         candidates = np.flatnonzero(values <= cut)
         # (start, asset, slot) view of every window starting in [a, b - horizon)
         view = sliding_window_view(seg, horizon + 1, axis=1).transpose(1, 0, 2)
-        for lo in range(0, len(candidates), REPLAY_BLOCK):
-            picks = candidates[lo : lo + REPLAY_BLOCK]
+        for lo in range(0, len(candidates), block):
+            picks = candidates[lo : lo + block]
             # a C-ordered gather, so matmul takes each window's (asset, slot)
             # matrix in the same layout, and sums in the same order, as a
             # lone window

@@ -7,14 +7,15 @@ amount, "fixed-target" reports one constant value regardless of the base
 price, "silent" reports nothing.
 
 The tail experiment never builds the (trials, feeds) report array: it draws
-the honest reports MAX_CHUNK_REPORTS (600,000, 4.8 MB) or fewer at a time,
-in chunks of whole trials, which give the values of one draw. Batcher's
-merge-exchange network (Knuth, TAOCP vol. 3, section 5.2.2, Algorithm M)
-sorts the h honest columns with one `np.minimum` and one `np.maximum` per
-comparator, O(h log^2 h) column operations, and the corrupt reports, all one
-constant, merge in closed form. Min and max never round, so each median is
-bit-identical to numpy's `median` of the full row. On 20,000 trials
-(2 vCPU) the network takes 0.12x numpy's time at h = 7, 0.7x at h = 60,
+the honest reports CHUNK_BYTES (512 KiB) or fewer at a time, in chunks of
+whole trials (at least one), which give the values of one draw. A chunk
+and the sorting network's temporaries thus fit a core's L2 cache at any
+feed count. Batcher's merge-exchange network (Knuth, TAOCP vol. 3, section
+5.2.2, Algorithm M) sorts the h honest columns with one `np.minimum` and one
+`np.maximum` per comparator, O(h log^2 h) column operations, and the corrupt
+reports, all one constant, merge in closed form. Min and max never round, so
+each median is bit-identical to numpy's `median` of the full row. On 20,000
+trials (2 vCPU) the network takes 0.12x numpy's time at h = 7, 0.7x at h = 60,
 0.9x at h = 100 and 1.3x at h = 200; the repository's callers use h <= 7.
 """
 
@@ -33,7 +34,7 @@ CONSTANT_OFFSET = "constant-offset"
 FIXED_TARGET = "fixed-target"
 SILENT = "silent"
 MAX_FEEDS = 64  # the tail experiment's largest feed count
-MAX_CHUNK_REPORTS = 600_000  # honest reports drawn at once in the tail experiment: 4.8 MB
+CHUNK_BYTES = 512 << 10  # honest reports drawn at once in the tail experiment, in bytes
 
 
 def _finite(name: str, value: float) -> None:
@@ -208,7 +209,7 @@ def tail_probability_experiment(
     honest = n_feeds - n_corrupt
 
     exceed = 0
-    chunk = max(1, MAX_CHUNK_REPORTS // honest)
+    chunk = max(1, CHUNK_BYTES // (8 * honest))
     done = 0
     while done < trials:
         n = min(chunk, trials - done)

@@ -33,16 +33,17 @@ is plain as a whole (ASCII, with no quote, whitespace, NUL or blank line, and
 no line longer than a cell may be) is read by one call of numpy's C text
 reader, ``np.loadtxt``, which converts a number as ``float`` does and takes a
 timestamp as bytes; empty price cells cost one more call. The rules are
-checked on what it read: stamps ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z``
-or ``+HH:MM``/``-HH:MM`` go through one call of numpy's ``datetime64``
-parser, any other stamp through ``fromisoformat``. Any other block, or one
-that the reader or a rule refuses, is read by `_read_block`, which defines
-the errors: it splits each line through the csv module, reads its timestamp
-with ``fromisoformat`` and each price with ``float``, and raises at the first
-bad cell in reading order. Each block carries its prices transposed, so the
-series of one file share read-only arrays: every symbol with no missing cell
-has the one timestamp array, and its prices are a row of one (symbols x rows)
-matrix. A symbol with a missing cell gets its own copies of both.
+checked on what it read: stamps ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z``,
+``.000``, ``.000Z`` or ``+HH:MM``/``-HH:MM`` go through one call of numpy's
+``datetime64`` parser, any other stamp through ``fromisoformat``. Any other
+block, or one that the reader or a rule refuses, is read by `_read_block`,
+which defines the errors: it splits each line through the csv module, reads
+its timestamp with ``fromisoformat`` and each price with ``float``, and
+raises at the first bad cell in reading order. Each block carries its prices
+transposed, so the series of one file share read-only arrays: every symbol
+with no missing cell has the one timestamp array, and its prices are a row of
+one (symbols x rows) matrix. A symbol with a missing cell gets its own copies
+of both.
 
 A model file (a `ReturnModel.to_json` document, or the CLI's `fit` output,
 which wraps one as ``{"model": ...}``) holds ``assets``, ``mu``, ``cov``,
@@ -160,9 +161,10 @@ def _stamp_seconds(codes: np.ndarray, lines: list[str]) -> np.ndarray | None:
     """Epoch seconds of the timestamps of `lines`, or None at the first stamp
     that is malformed. Row i of `codes` is the bytes of line i's record from
     numpy's text reader, first its stamp in a 26-byte field that drops
-    trailing NULs. A stamp ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z`` or
-    ``+HH:MM``/``-HH:MM`` is read in bulk, its body by numpy's ``datetime64``
-    parser, which refuses (None) what ``fromisoformat`` refuses save year 0.
+    trailing NULs. A stamp ``YYYY-MM-DDTHH:MM:SS`` with no suffix, ``Z``,
+    ``.000``, ``.000Z`` or ``+HH:MM``/``-HH:MM`` is read in bulk, its body
+    by numpy's ``datetime64`` parser, which refuses (None) what
+    ``fromisoformat`` refuses save year 0.
     Any other stamp, one that fills the field and may have been cut among
     them, goes through `_parse_timestamp`, the definition, with its line's text."""
     sign = codes[:, 19]
@@ -174,8 +176,11 @@ def _stamp_seconds(codes: np.ndarray, lines: list[str]) -> np.ndarray | None:
     with_offset[signed] = ((offset[:, 3] == ord(":")) & (offset[:, 6] == 0) & (digits <= 9).all(axis=1)
                            & (hours <= 23) & (minutes <= 59))
     broken = ((codes[:, :24] - _BODY) > _BODY_SPAN).view(np.uint64)  # 8 bytes a word
-    canonical = (((broken[:, 0] | broken[:, 1] | broken[:, 2]) == 0)
-                 & ((sign == 0) | ((sign == ord("Z")) & (codes[:, 20] == 0)) | with_offset))
+    bulk_suffix = (sign == 0) | ((sign == ord("Z")) & (codes[:, 20] == 0)) | with_offset
+    dotted = np.flatnonzero(sign == ord("."))
+    fraction = codes[dotted, 19:25].view("S6").ravel()  # trailing NULs dropped
+    bulk_suffix[dotted] = (fraction == b".000") | (fraction == b".000Z")
+    canonical = ((broken[:, 0] | broken[:, 1] | broken[:, 2]) == 0) & bulk_suffix
     seconds = np.zeros(len(codes), dtype=np.int64)
     try:
         seconds[canonical] = codes[canonical, :19].view("S19").ravel().astype("datetime64[s]")

@@ -30,6 +30,7 @@ risk engine, and only a command that fits loads scipy.
 """
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -52,7 +53,6 @@ ALLOWED_FIELDS = {
     "PriceFeed.oracle_id": "perfbench and scenarios construct PriceFeed(i, ...) positionally",
     "FailureEstimate.ci_half_width": "written out by dataclasses.asdict in as_json",
     "AuditReport.unmatched_burns": "a monitor finding that sets ok",
-    "PriceSeries.times_checked": "an InitVar: __post_init__ reads it as a parameter, never as an attribute",
 }
 
 PROTOCOL_MODULES = ("ledger", "stablecoin", "relay", "oracle", "scenarios")
@@ -84,14 +84,24 @@ def _public_names(tree):
                     yield item.name, item.lineno
 
 
+def _pseudo_field(annotation) -> bool:
+    """Whether an annotation is InitVar or ClassVar, subscripted or bare,
+    dotted or not: `dataclasses.fields()` leaves such a name out."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    name = annotation.attr if isinstance(annotation, ast.Attribute) else getattr(annotation, "id", None)
+    return name in ("InitVar", "ClassVar")
+
+
 def _dataclass_fields(tree):
-    """(Class.field, line) of each annotated field of each @dataclass class."""
+    """(Class.field, line) of each field of each @dataclass class."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
                 getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
                 for d in node.decorator_list):
             for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not _pseudo_field(item.annotation)):
                     yield f"{node.name}.{item.target.id}", item.lineno
 
 
@@ -142,6 +152,27 @@ def test_every_dataclass_field_is_read_by_the_program():
                 unread.append(f"{path.name}:{lineno} {name}")
     assert not unread, f"dataclass fields nothing reads: {unread}"
     assert set(ALLOWED_FIELDS) <= declared, "an allowed field is gone: drop it from ALLOWED_FIELDS"
+
+
+def test_dataclass_fields_are_the_ones_dataclasses_lists():
+    source = """
+import dataclasses, typing
+from dataclasses import InitVar, dataclass
+from typing import ClassVar
+
+@dataclass
+class D:
+    a: int
+    b: InitVar[int] = 0
+    c: ClassVar[int] = 1
+    d: dataclasses.InitVar[str] = ""
+    e: typing.ClassVar = 2
+    f: list[int] = dataclasses.field(default_factory=list)
+"""
+    namespace = {"__name__": __name__}
+    exec(compile(source, "<dataclass>", "exec"), namespace)
+    listed = {f"D.{f.name}" for f in dataclasses.fields(namespace["D"])}
+    assert {name for name, _ in _dataclass_fields(ast.parse(source))} == listed == {"D.a", "D.f"}
 
 
 def _applier():

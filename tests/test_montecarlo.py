@@ -2,6 +2,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,6 +288,23 @@ class TestBlockedReplay:
         # the 699-slot first period (C misses one) holds more than one block of starts
         assert result.runs == (699 - horizon) + max(400 - horizon, 0)
 
+    @pytest.mark.parametrize("horizon", [1, 24, 300])
+    def test_gather_size_never_changes_the_result(self, horizon):
+        series = two_period_series()
+        p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
+        gammas = (1.1, 1.15, 1.2, 1.3, 1.5)
+        # one window's bytes, fewer than one window's (still one a gather),
+        # and more than every candidate of a period
+        results, gathers = [], []
+        for budget in (8 * 3 * (horizon + 1), 1, 10**12):
+            with (mock.patch.object(montecarlo, "REPLAY_BYTES", budget),
+                  mock.patch.object(np, "ascontiguousarray", wraps=np.ascontiguousarray) as gather):
+                results.append(historical_replay(p, series, gammas, 1.1, horizon).as_json())
+            gathers.append(gather.call_count)
+        assert results[0] == results[1] == results[2]
+        assert gathers[0] == gathers[1] > gathers[2] == 2  # one gather a period
+        assert any(0 < cell["failures"] < cell["runs"] for cell in results[0]["cells"].values())
+
     def test_gamma_prime_equal_theta_depends_on_the_weight_sum(self):
         series = two_period_series()
         p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
@@ -317,6 +335,33 @@ def random_panel(seed, assets, periods):
     times = (slots + np.repeat(np.cumsum([0, *periods[:-1]]), periods)) * 300
     return {name: PriceSeries(name, times, 30.0 * np.exp(np.cumsum(rng.normal(0, 0.02, len(times)))))
             for name in assets}
+
+
+class TestReplayMemory:
+    """Replay's working set, counted by tracemalloc, never timed: the panel,
+    its O(T*m) window minima, values and candidate index, and one gather of
+    REPLAY_BYTES with its weighted sums, at any horizon."""
+
+    def test_peak_is_the_panel_its_bounds_and_one_gather(self):
+        slots, horizon, dip = 20_000, 5_000, 300
+        times = np.arange(slots) * 300
+        prices = np.full(slots, 100.0)
+        prices[slots - dip] = 50.0  # the last `dip` windows hold it, and only they can fail
+        series = {name: PriceSeries(name, times, prices if name == "A" else np.full(slots, 100.0))
+                  for name in "ABC"}
+        p = Portfolio("p", ("A", "B", "C"), np.full(3, 1 / 3))
+        historical_replay(p, series, [1.2], 1.1, horizon)  # first call, so no lazy import is counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = historical_replay(p, series, [1.2], 1.1, horizon)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.estimates[(1.2, "p")].failures == dip  # every candidate was weighed
+        panel = 3 * slots * 8
+        gather = montecarlo.REPLAY_BYTES * (1 + 1 / 3)
+        assert peak <= 3 * panel + gather, (peak - 3 * panel) / gather
 
 
 class TestPrunedReplay:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ class TestVaultPriceUpdates:
         assert system.prices[system.eth] == 1
 
 
+class RecordingRng:
+    """A seeded generator that records the size of each normal draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.rng.normal(loc, scale, size)
+
+
 class TestTailExperiment:
     def test_corrupt_majority_refused(self):
         with pytest.raises(QuorumError):
@@ -141,24 +153,29 @@ class TestTailExperiment:
 
     @pytest.mark.parametrize("n_corrupt, c", [(0, 0.1), (20, 0.05)])
     def test_chunks_are_bounded_and_give_one_draw(self, n_corrupt, c):
-        class Recorder:  # the generator, with the size of each draw recorded
-            def __init__(self):
-                self.rng, self.sizes = np.random.default_rng(5), []
-
-            def normal(self, loc, scale, size):
-                self.sizes.append(size)
-                return self.rng.normal(loc, scale, size)
-
         trials, honest = 20_000, 64 - n_corrupt
-        rng = Recorder()
+        rng = RecordingRng(5)
         est = tail_probability_experiment(64, n_corrupt, 1.0, c, trials, rng)
         assert len(rng.sizes) > 1
-        assert max(math.prod(size) for size in rng.sizes) <= oracle.MAX_CHUNK_REPORTS
+        assert max(8 * math.prod(size) for size in rng.sizes) <= oracle.CHUNK_BYTES
         base = 1000.0 + c
         reports = np.random.default_rng(5).normal(base, 1.0, size=(trials, honest))
         rows = np.hstack([reports, np.full((trials, n_corrupt), base + c)])
         expected = int(np.count_nonzero(np.abs(np.median(rows, axis=1) - base) > c))
         assert est.exceedances == expected > 0
+
+    @pytest.mark.parametrize("n_feeds, n_corrupt, c", [(5, 2, 0.5), (64, 20, 0.01)])
+    def test_chunk_size_never_changes_the_exceedances(self, n_feeds, n_corrupt, c):
+        # chunks of 1 trial, 7 trials and all of them: the chunks concatenate
+        # to one draw, and min/max never round
+        trials, honest = 10**4, n_feeds - n_corrupt
+        counts = []
+        for per_chunk in (1, 7, trials):
+            rng = RecordingRng(9)
+            with mock.patch.object(oracle, "CHUNK_BYTES", 8 * honest * per_chunk):
+                counts.append(tail_probability_experiment(n_feeds, n_corrupt, 1.0, c, trials, rng).exceedances)
+            assert len(rng.sizes) == -(-trials // per_chunk)
+        assert counts[0] == counts[1] == counts[2] > 0
 
     def test_deep_tail_is_rare(self):
         est = tail_probability_experiment(5, 2, 1.0, 5.0, 10**6, np.random.default_rng(1))

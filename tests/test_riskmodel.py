@@ -577,6 +577,9 @@ class TestIngestMatchesRowParser:
         # a canonical body and one stray byte, or a body cut short
         "2023-01-01T00:00:00x", "2023-01-01T00:00:00+", "2023-01-01T00:00:00\x7f",
         "2023-01-01T00:00Z", "2023-01-01T00:00-05", "2023-01-01T00:00:0Z",
+        # a zero millisecond fraction, read in bulk, and fractions of another shape
+        "2023-01-01T00:00:00.000Z", "2023-01-01T00:00:00.000", "1969-12-31T23:59:59.000Z",
+        "2023-01-01T00:00:00.001Z", "2023-01-01T00:00:00.00Z", "2023-01-01T00:00:00.0000Z",
     ])
     def test_same_stamp_or_same_error(self, tmp_path, stamp):
         path = tmp_path / "p.csv"
@@ -645,7 +648,7 @@ class TestPlainBlockCounts:
         assert [len(s) for s in series.values()] == [200, 200, 200]
 
     @pytest.mark.parametrize("suffix, parsed", [("Z", 0), ("", 0), ("+00:00", 0), ("-05:30", 0),
-                                                (".000Z", 200)])
+                                                (".000Z", 0), (".000", 0), (".500Z", 200)])
     def test_only_a_stamp_of_another_shape_is_parsed_alone(self, tmp_path, suffix, parsed):
         f = write_price_csv(tmp_path / "p.csv", ["BTC", "ETH", "SOL"], slots=200)
         f.write_text(f.read_text().replace("Z,", suffix + ","))
