@@ -10,8 +10,8 @@ Runs are pure functions of (config, seed, run index): draws come from
 fixed-size counter-derived substreams, and a parallel sweep runs threads in
 one process over the same substreams, so it is bit-identical to a serial one.
 Every chunk is drawn by `riskmodel.sample_returns`, the one sampler the
-acceptance suite validates. Portfolios that share a seed (all of them under
-common random numbers) share each chunk's draws, colouring and price paths.
+acceptance suite validates. A sweep's portfolios all draw from its one seed
+(common random numbers), sharing each chunk's draws, colouring and price paths.
 Monte Carlo runs and historical replay windows alike are reduced to one
 relative value each, which one estimate builder thresholds at theta/gamma'
 for every gamma'. For a run, and for a replay window that can fail, it is the
@@ -23,7 +23,7 @@ A chunk of n runs over the horizon works in one (assets, horizon, n)
 buffer, its only large array, in six stages:
 
 1. draw: `sample_returns` draws the innovations into the buffer, for the
-   rows up to the group's last used one;
+   rows up to the last one a portfolio uses;
 2. colour: it colours them in place by the Cholesky factor, in einsum's
    sum order;
 3. cumsum: each slot adds the one before it, in place, as `np.cumsum` does,
@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
-from operator import call
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -157,20 +155,27 @@ def confidence_interval(failures: int, runs: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / runs)
 
 
-def _chunk_min_relvalue(model, members, horizon, n, distribution, seed, chunk_index, zero_drift) -> np.ndarray:
-    """Run-wise minimum relative value of every portfolio in a group that
-    shares one seed: one chunk of returns is drawn by `sample_returns` once,
-    and each asset row the group uses is accumulated and exponentiated once.
+def _refuse_repeats(values: Sequence, what: str) -> None:
+    """Cells are keyed by (gamma', portfolio name): a repeat would key two."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise DataError(f"{what} must be unique, repeated: {repeated}")
+
+
+def _chunk_min_relvalue(model, baskets, horizon, n, distribution, seed, chunk_index, zero_drift) -> np.ndarray:
+    """Run-wise minimum relative value of every (weights, rows) basket over
+    one chunk of runs, whose returns `sample_returns` draws once; each asset
+    row a basket uses is accumulated and exponentiated once.
 
     The path sums are sequential, slot t adding slot t-1 in place, as
     `np.cumsum(axis=1)` sums. Each portfolio's value path is w[0]*r[0], plus
     w[i]*r[i] for ascending i, each product rounded before it is added: the
     sum order of `np.einsum("i,itn->tn", w, r)` whenever horizon*n > 1."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    rows = np.unique(np.concatenate([idx for _, idx in members]))
+    rows = np.unique(np.concatenate([idx for _, idx in baskets]))
     # each asset's horizon*n draws fill its (horizon, n) block in C order: the
-    # same stream and layout as an (m, horizon, n) draw; rows past the group's
-    # last are never drawn
+    # same stream and layout as an (m, horizon, n) draw; rows past the last
+    # one used are never drawn
     returns = sample_returns(model, horizon * n, distribution, rng, zero_drift, rows[-1] + 1)
     returns = returns.reshape(-1, horizon, n)
     for run in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):  # consecutive rows, in place
@@ -179,9 +184,9 @@ def _chunk_min_relvalue(model, members, horizon, n, distribution, seed, chunk_in
             np.add(rel[:, t - 1], rel[:, t], out=rel[:, t])
         np.exp(rel, out=rel)  # per-asset price ratio paths
     step = min(horizon, max(1, COLOUR_BLOCK // n))  # slots weighed together
-    mins = np.full((len(members), n), np.inf)
+    mins = np.full((len(baskets), n), np.inf)
     acc, term = np.empty((step, n)), np.empty((step, n))
-    for out, (weights, idx) in zip(mins, members):
+    for out, (weights, idx) in zip(mins, baskets):
         for lo in range(0, horizon, step):
             a, t = acc[: horizon - lo], term[: horizon - lo]
             np.multiply(weights[0], returns[idx[0], lo : lo + step], out=a)
@@ -194,7 +199,7 @@ def _chunk_min_relvalue(model, members, horizon, n, distribution, seed, chunk_in
 
 def _min_relative_values(
     portfolios: Sequence[Portfolio],
-    seeds: Sequence[int],
+    seed: int,
     model: ReturnModel,
     horizon: int,
     runs: int,
@@ -203,27 +208,24 @@ def _min_relative_values(
     jobs: int = 1,
 ) -> np.ndarray:
     """Minimum relative portfolio value over slots 1..horizon, one row per
-    portfolio and one column per run. Each task, one chunk of runs for the
-    portfolios of one seed, draws from its own generator, only reads `model`
-    and writes only its own cells, so tasks may run on threads at once."""
-    groups: dict[int, list[int]] = {}
-    for p_i, seed in enumerate(seeds):
-        groups.setdefault(seed, []).append(p_i)
+    portfolio and one column per run. Each task, one chunk of runs for every
+    portfolio, draws from its own generator, only reads `model` and writes
+    only its own columns, so tasks may run on threads at once."""
     baskets = [(p.weights, model.index_of(p.assets)) for p in portfolios]
     mins = np.empty((len(portfolios), runs))
 
-    def fill(members, seed, chunk_index, start):
+    def fill(chunk_index):
+        start = chunk_index * CHUNK_RUNS
         n = min(CHUNK_RUNS, runs - start)
-        mins[members, start : start + n] = _chunk_min_relvalue(
-            model, [baskets[i] for i in members], horizon, n, distribution, seed, chunk_index, zero_drift)
+        mins[:, start : start + n] = _chunk_min_relvalue(
+            model, baskets, horizon, n, distribution, seed, chunk_index, zero_drift)
 
-    tasks = [partial(fill, members, seed, chunk_index, start) for seed, members in groups.items()
-             for chunk_index, start in enumerate(range(0, runs, CHUNK_RUNS))]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            list(pool.map(call, tasks))
+    chunks = range((runs + CHUNK_RUNS - 1) // CHUNK_RUNS if baskets else 0)  # no portfolio, no draw
+    if jobs > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            list(pool.map(fill, chunks))
     else:  # in the calling thread, whose CPU time a caller may be timing
-        list(map(call, tasks))
+        list(map(fill, chunks))
     return mins
 
 
@@ -278,6 +280,7 @@ def historical_replay(
             raise DataError(f"need gamma' >= theta > 1, got {g}, {theta}")
     if horizon < 1:
         raise DataError("horizon must be >= 1")
+    _refuse_repeats(gamma_primes, "gamma' values")
     panel, cuts = common_timeline(series_map, portfolio.assets)
     weights = portfolio.weights
     margin = 1e-12 * max(1.0, len(weights) / 4000)
@@ -309,14 +312,12 @@ def historical_replay(
         mins.append(values)
     if not mins:
         raise DataError("insufficient data: no window of the requested horizon")
-    return _estimates(
-        np.concatenate(mins)[None, :], gamma_primes, theta, horizon, "historical",
-        [portfolio.name], [0],
-    )
+    return _estimates(np.concatenate(mins)[None, :], gamma_primes, theta, horizon, "historical",
+                      [portfolio.name], 0)
 
 
 # ----------------------------------------------------------------------
-# batch sweeps (shared random numbers across the whole table)
+# batch sweeps (common random numbers across the whole table)
 
 
 @dataclass(frozen=True)
@@ -350,7 +351,7 @@ def _estimates(
     horizon: int,
     method: str,
     names: Sequence[str],
-    seeds: Sequence[int],
+    seed: int,
 ) -> SweepResult:
     """One estimate per (gamma', portfolio) from a portfolios x runs array of
     minimum relative values: a run fails when its minimum is at or below
@@ -358,7 +359,7 @@ def _estimates(
     are non-increasing in gamma' by construction."""
     runs = mins.shape[1]
     estimates: dict[tuple[float, str], FailureEstimate] = {}
-    for row, name, seed in zip(mins, names, seeds):
+    for row, name in zip(mins, names):
         for g in gamma_primes:
             failures = int(np.count_nonzero(row <= theta / g))
             estimates[(g, name)] = FailureEstimate(
@@ -384,19 +385,18 @@ def table_sweep(
     runs: int,
     distribution: str = STUDENT_T,
     seed: int = 0,
-    common_random_numbers: bool = True,
+    common_random_numbers: bool = True,  # the only mode; kept for perfbench/risk.py's call
     zero_drift: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
     """Cartesian product of portfolios and gamma' levels under one model.
 
     Every portfolio's run-wise minimum is computed once and thresholded per
-    gamma' by the estimate builder replay also uses. With common random
-    numbers all portfolios share one seed, so each chunk of runs is drawn,
-    coloured and exponentiated once for the whole table and only the
-    weighting is per portfolio; the failure probability is exactly
-    non-increasing down the gamma' rows. Without them portfolio i draws
-    from seed + 7919*(i+1).
+    gamma' by the estimate builder replay also uses. All portfolios draw
+    from `seed` (common random numbers, the only mode), so each chunk of
+    runs is drawn, coloured and exponentiated once for the whole table and
+    only the weighting is per portfolio; the failure probability is exactly
+    non-increasing down the gamma' rows.
     """
     for g in gamma_primes:
         if not (g > theta > 1.0):
@@ -407,12 +407,10 @@ def table_sweep(
         raise DataError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     if seed < 0:  # numpy's seed sequences take non-negative entropy only
         raise DataError(f"seed must be >= 0, got {seed}")
+    if not common_random_numbers:
+        raise DataError("common_random_numbers must be True: every portfolio draws from the one seed")
+    _refuse_repeats(gamma_primes, "gamma' values")
     names = [p.name for p in portfolios]
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        raise DataError(f"portfolio names must be unique, repeated: {duplicates}")
-    seeds = [
-        seed if common_random_numbers else seed + 7919 * (p_i + 1) for p_i in range(len(portfolios))
-    ]
-    mins = _min_relative_values(portfolios, seeds, model, horizon, runs, distribution, zero_drift, jobs)
-    return _estimates(mins, gamma_primes, theta, horizon, distribution, names, seeds)
+    _refuse_repeats(names, "portfolio names")
+    mins = _min_relative_values(portfolios, seed, model, horizon, runs, distribution, zero_drift, jobs)
+    return _estimates(mins, gamma_primes, theta, horizon, distribution, names, seed)

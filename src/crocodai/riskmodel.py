@@ -374,7 +374,8 @@ class ReturnModel:
     """Per-slot drift, covariance of log returns, per-asset Student-t degrees
     of freedom, and the Cholesky factor of the covariance, which is derived
     from `cov` at construction and never given, so the sampler and the
-    optimizer read one covariance."""
+    optimizer read one covariance. A fitted and a loaded model alike must
+    name each asset once, so every name has one row."""
 
     assets: list[str]
     mu: np.ndarray  # per-slot drift
@@ -384,6 +385,11 @@ class ReturnModel:
     chol: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        seen = set()
+        for a in self.assets:
+            if a in seen:
+                raise ModelError(f"'assets' must name each asset once, got {a!r} twice")
+            seen.add(a)
         self.chol = cholesky(self.cov)
 
     def index_of(self, symbols: Iterable[str]) -> np.ndarray:
@@ -414,8 +420,6 @@ class ReturnModel:
         if not isinstance(assets, list) or not all(isinstance(a, str) for a in assets):
             raise ModelError("field 'assets' must be a list of asset names")
         m = len(assets)
-        if len(set(assets)) != m:
-            raise ModelError("field 'assets' must name each asset once")
         fields = {}
         for name, shape in (("mu", (m,)), ("cov", (m, m)), ("nu", (m,))):
             value = np.asarray(doc[name], dtype=float)

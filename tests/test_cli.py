@@ -156,6 +156,15 @@ class TestFitSimulateReplay:
         assert capsys.readouterr().err == "error: need at least 2 return observations, got 1\n"
         assert not out.exists()
 
+    def test_fit_of_a_repeated_symbol_is_usage_error(self, prices, tmp_path, capsys):
+        # fit wrote "assets": ["BTC", "BTC"], a model every reader refused
+        out = tmp_path / "model.json"
+        assert main(["fit", "--prices", str(prices), "--symbols", "BTC,ETH,BTC",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'assets' must name each asset once, got 'BTC' twice\n")
+        assert not out.exists()
+
     def test_fit_output_loads_back_into_simulate(self, prices, tmp_path):
         model_path = tmp_path / "model.json"
         main(["fit", "--prices", str(prices), "--out", str(model_path)])
@@ -648,6 +657,28 @@ class TestCommaListFlags:
         assert main(argv + (["--n", "100"] if command == "simulate" else [])) == 2
         assert "--gamma-prime" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, gammas, repeated", [
+        ("simulate", "1.2,1.2", "[1.2]"), ("replay", "1.3,1.2,1.3", "[1.3]"),
+    ])
+    def test_repeated_gamma_prime_refused_before_any_work(self, prices, tmp_path, monkeypatch,
+                                                          capsys, command, gammas, repeated):
+        # simulate wrote one JSON cell but two CSV rows, and replay one
+        # result per value while its config recorded the repeats
+        def no_work(*_, **__):
+            raise AssertionError("ran with a repeated gamma'")
+
+        for name in ("_min_relative_values", "common_timeline"):
+            monkeypatch.setattr(montecarlo, name, no_work)
+        weights, out, csv_out = tmp_path / "w.json", tmp_path / "out.json", tmp_path / "out.csv"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        argv = [command, "--prices", str(prices), "--portfolio", str(weights),
+                "--gamma-prime", gammas, "--horizon", "4", "--out", str(out)]
+        if command == "simulate":
+            argv += ["--n", "100", "--csv", str(csv_out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: gamma' values must be unique, repeated: {repeated}\n"
+        assert not out.exists() and not csv_out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "oracle-tail"])
     def test_negative_seed_refused_before_any_work(self, prices, monkeypatch, capsys, command):

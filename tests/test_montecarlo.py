@@ -449,7 +449,7 @@ class TestPrunedReplay:
 
 
 class TestTableSweep:
-    def sweep(self, runs=20_000, crn=True):
+    def sweep(self, runs=20_000):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3)) * 0.02
         model = toy_model(a @ a.T, nu=4.0)
@@ -458,8 +458,7 @@ class TestTableSweep:
             Portfolio("solo", ("A0",), np.array([1.0])),
         ]
         return table_sweep(
-            ps, [1.2, 1.3, 1.4, 1.5], model, 1.1, horizon=48, runs=runs,
-            seed=5, common_random_numbers=crn,
+            ps, [1.2, 1.3, 1.4, 1.5], model, 1.1, horizon=48, runs=runs, seed=5,
         )
 
     def test_single_cell(self):
@@ -506,10 +505,8 @@ class TestTableSweep:
         # SeedSequence(-1) raised numpy's ValueError, which callers do not map to exit 2
         model = toy_model(np.eye(1) * 1e-4)
         p = Portfolio("solo", ("A0",), np.array([1.0]))
-        for crn in (True, False):
-            with pytest.raises(DataError, match="seed must be >= 0, got -1"):
-                table_sweep([p], [1.2], model, 1.1, horizon=5, runs=100, seed=-1,
-                            common_random_numbers=crn)
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            table_sweep([p], [1.2], model, 1.1, horizon=5, runs=100, seed=-1)
 
     def test_duplicate_names_rejected(self):
         # cells are keyed by name: a second "x" would overwrite the first's
@@ -518,10 +515,15 @@ class TestTableSweep:
         with pytest.raises(DataError, match="unique"):
             table_sweep(ps, [1.2], model, 1.1, horizon=5, runs=100)
 
+    def test_no_portfolio_is_an_empty_table(self):
+        model = toy_model(np.eye(1) * 1e-4)
+        res = table_sweep([], [1.2, 1.3], model, 1.1, horizon=5, runs=2 * CHUNK_RUNS + 1)
+        assert res.as_json() == {"gamma_primes": [1.2, 1.3], "portfolios": [], "cells": {}}
+
 
 class TestSharedDraws:
-    """Portfolios that share a seed share each chunk's draws; the result must
-    be the one each portfolio gets when swept on its own."""
+    """A sweep's portfolios share each chunk's draws; the result must be the
+    one each portfolio gets when swept on its own."""
 
     GAMMAS = [1.05, 1.1, 1.2]
 
@@ -553,24 +555,18 @@ class TestSharedDraws:
             for g in self.GAMMAS:
                 assert table.estimates[(g, p.name)] == alone.estimates[(g, p.name)]
 
-    def test_independent_seeds_without_crn(self):
-        ps = self.portfolios()
-        table = self.sweep(ps, common_random_numbers=False)
-        for p_i, p in enumerate(ps):
-            seed = 8 + 7919 * (p_i + 1)
-            alone = table_sweep([p], self.GAMMAS, self.model(), 1.02, horizon=24, runs=2500,
-                                seed=seed)
-            for g in self.GAMMAS:
-                assert table.estimates[(g, p.name)].seed == seed
-                assert table.estimates[(g, p.name)] == alone.estimates[(g, p.name)]
+    def test_independent_streams_refused(self):
+        # every portfolio draws from the one seed; a caller who asked for
+        # streams of their own is refused, never given the shared one
+        with pytest.raises(DataError, match="common_random_numbers must be True"):
+            self.sweep(self.portfolios(), common_random_numbers=False)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    @pytest.mark.parametrize("crn", [True, False])
-    def test_parallel_equals_serial(self, crn, jobs):
-        # without CRN there are three seed groups, each with a partial chunk
+    def test_parallel_equals_serial(self, jobs):
+        # three chunks, the last a partial one
         ps = self.portfolios()[:3]
-        serial = self.sweep(ps, common_random_numbers=crn, jobs=1)
-        parallel = self.sweep(ps, common_random_numbers=crn, jobs=jobs)
+        serial = self.sweep(ps, jobs=1)
+        parallel = self.sweep(ps, jobs=jobs)
         assert serial.as_json() == parallel.as_json()
 
     def test_threads_lose_no_chunk(self):
@@ -578,8 +574,7 @@ class TestSharedDraws:
         # the interpreter allows: a lost or misplaced write leaves another
         # task's minima, or np.empty's garbage, in some column
         ps = self.portfolios()
-        seeds = [8 + 7919 * (p_i + 1) for p_i in range(len(ps))]
-        args = (ps, seeds, self.model(), 3, 8 * CHUNK_RUNS + 7, STUDENT_T, False)
+        args = (ps, 8, self.model(), 3, 35 * CHUNK_RUNS + 7, STUDENT_T, False)
         serial = montecarlo._min_relative_values(*args, jobs=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

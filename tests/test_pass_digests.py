@@ -73,11 +73,11 @@ def test_seed0_relay_steps_digest(monkeypatch):
 
 # the seed-0 McTable pass, and two sweeps on its fitted model (8 assets,
 # ADA in row 0, BTC in row 2): C-Mix2 reads rows with gaps under normal
-# draws, and the one-asset portfolios draw from seeds of their own
+# draws, and the two one-asset portfolios read rows 0 and 2 of one t draw
 MC_TABLE_DIGEST = "856de364741014d96638c8d443401eabcbddef10f8fdaa5240ad84a2de6662cb"
 SWEEP_DIGESTS = {
     "C-Mix2-normal": "d5896564640f483afd6cbd0e32ba4d153dd3f91403f17c53b84b883cc2386048",
-    "ADA-BTC-t-independent": "e1b19520776bc75cc52a2b8f826d24b8855de56729f09c9ffeb48afe183b2803",
+    "ADA-BTC-t": "51c61f466880ec88c442f937beae6314075945dc16375472ea0ea22bbf9c98cc",
 }
 
 
@@ -97,12 +97,12 @@ def test_seed0_mc_table_pass_digest(mc_table):
 @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
 def test_seed0_sweep_digest(mc_table, name):
     if name == "C-Mix2-normal":
-        portfolios, distribution, crn = [montecarlo.builtin_portfolio("C-Mix2")], NORMAL, True
+        portfolios, distribution = [montecarlo.builtin_portfolio("C-Mix2")], NORMAL
     else:
         portfolios = [montecarlo.Portfolio.from_weights(a, {a: 1.0}) for a in ("ADA", "BTC")]
-        distribution, crn = STUDENT_T, False
+        distribution = STUDENT_T
     result = montecarlo.table_sweep(
         portfolios, risk.GAMMAS, mc_table.model, risk.THETA, risk.HORIZON, 4096, distribution,
-        seed=0, common_random_numbers=crn)
+        seed=0)
     digest = hashlib.sha256(json.dumps(result.as_json(), sort_keys=True).encode()).hexdigest()
     assert digest == SWEEP_DIGESTS[name]

@@ -807,6 +807,12 @@ class TestEstimateModel:
         with pytest.raises(ModelError, match=f"need at least 2 return observations, got {n}"):
             estimate_model(["X", "Y"], np.full((2, n), 0.01), min_obs=min_obs)
 
+    def test_asset_named_twice_rejected(self):
+        # a built model took the repeat, which only a loaded one refused
+        x = np.random.default_rng(2).normal(size=(3, 300)) * 0.01
+        with pytest.raises(ModelError, match="name each asset once, got 'A' twice"):
+            estimate_model(["A", "B", "A"], x)
+
     def test_row_count_other_than_the_asset_count_rejected(self):
         rng = np.random.default_rng(0)
         for shape in [(1, 200), (3, 200), (200,), (2, 1, 200)]:
