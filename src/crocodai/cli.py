@@ -16,8 +16,7 @@ includes an input file that is missing or not a file, and an output that
 cannot be written (its directory is checked before the work starts).
 
 Each subcommand, or the helper that reads its input, imports the engine it
-runs when it runs: `scenario` and `oracle-tail` load no risk engine, and only
-a command that fits or replays loads scipy.
+runs when it runs: `scenario` and `oracle-tail` load no risk engine.
 """
 
 from __future__ import annotations

@@ -162,6 +162,14 @@ def _refuse_repeats(values: Sequence, what: str) -> None:
         raise DataError(f"{what} must be unique, repeated: {repeated}")
 
 
+def _check_gamma_primes(gamma_primes: Sequence[float], theta: float) -> None:
+    """Sweeps' and replay's one rule: unique gamma' values above theta > 1."""
+    for g in gamma_primes:
+        if not (g > theta > 1.0):
+            raise DataError(f"need gamma' > theta > 1, got {g}, {theta}")
+    _refuse_repeats(gamma_primes, "gamma' values")
+
+
 def _chunk_min_relvalue(model, baskets, horizon, n, distribution, seed, chunk_index, zero_drift) -> np.ndarray:
     """Run-wise minimum relative value of every (weights, rows) basket over
     one chunk of runs, whose returns `sample_returns` draws once; each asset
@@ -234,11 +242,21 @@ def _min_relative_values(
 
 
 def _window_minima(rows: np.ndarray, width: int) -> np.ndarray:
-    """Minimum of every `width`-slot window along the last axis of `rows`
-    (one row, or a block of them), one per start slot: scipy's sliding
-    minimum, its window shifted to start at each slot."""
-    from scipy.ndimage import minimum_filter1d  # here, not at the top: only replay needs scipy
-    return minimum_filter1d(rows, width, axis=-1, origin=-(width // 2))[..., : rows.shape[-1] - width + 1]
+    """Minimum of every `width`-slot window along the last axis of `rows` (one
+    row, or a block of them), one per start slot, in three passes at any width
+    (van Herk 1992; Gil & Werman 1993). In blocks of `width` slots, padded with
+    +inf, window i's minimum is min(h[i], g[i + width - 1]), h and g the
+    running minima backward and forward within each block. Min never rounds,
+    so every minimum is exact. The result is a view into the padded buffer."""
+    n, lead = rows.shape[-1], rows.shape[:-1]
+    padded = np.full(lead + (-(-n // width) * width,), np.inf)
+    padded[..., :n] = rows
+    blocks = padded.reshape(lead + (-1, width))
+    forward = np.minimum.accumulate(blocks, axis=-1).reshape(padded.shape)
+    np.minimum.accumulate(blocks[..., ::-1], axis=-1, out=blocks[..., ::-1])
+    starts = n - width + 1
+    return np.minimum(padded[..., :starts], forward[..., width - 1 : width - 1 + starts],
+                      out=padded[..., :starts])
 
 
 def historical_replay(
@@ -248,7 +266,7 @@ def historical_replay(
     theta: float,
     horizon: int,
 ) -> SweepResult:
-    """Evaluate the first-passage criterion, for every gamma' >= theta, over
+    """Evaluate the first-passage criterion, for every gamma' > theta, over
     every horizon-long window of actual prices inside one period of the
     assets' common timeline. Each window gives the sweep's estimate builder
     one relative value: its exact minimum if it can fail, else a lower
@@ -275,12 +293,9 @@ def historical_replay(
     window. So every count equals the full evaluation's by construction,
     whatever the gather size, and there is still one value per window
     start."""
-    for g in gamma_primes:
-        if not (g >= theta > 1.0):
-            raise DataError(f"need gamma' >= theta > 1, got {g}, {theta}")
+    _check_gamma_primes(gamma_primes, theta)
     if horizon < 1:
         raise DataError("horizon must be >= 1")
-    _refuse_repeats(gamma_primes, "gamma' values")
     panel, cuts = common_timeline(series_map, portfolio.assets)
     weights = portfolio.weights
     margin = 1e-12 * max(1.0, len(weights) / 4000)
@@ -328,11 +343,11 @@ class SweepResult:
     runs: int  # runs (or replay windows) behind every cell
 
     def to_csv(self) -> str:
-        lines = ["gamma_prime," + ",".join(self.portfolios)]
+        rows = [["gamma_prime", *self.portfolios]]
         for g in self.gamma_primes:
             cells = [f"{self.estimates[(g, name)].probability:.6f}" for name in self.portfolios]
-            lines.append(f"{g}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            rows.append([f"{g}", *cells])
+        return "".join(",".join(row) + "\n" for row in rows)
 
     def as_json(self) -> dict:
         return {
@@ -398,9 +413,7 @@ def table_sweep(
     only the weighting is per portfolio; the failure probability is exactly
     non-increasing down the gamma' rows.
     """
-    for g in gamma_primes:
-        if not (g > theta > 1.0):
-            raise DataError(f"need gamma' > theta > 1, got {g}, {theta}")
+    _check_gamma_primes(gamma_primes, theta)
     if horizon < 1 or runs < 1:
         raise DataError(f"horizon and runs must be >= 1, got {horizon}, {runs}")
     if not 1 <= jobs <= MAX_JOBS:
@@ -409,7 +422,6 @@ def table_sweep(
         raise DataError(f"seed must be >= 0, got {seed}")
     if not common_random_numbers:
         raise DataError("common_random_numbers must be True: every portfolio draws from the one seed")
-    _refuse_repeats(gamma_primes, "gamma' values")
     names = [p.name for p in portfolios]
     _refuse_repeats(names, "portfolio names")
     mins = _min_relative_values(portfolios, seed, model, horizon, runs, distribution, zero_drift, jobs)

@@ -52,8 +52,7 @@ Cholesky factor, which the sampler colours with, is derived from it on load,
 and a stored ``chol`` is ignored.
 
 The per-asset Student-t degrees of freedom are fitted by maximum likelihood
-with an analytic gradient (`fit_nu`), about ten passes over the data per
-asset.
+(`fit_nu`, projected Newton steps): about six likelihood evaluations per asset.
 """
 
 from __future__ import annotations
@@ -478,22 +477,36 @@ def cholesky(cov: np.ndarray) -> np.ndarray:
     raise ModelError("covariance is not positive semi-definite (jitter exhausted)")
 
 
-def _t_neg_loglik(params: np.ndarray, x2: np.ndarray) -> tuple[float, np.ndarray]:
+def _psi(x: float) -> tuple[float, float]:
+    """Digamma within 1e-12 and trigamma, which only shapes Newton's steps,
+    within 1e-10 relative at x > 0: recurrence up to x >= 8, then the
+    asymptotic series (Abramowitz & Stegun 6.3.18, 6.4.12)."""
+    d = t = 0.0
+    while x < 8.0:
+        d, t, x = d - 1.0 / x, t + 1.0 / (x * x), x + 1.0
+    r = 1.0 / (x * x)
+    d += math.log(x) - 0.5 / x - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r / 132))))
+    t += 1.0 / x + 0.5 * r + r / x * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r / 30)))
+    return d, t
+
+
+def _t_objective(point: tuple[float, float], x2: np.ndarray):
     """Mean negative log-likelihood of a location-0 Student-t with
-    (nu, sigma^2) = exp(params), and its gradient in params, given the
-    squared observations."""
-    from scipy.special import digamma, gammaln  # here, not at the top: only the fit needs scipy
-    nu, s2 = np.exp(params)
-    z = x2 / (nu * s2)
+    (nu, sigma^2) = exp(point), given the squared observations, with its
+    gradient and Hessian in point as (value, (ga, gb), (haa, hab, hbb))."""
+    nu = math.exp(point[0])
+    z = x2 / (nu * math.exp(point[1]))
     mean_log = float(np.log1p(z).mean())
-    mean_frac = float((z / (1.0 + z)).mean())  # -d log1p(z) / d log(nu s2)
-    half = 0.5 * (nu + 1.0)
-    value = (gammaln(0.5 * nu) - gammaln(half) + 0.5 * math.log(math.pi * nu)
-             + 0.5 * params[1] + half * mean_log)
-    d_nu = (0.5 * digamma(0.5 * nu) - 0.5 * digamma(half) + 0.5 / nu
-            + 0.5 * mean_log - half / nu * mean_frac)
-    d_s2 = 0.5 - half * mean_frac
-    return value, np.array([nu * d_nu, d_s2])
+    z /= 1.0 + z
+    frac = float(z.mean())  # -d mean_log / d log(nu sigma^2)
+    curve = frac - float(np.dot(z, z)) / len(z)  # d frac / d log(nu sigma^2), negated
+    half, h = 0.5 * (nu + 1.0), 0.5 * nu
+    (d0, t0), (d1, t1) = _psi(h), _psi(half)
+    value = (math.lgamma(h) - math.lgamma(half) + 0.5 * math.log(math.pi * nu)
+             + 0.5 * point[1] + half * mean_log)
+    ga = h * (d0 - d1) + 0.5 + h * mean_log - half * frac
+    haa = h * (d0 - d1) + h * h * (t0 - t1) + h * (mean_log - 2.0 * frac) + half * curve
+    return value, (ga, 0.5 - half * frac), (haa, half * curve - h * frac, half * curve)
 
 
 def fit_nu(standardized: np.ndarray) -> float:
@@ -501,27 +514,43 @@ def fit_nu(standardized: np.ndarray) -> float:
     returns, clamped to [2.1, 200] so the variance stays finite.
 
     The location-0 t log-likelihood is maximised jointly over
-    (log nu, log sigma^2) by L-BFGS-B with its analytic gradient, log nu
-    bounded to the clamp: about ten O(n) evaluations, where a generic simplex
-    search over the log-pdf takes hundreds.
+    (log nu, log sigma^2) by Newton steps on its analytic gradient and Hessian
+    (Lange, Little & Taylor, JASA 84, 1989), each at most e^2-fold, halved until
+    the Armijo rule holds, log nu projected onto the clamp. On the clamp, with
+    the gradient pointing out, a step moves log sigma^2 alone.
     """
-    from scipy.optimize import minimize
     x2 = np.square(np.asarray(standardized, dtype=float))
     mean_x2 = float(x2.mean()) if x2.size else math.nan
     if not 0.0 < mean_x2 < math.inf:
         raise ModelError("t-fit needs finite input that is not all zero")
-    nu0 = 5.0
     lo, hi = math.log(NU_MIN), math.log(NU_MAX)
-    start = np.array([math.log(nu0), math.log(mean_x2 * (nu0 - 2.0) / nu0)])
-    # the likelihood is flat in nu for large nu: at the default gtol of 1e-5 on
-    # the per-point gradient, nu stops 7e-5 relative short of the optimum at nu=30
-    result = minimize(
-        _t_neg_loglik, start, args=(x2,), jac=True, method="L-BFGS-B",
-        bounds=[(lo, hi), (None, None)], options={"gtol": 1e-8},
-    )
-    log_nu = float(result.x[0])
+    point = (math.log(5.0), math.log(mean_x2 * 3.0 / 5.0))  # nu = 5 with the sample's variance
+    value, (ga, gb), (haa, hab, hbb) = _t_objective(point, x2)
+    for _ in range(100):
+        if (point[0] <= lo and ga > 0.0) or (point[0] >= hi and ga < 0.0):
+            step = (0.0, -gb / hbb)
+        else:  # Newton, shifted to a descent direction where the Hessian is not positive definite
+            shift = max(0.0, 1e-9 * (abs(haa) + abs(hbb)) + math.hypot(0.5 * (haa - hbb), hab)
+                        - 0.5 * (haa + hbb))
+            haa, hbb = haa + shift, hbb + shift
+            det = haa * hbb - hab * hab
+            step = ((hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det)
+        longest = max(abs(step[0]), abs(step[1]))
+        for halving in range(60):  # the last is below 1e-9, so it ends the fit
+            t = 0.5 ** halving * 2.0 / max(longest, 2.0)
+            trial = (min(max(point[0] + t * step[0], lo), hi), point[1] + t * step[1])
+            slope = ga * (trial[0] - point[0]) + gb * (trial[1] - point[1])
+            evaluated = _t_objective(trial, x2)
+            # the tolerance admits rounding at the optimum, about 1e-15 |f|
+            if evaluated[0] <= value + 1e-4 * slope + 4e-15 * abs(value):
+                break
+        moved = max(abs(trial[0] - point[0]), abs(trial[1] - point[1]))
+        point, (value, (ga, gb), (haa, hab, hbb)) = trial, evaluated
+        # Newton converges quadratically: after a step under 1e-9 the next is rounding
+        if moved < 1e-9:
+            break
     # at a bound, report the clamp itself: exp(log(200)) is 199.99999999999991
-    nu = NU_MIN if log_nu <= lo else NU_MAX if log_nu >= hi else math.exp(log_nu)
+    nu = NU_MIN if point[0] <= lo else NU_MAX if point[0] >= hi else math.exp(point[0])
     return min(max(nu, NU_MIN), NU_MAX)
 
 

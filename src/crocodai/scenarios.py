@@ -1,6 +1,6 @@
 """Black-swan attack checkers and the JSON scenario runner, the top of the
 protocol engine: like `ledger`, `stablecoin`, `relay` and `oracle`, it imports
-nothing from the risk engine (`riskmodel`, `montecarlo`, `optimizer`) or scipy.
+nothing from the risk engine (`riskmodel`, `montecarlo`, `optimizer`).
 
 The two attack checkers verify, with exact rational arithmetic, that after
 a worst-case event the aggregate collateral-to-debt ratio stays strictly

@@ -680,6 +680,24 @@ class TestCommaListFlags:
         assert capsys.readouterr().err == f"error: gamma' values must be unique, repeated: {repeated}\n"
         assert not out.exists() and not csv_out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_gamma_prime_at_theta_refused_before_any_work(self, prices, tmp_path, monkeypatch,
+                                                          capsys, command):
+        # replay took gamma' = theta, where every window fails on its start
+        # slot, and wrote probability 1.0; simulate refused it
+        def no_work(*_, **__):
+            raise AssertionError("ran with gamma' = theta")
+
+        for name in ("_min_relative_values", "common_timeline"):
+            monkeypatch.setattr(montecarlo, name, no_work)
+        weights, out = tmp_path / "w.json", tmp_path / "out.json"
+        weights.write_text(json.dumps({"weights": {"BTC": 1.0}}))
+        argv = [command, "--prices", str(prices), "--portfolio", str(weights),
+                "--gamma-prime", "1.2,1.1", "--theta", "1.1", "--horizon", "4", "--out", str(out)]
+        assert main(argv + (["--n", "100"] if command == "simulate" else [])) == 2
+        assert capsys.readouterr().err == "error: need gamma' > theta > 1, got 1.1, 1.1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "oracle-tail"])
     def test_negative_seed_refused_before_any_work(self, prices, monkeypatch, capsys, command):
         # numpy's generators raised ValueError for -1: a traceback with exit 1

@@ -26,7 +26,7 @@ The protocol engine (`ledger`, `stablecoin`, `relay`, `oracle`, `scenarios`)
 imports nothing from the risk engine (`riskmodel`, `montecarlo`, `optimizer`)
 or scipy, at any depth. Fresh interpreters show the same seam at run time:
 importing `scenarios`, and the CLI's `scenario` and `oracle-tail`, load no
-risk engine, and only a command that fits loads scipy.
+risk engine, and no CLI command loads scipy: the program runs on numpy alone.
 """
 
 import ast
@@ -283,10 +283,24 @@ def test_protocol_runs_load_no_risk_engine(tmp_path):
         assert not (modules & _RISK_ENGINE) | _scipy(modules), name
 
 
-def test_only_a_fit_loads_scipy(tmp_path):
+def test_no_module_imports_scipy():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in _imported_names(node)]
+    assert not found
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # `scenario` and `oracle-tail` are checked above
     prices = write_price_csv(tmp_path / "prices.csv", ["BTC", "ETH", "TRX"], slots=300, seed=1)
-    model = tmp_path / "model.json"
-    assert _scipy(_cli("fit", "--prices", prices, "--out", model))
-    for argv in (["ingest", "--prices", prices], ["optimize", "--model", model, "--cap", 0.5]):
+    model, portfolio = tmp_path / "model.json", tmp_path / "portfolio.json"
+    portfolio.write_text('{"weights": {"BTC": 0.5, "ETH": 0.5}}')
+    assert not _scipy(_cli("fit", "--prices", prices, "--out", model))
+    runs = [["ingest", "--prices", prices], ["optimize", "--model", model, "--cap", 0.5],
+            ["optimize", "--prices", prices, "--cap", 0.5],
+            ["replay", "--prices", prices, "--portfolio", portfolio, "--horizon", 4]]
+    for source in (["--model", model], ["--prices", prices]):
+        runs.append(["simulate", *source, "--portfolio", portfolio, "--n", 100, "--horizon", 4])
+    for argv in runs:
         modules = _cli(*argv, "--out", tmp_path / "out.json")
-        assert "crocodai.riskmodel" in modules and not _scipy(modules), argv[0]
+        assert "crocodai.riskmodel" in modules and not _scipy(modules), argv[:2]

@@ -6,7 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.ndimage import minimum_filter1d
 
 from conftest import sweep_cell, toy_model
 from crocodai import montecarlo, riskmodel
@@ -193,12 +196,17 @@ class TestHistoricalReplay:
         est = replay_cell(p, {"X": s}, 1.3, 1.1, horizon=10)
         assert est.probability == 0.0
 
-    def test_gamma_prime_equal_theta_fails_at_start(self):
-        # threshold is 1 and the window-start ratio is exactly 1 (<= rule)
+    @pytest.mark.parametrize("gamma_prime", [1.1, 1.05])
+    def test_gamma_prime_at_or_below_theta_refused(self, gamma_prime):
+        # at gamma' = theta the threshold is 1, which every window's start
+        # slot meets: replay reported probability 1.0 where a sweep refuses
         s = PriceSeries("X", np.arange(30) * 300, np.linspace(5, 6, 30))
         p = Portfolio("solo", ("X",), np.array([1.0]))
-        est = replay_cell(p, {"X": s}, 1.1, 1.1, horizon=5)
-        assert est.probability == 1.0
+        model = toy_model(np.eye(1) * 1e-4, names=["X"])
+        with pytest.raises(DataError, match=f"need gamma' > theta > 1, got {gamma_prime}, 1.1"):
+            replay_cell(p, {"X": s}, gamma_prime, 1.1, horizon=5)
+        with pytest.raises(DataError, match=f"need gamma' > theta > 1, got {gamma_prime}, 1.1"):
+            table_sweep([p], [gamma_prime], model, 1.1, horizon=5, runs=10)
 
     def test_single_drawdown_fails_exactly_covering_windows(self):
         # one 15% dip at index 40 with threshold drop 1 - theta/gamma' ~ 8.3%:
@@ -270,17 +278,14 @@ def two_period_series(first=700, second=400, seed=3):
 
 class TestBlockedReplay:
     """Replay weighs many windows per numpy call; every count must be the one
-    the per-window loop gives. That includes gamma' = theta, where the
-    threshold is 1 and a window fails on its start slot exactly when the
-    weights' float sum is at most 1: 0.33 + 0.56 + 0.11 is 1 + 2**-52 in
-    this order and 1 in the reverse one."""
+    the per-window loop gives."""
 
     @pytest.mark.parametrize("horizon", [1, 24, 300])
     @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.7), (0.33, 0.56, 0.11), (0.0, 1.0, 0.0)])
     def test_equals_per_window_loop(self, horizon, weights):
         series = two_period_series()
         p = Portfolio("mix", ("A", "B", "C"), np.array(weights))
-        gammas = (1.1, 1.15, 1.2, 1.3, 1.5)
+        gammas = (1.15, 1.2, 1.3, 1.5)
         result = historical_replay(p, series, gammas, 1.1, horizon)
         for g in gammas:
             est = result.estimates[(g, "mix")]
@@ -292,7 +297,7 @@ class TestBlockedReplay:
     def test_gather_size_never_changes_the_result(self, horizon):
         series = two_period_series()
         p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
-        gammas = (1.1, 1.15, 1.2, 1.3, 1.5)
+        gammas = (1.15, 1.2, 1.3, 1.5)
         # one window's bytes, fewer than one window's (still one a gather),
         # and more than every candidate of a period
         results, gathers = [], []
@@ -304,13 +309,6 @@ class TestBlockedReplay:
         assert results[0] == results[1] == results[2]
         assert gathers[0] == gathers[1] > gathers[2] == 2  # one gather a period
         assert any(0 < cell["failures"] < cell["runs"] for cell in results[0]["cells"].values())
-
-    def test_gamma_prime_equal_theta_depends_on_the_weight_sum(self):
-        series = two_period_series()
-        p = Portfolio("mix", ("A", "B", "C"), np.array([0.33, 0.56, 0.11]))
-        est = replay_cell(p, series, 1.1, 1.1, 24)
-        assert 0 < est.failures < est.runs  # windows that only rise do not fail
-        assert (est.failures, est.runs) == reference_replay(p, series, 1.1, 1.1, 24)
 
     def test_window_ending_at_a_period_cut(self):
         # flat prices but a 20% dip on the last slot of the first period: only
@@ -379,17 +377,33 @@ class TestPrunedReplay:
         for row, got in zip(block, minima):
             assert np.array_equal(got, [row[s : s + width].min() for s in range(len(row) - width + 1)])
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_minima_equal_scipy_bit_for_bit(self, data):
+        # a few repeated values, infinities among them, and any float but NaN;
+        # adding 0.0 turns -0.0 into 0.0, whose minimum with -0.0 may be either
+        rows = data.draw(st.integers(0, 4), label="rows")  # 0: one 1-D row
+        n = data.draw(st.integers(1, 60), label="slots")
+        width = data.draw(st.integers(1, n), label="width")
+        repeated = st.sampled_from([-2.5, 0.5, 1.0, 1.0 + 2**-52, 3.0, np.inf, -np.inf])
+        cells = repeated | st.floats(allow_nan=False)
+        shape = (rows, n) if rows else (n,)
+        block = np.array(data.draw(st.lists(cells, min_size=n * max(rows, 1),
+                                            max_size=n * max(rows, 1)))).reshape(shape) + 0.0
+        # scipy's sliding minimum, its window shifted to start at each slot
+        expected = minimum_filter1d(block, width, axis=-1, origin=-(width // 2))[..., : n - width + 1]
+        got = _window_minima(block, width)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("horizon", [1, 5, 37, 120])
     def test_random_panels_equal_the_per_window_loop(self, seed, horizon):
         rng = np.random.default_rng(100 + seed)
         assets = ("A", "B", "C", "D")[: 1 + seed]
         series = random_panel(seed, assets, periods=[90, 300, 30, 170][: 2 + seed % 3])
-        # three assets take the weights whose float sum is 1 + 2**-52, so at
-        # gamma' = theta a window's start slot alone decides its failure
-        weights = (0.33, 0.56, 0.11) if len(assets) == 3 else rng.dirichlet(np.ones(len(assets)))
-        p = Portfolio("p", assets, np.array(weights))
-        gammas = (1.1, 1.12, 1.2, 1.3, 1.5)
+        p = Portfolio("p", assets, rng.dirichlet(np.ones(len(assets))))
+        gammas = (1.12, 1.2, 1.3, 1.5)
         result = historical_replay(p, series, gammas, 1.1, horizon)
         for g in gammas:
             est = result.estimates[(g, "p")]
@@ -408,7 +422,7 @@ class TestPrunedReplay:
         for target in minima[:: max(1, len(minima) // 6)]:
             g = 1.1 / target
             for _ in range(8):  # a gamma' whose threshold is exactly this minimum
-                if g >= 1.1 and 1.1 / g == target:
+                if g > 1.1 and 1.1 / g == target:
                     gammas.append(g)
                     break
                 g = np.nextafter(g, np.inf if 1.1 / g > target else 0.0)
@@ -519,6 +533,12 @@ class TestTableSweep:
         model = toy_model(np.eye(1) * 1e-4)
         res = table_sweep([], [1.2, 1.3], model, 1.1, horizon=5, runs=2 * CHUNK_RUNS + 1)
         assert res.as_json() == {"gamma_primes": [1.2, 1.3], "portfolios": [], "cells": {}}
+
+    def test_csv_of_no_portfolio_has_no_empty_column(self):
+        # it wrote 'gamma_prime,\n1.2,\n1.3,\n': an empty column on every row
+        model = toy_model(np.eye(1) * 1e-4)
+        res = table_sweep([], [1.2, 1.3], model, 1.1, horizon=5, runs=10)
+        assert res.to_csv() == "gamma_prime\n1.2\n1.3\n"
 
 
 class TestSharedDraws:

@@ -2,16 +2,19 @@ import csv
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, special, stats
 
 from conftest import toy_model, write_price_csv
 from crocodai import riskmodel
@@ -264,7 +267,7 @@ class TestMemoryGates:
 
     def test_fit_holds_under_three_price_matrices(self, tmp_path):
         series = ingest_prices(write_panel_csv(tmp_path / "p.csv", self.SYMBOLS, self.ROWS))
-        fit_model_from_series(series)  # first calls: scipy's optimizer loads lazily
+        fit_model_from_series(series)  # first calls, so no lazy set-up is counted
         model, _, peak = self.traced(lambda: fit_model_from_series(series))
         assert model.n_obs == self.ROWS - 1
         matrix = self.ROWS * len(self.SYMBOLS) * 8
@@ -748,7 +751,7 @@ def t_loglik(x, nu, scale):
 
 
 class TestFitNu:
-    """The gradient fit maximises the same location-0 likelihood as
+    """The Newton fit maximises the same location-0 likelihood as
     `scipy.stats.t.fit(x, floc=0)`, so it must land on the same nu."""
 
     @pytest.mark.parametrize("nu", [3.0, 5.0, 10.0, 30.0])
@@ -776,6 +779,102 @@ class TestFitNu:
     def test_deterministic(self):
         x = np.random.default_rng(7).standard_t(4.0, 20_000)
         assert fit_nu(x) == fit_nu(x.copy())
+
+
+def _lbfgsb_objective(params, x2):
+    """The mean negative log-likelihood of a location-0 Student-t with
+    (nu, sigma^2) = exp(params), with its gradient, as the fit computed it
+    before its Newton solve: on scipy's special functions."""
+    nu, s2 = np.exp(params)
+    z = x2 / (nu * s2)
+    mean_log = float(np.log1p(z).mean())
+    mean_frac = float((z / (1.0 + z)).mean())
+    half = 0.5 * (nu + 1.0)
+    value = (special.gammaln(0.5 * nu) - special.gammaln(half) + 0.5 * math.log(math.pi * nu)
+             + 0.5 * params[1] + half * mean_log)
+    d_nu = (0.5 * special.digamma(0.5 * nu) - 0.5 * special.digamma(half) + 0.5 / nu
+            + 0.5 * mean_log - half / nu * mean_frac)
+    return value, np.array([nu * d_nu, 0.5 - half * mean_frac])
+
+
+def lbfgsb_nu(x):
+    """The former `fit_nu`: L-BFGS-B from the same start, log nu bounded
+    to the clamp."""
+    x2 = np.square(x)
+    lo, hi = math.log(NU_MIN), math.log(NU_MAX)
+    result = optimize.minimize(
+        _lbfgsb_objective, [math.log(5.0), math.log(x2.mean() * 3.0 / 5.0)], args=(x2,), jac=True,
+        method="L-BFGS-B", bounds=[(lo, hi), (None, None)], options={"gtol": 1e-8})
+    log_nu = float(result.x[0])
+    return NU_MIN if log_nu <= lo else NU_MAX if log_nu >= hi else math.exp(log_nu)
+
+
+def profile_objective(x, nu):
+    """The objective at `nu`, minimised over sigma^2, with its final sum
+    taken exactly (`math.fsum`): the scale's optimum is the root of the
+    derivative in log sigma^2, which increases from 0.5 - (nu + 1)/2 to 0.5."""
+    x2 = np.square(x)
+    half = 0.5 * (nu + 1.0)
+
+    def slope(b):
+        z = x2 / (nu * math.exp(b))
+        return 0.5 - half * float((z / (1.0 + z)).mean())
+
+    positive = x2[x2 > 0.0]
+    b = optimize.brentq(slope, math.log(positive.min() / nu) - 40.0,
+                        math.log(positive.max() / nu) + 40.0, xtol=1e-14)
+    z = x2 / (nu * math.exp(b))
+    return (math.lgamma(0.5 * nu) - math.lgamma(half) + 0.5 * math.log(math.pi * nu)
+            + 0.5 * b + half * math.fsum(np.log1p(z)) / len(z))
+
+
+@pytest.fixture(scope="module")
+def seed0_returns(tmp_path_factory):
+    """Each asset's standardized returns of the seed-0 100,000-slot CSV."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_prices.py"
+    path = tmp_path_factory.mktemp("seed0") / "prices.csv"
+    subprocess.run([sys.executable, str(script), "--slots", "100000", "--seed", "0",
+                    "--out", str(path)], check=True, stdout=subprocess.DEVNULL)
+    assets, returns = aligned_log_returns(ingest_prices(path))
+    returns -= returns.mean(axis=1, keepdims=True)
+    return dict(zip(assets, returns / returns.std(axis=1, ddof=1, keepdims=True)))
+
+
+class TestFitNuAgainstLbfgsb:
+    """The Newton fit against the L-BFGS-B solve it replaced, on the same
+    likelihood: its profile objective is at most L-BFGS-B's, but for a
+    rounding allowance of 1e-15 relative, and its nu lies within 1e-4
+    relative of L-BFGS-B's, the clamps exactly. `check` returns the fitted
+    nu and the number of likelihood evaluations it took."""
+
+    @staticmethod
+    def check(x):
+        with mock.patch.object(riskmodel, "_t_objective", wraps=riskmodel._t_objective) as objective:
+            got = fit_nu(x)
+        ref = lbfgsb_nu(x)
+        assert abs(got - ref) <= 1e-4 * ref
+        if ref in (NU_MIN, NU_MAX):
+            assert got == ref
+        reference = profile_objective(x, ref)
+        assert profile_objective(x, got) <= reference + 1e-15 * abs(reference)
+        return got, objective.call_count
+
+    @pytest.mark.parametrize("nu", [2.5, 4.0, 10.0, 30.0, 80.0, 500.0])
+    def test_t_samples(self, nu):
+        x = np.random.default_rng(20 + int(nu)).standard_t(nu, 50_000)
+        self.check((x - x.mean()) / x.std(ddof=1))
+
+    @pytest.mark.parametrize("asset", ["ADA", "AVAX", "BTC", "DOT", "ETH", "SOL", "TRX", "WBTC"])
+    def test_seed0_assets(self, seed0_returns, asset):
+        assert self.check(seed0_returns[asset])[1] <= 8
+
+    @pytest.mark.parametrize("sample, clamp", [("normal", NU_MAX), ("cauchy", NU_MIN)])
+    def test_clamps_hit_exactly(self, sample, clamp):
+        # on the clamp a step moves log sigma^2 alone: a full step projected
+        # onto the clamp took 39 and 50 evaluations here
+        x = getattr(np.random.default_rng(3), f"standard_{sample}")(50_000)
+        nu, evaluations = self.check(x)
+        assert nu == clamp and evaluations <= 15
 
 
 class TestEstimateModel:
